@@ -21,10 +21,8 @@ from .compact_rep import (
     CompactRepSpec,
     MonteCarlo,
     TorusGrid,
-    adjoint_matrix,
     block_subgroup,
     full_torus,
-    haar_sample,
     haar_samples,
     invariant_projector,
     is_gelfand_witness,

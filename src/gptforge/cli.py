@@ -27,9 +27,9 @@ from .errors import (
     NumericalConsistencyError,
     ResourceError,
 )
+from .numerics import DEFAULT_TOL
 
 DEFAULT_SAMPLES = 2000
-DEFAULT_TOL = 1e-8
 
 
 def _default_seed():
@@ -205,6 +205,13 @@ def cmd_hexagon(args):
 # structure specs shared by deform / distance / sphere-check / schur-average
 
 
+def _number(cast, text, where):
+    try:
+        return cast(text)
+    except ValueError:
+        raise DomainError(f"malformed number {text!r} in {where!r}") from None
+
+
 def _parse_structure_spec(text):
     """bloch | spin2 | deformable:a1,a2,a3[:t] | quartic[:k] | file.json"""
     if text == "bloch":
@@ -216,15 +223,15 @@ def _parse_structure_spec(text):
         alpha = (0.5, 0.3, 0.2)
         t = 0.0
         if len(parts) >= 2 and parts[1]:
-            alpha = tuple(float(x) for x in parts[1].split(","))
+            alpha = tuple(_number(float, x, text) for x in parts[1].split(","))
             if len(alpha) != 3:
                 raise DomainError("deformable spec needs three coefficients")
         if len(parts) >= 3:
-            t = float(parts[2])
+            t = _number(float, parts[2], text)
         return {"name": "deformable", "alpha": alpha, "t": t}
     if text.startswith("quartic"):
         parts = text.split(":")
-        k = int(parts[1]) if len(parts) > 1 else 2
+        k = _number(int, parts[1], text) if len(parts) > 1 else 2
         return {"name": "quartic", "k": k}
     if text.endswith(".json"):
         data = _load_json(text)
@@ -336,12 +343,22 @@ def cmd_distance(args):
     return 0
 
 
-def cmd_deform(args):
-    start, stop, step = (float(x) for x in args.t_grid.split(":"))
+def _t_grid(text):
+    """start:stop:step, inclusive, with 0 <= start <= stop <= 1 and step > 0."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise DomainError(f"t grid {text!r} is not start:stop:step")
+    start, stop, step = (_number(float, x, text) for x in parts)
     if not (0.0 <= start <= stop <= 1.0):
         raise DomainError("t grid must lie inside [0, 1]")
-    count = int(round((stop - start) / step)) + 1 if step > 0 else 1
-    ts = [start + i * step for i in range(count)]
+    if not step > 0.0:
+        raise DomainError(f"t grid step must be positive, got {step:g}")
+    count = int(round((stop - start) / step)) + 1
+    return [start + i * step for i in range(count)]
+
+
+def cmd_deform(args):
+    ts = _t_grid(args.t_grid)
     base = state_space.deformable_structure(args.alpha, args.samples, args.seed)
     rows = deformation.deformation_sweep(base, ts,
                                          effect_family_size=args.family_size,
@@ -468,6 +485,17 @@ def cmd_quartic(args):
 # parser
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gptforge",
@@ -483,7 +511,7 @@ def build_parser():
     def common(p, samples=DEFAULT_SAMPLES):
         p.add_argument("--seed", type=int, default=seed_default,
                        help="rng seed (default from GPTFORGE_SEED or 0)")
-        p.add_argument("--samples", type=int, default=samples,
+        p.add_argument("--samples", type=_positive_int, default=samples,
                        help=f"Monte-Carlo sample count (default {samples})")
         p.add_argument("-o", "--output", help="write output to a file")
 
@@ -512,14 +540,14 @@ def build_parser():
                    help="start:stop:step, inclusive (default 0:0.1:0.02)")
     p.add_argument("--alpha", type=lambda s: tuple(float(x) for x in s.split(",")),
                    default=(0.5, 0.3, 0.2))
-    p.add_argument("--family-size", type=int, default=8)
+    p.add_argument("--family-size", type=_positive_int, default=8)
     common(p)
     p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("distance", help="distance estimate between structures")
     p.add_argument("spec0")
     p.add_argument("spec1")
-    p.add_argument("--family-size", type=int, default=8)
+    p.add_argument("--family-size", type=_positive_int, default=8)
     common(p)
     p.set_defaults(func=cmd_distance)
 
@@ -530,7 +558,7 @@ def build_parser():
 
     p = sub.add_parser("schur-average", help="block-average identity checks")
     p.add_argument("spec")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_positive_int, default=5)
     common(p)
     p.set_defaults(func=cmd_schur_average)
 

@@ -1,4 +1,4 @@
-"""Concrete matrix representations of compact groups and their subgroups.
+"""Compact groups acting on real carrier spaces, through one kernel.
 
 Supported carriers:
 
@@ -8,6 +8,16 @@ Supported carriers:
 * ``so_fundamental(d)``  - R^d,
 * ``so_traceless_symmetric(d)`` - traceless symmetric d x d real matrices
   under X -> R X R^T (for d = 3 this is the spin-2 carrier).
+
+Group elements are always held in the fundamental picture (d x d unitary or
+orthogonal matrices).  :func:`act` applies them to carrier vectors directly:
+the two conjugation carriers map coordinates v to X = sum_a v_a B_a
+(:meth:`CompactRepSpec.matrix`), conjugate X -> g X g^H and read the result
+back as 1/2 Re tr(B_a X) (:meth:`CompactRepSpec.coordinates`); the two
+fundamental carriers multiply v by g.  An orbit point Gamma(g) v therefore
+costs O(d^3) per element, without forming the D x D matrix Gamma(g).
+:func:`rep_matrices` is the same kernel applied to the identity, for the
+few callers that need Gamma(g) itself (Monte-Carlo and grid averages).
 
 Haar sampling is Ginibre + QR with the R-diagonal phase fixed, then
 det-normalized into SU(d) / SO(d).  Invariant projectors onto the
@@ -148,6 +158,15 @@ class CompactRepSpec:
             return symmetric_traceless_basis(self.d)
         raise DomainError(f"{self.kind} carrier uses the coordinate basis")
 
+    def matrix(self, v):
+        """The d x d matrix sum_a v_a B_a of carrier coordinates (batched)."""
+        return np.tensordot(np.asarray(v, dtype=float), self.basis(), axes=1)
+
+    def coordinates(self, m):
+        """Carrier coordinates 1/2 Re tr(B_a m) of d x d matrices (batched)."""
+        return 0.5 * np.real(np.tensordot(m, self.basis(),
+                                          axes=([-1, -2], [1, 2])))
+
 
 def su_adjoint(d):
     return CompactRepSpec("su_adjoint", d)
@@ -169,18 +188,26 @@ def su_fundamental(d):
 # Haar sampling
 
 
+def _ginibre_unitaries(rng, n, d):
+    """n Haar samples from U(d): Ginibre + QR with the R-diagonal phase fixed."""
+    z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    diag = np.einsum("nii->ni", r)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def _unit_det(q):
+    """Rescale a batch of unitaries by a phase into SU(d)."""
+    det = np.linalg.det(q)
+    return q * np.exp(-1j * np.angle(det) / q.shape[-1])[:, None, None]
+
+
 def haar_unitaries(d, n, rng):
     """n Haar samples from SU(d): Ginibre + QR, phases fixed, det normalized."""
     rng = ensure_rng(rng)
     if d == 1:
         return np.ones((n, 1, 1), dtype=complex)
-    z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    diag = np.einsum("nii->ni", r)
-    q = q * (diag / np.abs(diag))[:, None, :]
-    det = np.linalg.det(q)
-    q = q * np.exp(-1j * np.angle(det) / d)[:, None, None]
-    return q
+    return _unit_det(_ginibre_unitaries(rng, n, d))
 
 
 def haar_orthogonals(d, n, rng):
@@ -204,12 +231,8 @@ def haar_samples(spec, n, rng):
     return haar_orthogonals(spec.d, n, rng)
 
 
-def haar_sample(spec, rng):
-    return haar_samples(spec, 1, rng)[0]
-
-
 # ---------------------------------------------------------------------------
-# representation matrices
+# the group action
 
 
 def _check_unitary(u, tol):
@@ -220,62 +243,38 @@ def _check_unitary(u, tol):
         raise DomainError(f"matrix is not unitary within {tol:g} (error {err:.3e})")
 
 
-def adjoint_matrices(us, tol=1e-10):
-    """Adjoint-action matrices X -> U X U^H on the Gell-Mann basis (batched).
+_CONJUGATION = ("su_adjoint", "so_traceless_symmetric")
 
-    Output is real orthogonal of size (d^2 - 1) since the basis is
-    trace-orthonormal.
+
+def act(spec, elements, vectors):
+    """Gamma(g) v for fundamental-picture elements g and carrier vectors v.
+
+    ``elements`` is one d x d matrix or a batch (n, d, d); ``vectors`` is one
+    carrier vector (D,) or a batch (m, D), and a batch is acted on by every
+    element.  The result has shape ([n,] [m,] D).  Conjugation carriers
+    compute g X g^H on X = sum_a v_a B_a and require unitary g; the
+    fundamental carriers compute g v (through v_re + i v_im for
+    ``su_fundamental``), which is linear in g.
     """
-    us = np.asarray(us, dtype=complex)
-    single = us.ndim == 2
-    if single:
-        us = us[None]
-    _check_unitary(us, tol)
-    t = gell_mann_basis(us.shape[-1])
-    rotated = np.einsum("nij,ajk,nlk->nail", us, t, us.conj())
-    out = 0.5 * np.real(np.einsum("ali,nbil->nab", t, rotated))
-    return out[0] if single else out
-
-
-def adjoint_matrix(u, tol=1e-10):
-    return adjoint_matrices(u, tol=tol)
-
-
-def symmetric_action_matrices(rs):
-    """Matrices of X -> R X R^T on the symmetric-traceless basis (batched)."""
-    rs = np.asarray(rs, dtype=float)
-    single = rs.ndim == 2
-    if single:
-        rs = rs[None]
-    b = symmetric_traceless_basis(rs.shape[-1])
-    rotated = np.einsum("nij,ajk,nlk->nail", rs, b, rs)
-    out = 0.5 * np.einsum("ali,nbil->nab", b, rotated)
-    return out[0] if single else out
-
-
-def realified(us):
-    """C^d matrices as real 2d x 2d blocks [[Re, -Im], [Im, Re]]."""
-    us = np.asarray(us, dtype=complex)
-    single = us.ndim == 2
-    if single:
-        us = us[None]
-    re, im = us.real, us.imag
-    top = np.concatenate([re, -im], axis=-1)
-    bot = np.concatenate([im, re], axis=-1)
-    out = np.concatenate([top, bot], axis=-2)
-    return out[0] if single else out
+    g = np.asarray(elements, dtype=complex if spec.is_unitary_group else float)
+    v = np.asarray(vectors, dtype=float)
+    if v.ndim == 2:
+        g = g[..., None, :, :]
+    if spec.kind in _CONJUGATION:
+        _check_unitary(g, 1e-10)
+        gh = np.swapaxes(g.conj(), -1, -2)
+        return spec.coordinates(g @ spec.matrix(v) @ gh)
+    if spec.kind == "so_fundamental":
+        return (g @ v[..., None])[..., 0]
+    d = spec.d
+    w = (g @ (v[..., :d] + 1j * v[..., d:])[..., None])[..., 0]
+    return np.concatenate([w.real, w.imag], axis=-1)
 
 
 def rep_matrices(spec, elements):
     """Real orthogonal matrices of ``spec`` at fundamental-picture elements."""
-    if spec.kind == "su_adjoint":
-        return adjoint_matrices(elements)
-    if spec.kind == "so_fundamental":
-        out = np.asarray(elements, dtype=float)
-        return out
-    if spec.kind == "so_traceless_symmetric":
-        return symmetric_action_matrices(elements)
-    return realified(elements)
+    columns = act(spec, elements, np.eye(spec.real_dimension))
+    return np.swapaxes(columns, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -324,29 +323,42 @@ def _check_blocks(spec, sub):
         )
 
 
+def _torus_elements(spec, angles):
+    """Maximal-torus elements at angles of shape (n, axes).
+
+    SU(d), d - 1 axes: diag(exp(i phi)) with a last phase closing the
+    determinant to 1; SO(d), d // 2 axes: one plane rotation per consecutive
+    coordinate pair.
+    """
+    d = spec.d
+    if spec.is_unitary_group:
+        full = np.concatenate([angles, -angles.sum(axis=1, keepdims=True)],
+                              axis=1)
+        out = np.zeros((len(full), d, d), dtype=complex)
+        ii = np.arange(d)
+        out[:, ii, ii] = np.exp(1j * full)
+        return out
+    out = np.tile(np.eye(d), (len(angles), 1, 1))
+    for p in range(d // 2):
+        c, s = np.cos(angles[:, p]), np.sin(angles[:, p])
+        i, j = 2 * p, 2 * p + 1
+        out[:, i, i] = c
+        out[:, i, j] = -s
+        out[:, j, i] = s
+        out[:, j, j] = c
+    return out
+
+
 def subgroup_samples(spec, sub, n, rng):
     """n elements of the subgroup, in the fundamental picture."""
     rng = ensure_rng(rng)
     d = spec.d
     if sub.kind == "full_torus":
         if spec.is_unitary_group:
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, d - 1))
-            full = np.concatenate([phases, -phases.sum(axis=1, keepdims=True)],
-                                  axis=1)
-            out = np.zeros((n, d, d), dtype=complex)
-            ii = np.arange(d)
-            out[:, ii, ii] = np.exp(1j * full)
-            return out
-        out = np.tile(np.eye(d), (n, 1, 1))
-        for p in range(d // 2):
-            th = rng.uniform(0.0, 2.0 * np.pi, size=n)
-            c, s = np.cos(th), np.sin(th)
-            i, j = 2 * p, 2 * p + 1
-            out[:, i, i] = c
-            out[:, i, j] = -s
-            out[:, j, i] = s
-            out[:, j, j] = c
-        return out
+            angles = rng.uniform(0.0, 2.0 * np.pi, size=(n, d - 1))
+        else:  # drawn one plane at a time
+            angles = rng.uniform(0.0, 2.0 * np.pi, size=(d // 2, n)).T
+        return _torus_elements(spec, angles)
     if sub.kind == "block_su_u1":
         if not spec.is_unitary_group:
             raise DomainError("block_su_u1 subgroups live in SU(d)")
@@ -355,16 +367,10 @@ def subgroup_samples(spec, sub, n, rng):
         start = 0
         for b in sub.blocks:
             # unrestricted U(b) blocks; the overall phase is fixed below
-            z = (rng.standard_normal((n, b, b))
-                 + 1j * rng.standard_normal((n, b, b)))
-            q, r = np.linalg.qr(z / np.sqrt(2.0))
-            diag = np.einsum("nii->ni", r)
-            q = q * (diag / np.abs(diag))[:, None, :]
-            out[:, start:start + b, start:start + b] = q
+            block = _ginibre_unitaries(rng, n, b)
+            out[:, start:start + b, start:start + b] = block
             start += b
-        det = np.linalg.det(out)
-        out *= np.exp(-1j * np.angle(det) / d)[:, None, None]
-        return out
+        return _unit_det(out)
     mats = np.asarray(sub.matrices)
     picks = rng.integers(0, len(mats), size=n)
     return mats[picks]
@@ -412,19 +418,15 @@ def subgroup_lie_generators(spec, sub):
 
 
 def _generator_action(spec, a):
-    """Matrix of the rep's Lie-algebra action for fundamental generator a."""
-    if spec.kind == "su_adjoint":
-        t = gell_mann_basis(spec.d)
-        comm = np.einsum("ij,bjk->bik", a, t) - np.einsum("bij,jk->bik", t, a)
-        return 0.5 * np.real(np.einsum("ali,bil->ab", t, comm))
-    if spec.kind == "so_fundamental":
-        return np.real(a)
-    if spec.kind == "so_traceless_symmetric":
-        b = symmetric_traceless_basis(spec.d)
-        ar = np.real(a)
-        act = np.einsum("ij,bjk->bik", ar, b) + np.einsum("bij,kj->bik", b, ar)
-        return 0.5 * np.einsum("ali,bil->ab", b, act)
-    return realified(a)
+    """Matrix of the rep's Lie-algebra action for fundamental generator a.
+
+    Conjugation carriers differentiate g X g^H into the commutator a X - X a;
+    the fundamental carriers are linear in g, so ``act`` applies a as is.
+    """
+    if spec.kind in _CONJUGATION:
+        b = spec.basis()
+        return spec.coordinates(a @ b - b @ a).T
+    return act(spec, a, np.eye(spec.real_dimension)).T
 
 
 # ---------------------------------------------------------------------------
@@ -451,34 +453,6 @@ class InvariantProjector:
     projector: np.ndarray
     rank: int
     eigenvalues: np.ndarray  # of the averaged operator, descending
-
-
-def _torus_grid_elements(spec, sub, n):
-    d = spec.d
-    if spec.is_unitary_group:
-        axes = d - 1
-        grids = np.meshgrid(*[2.0 * np.pi * np.arange(n) / n] * axes,
-                            indexing="ij")
-        phases = np.stack([g.ravel() for g in grids], axis=1)
-        full = np.concatenate([phases, -phases.sum(axis=1, keepdims=True)],
-                              axis=1)
-        out = np.zeros((len(full), d, d), dtype=complex)
-        ii = np.arange(d)
-        out[:, ii, ii] = np.exp(1j * full)
-        return out
-    axes = d // 2
-    grids = np.meshgrid(*[2.0 * np.pi * np.arange(n) / n] * axes,
-                        indexing="ij")
-    angles = np.stack([g.ravel() for g in grids], axis=1)
-    out = np.tile(np.eye(d), (len(angles), 1, 1))
-    for p in range(axes):
-        c, s = np.cos(angles[:, p]), np.sin(angles[:, p])
-        i, j = 2 * p, 2 * p + 1
-        out[:, i, i] = c
-        out[:, i, j] = -s
-        out[:, j, i] = s
-        out[:, j, j] = c
-    return out
 
 
 def _round_average_to_projector(avg, idem_tol, n_power=5):
@@ -527,7 +501,7 @@ def invariant_projector(spec, sub, quadrature=None, idem_tol=1e-4,
             stacked = np.concatenate(
                 [_generator_action(spec, a) for a in gens], axis=0
             )
-            u, s, vt = np.linalg.svd(stacked)
+            _, s, vt = np.linalg.svd(stacked, full_matrices=False)
             tol = max(stacked.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
             rank = int(np.sum(s > max(tol, 1e-10)))
             null = vt[rank:].T
@@ -540,7 +514,11 @@ def invariant_projector(spec, sub, quadrature=None, idem_tol=1e-4,
     if isinstance(quadrature, TorusGrid):
         if sub.kind != "full_torus":
             raise DomainError("torus_grid quadrature needs a torus subgroup")
-        elements = _torus_grid_elements(spec, sub, quadrature.n)
+        axes = spec.d - 1 if spec.is_unitary_group else spec.d // 2
+        ticks = 2.0 * np.pi * np.arange(quadrature.n) / quadrature.n
+        grids = np.meshgrid(*[ticks] * axes, indexing="ij")
+        angles = np.stack([g.ravel() for g in grids], axis=1)
+        elements = _torus_elements(spec, angles)
     elif isinstance(quadrature, MonteCarlo):
         if sub.kind == "finite_list":
             elements = np.asarray(sub.matrices)

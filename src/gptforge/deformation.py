@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compact_rep import ensure_rng, haar_samples, invariant_projector, rep_matrices
+from .compact_rep import act, ensure_rng, haar_samples, invariant_projector
 from .errors import DomainError
 from .numerics import LinearProgram, lp_solve
 from .state_space import Effect, build_structure, witness_effect
@@ -69,7 +69,7 @@ def schur_average_check(s, e, n, rng):
     """
     rng = ensure_rng(rng)
     fresh = haar_samples(s.rep, n, rng)
-    orbit = rep_matrices(s.rep, fresh) @ s.reference
+    orbit = act(s.rep, fresh, s.reference)
     pts = np.concatenate([np.ones((n, 1)), orbit], axis=1)
     vals = pts @ np.asarray(e.vector, dtype=float)
     sq = vals**2

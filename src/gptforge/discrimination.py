@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compact_rep import gell_mann_basis
+from .compact_rep import act
 from .errors import DomainError
 from .numerics import LinearProgram, lp_solve
 from .state_space import StructureSample
@@ -268,24 +268,17 @@ def recover_alpha(s):
     """
     if s.rep.kind != "su_adjoint" or s.rep.d != 3:
         raise DomainError("expected an SU(3)-adjoint structure sample")
-    t = gell_mann_basis(3)
-    m = np.einsum("a,aij->ij", s.reference, t)
+    m = s.rep.matrix(s.reference)
     return AlphaTriple.of(np.real(np.diag(m)) + 1.0 / 3.0)
 
 
 def _vertex_targets(s, labels):
-    """Exact orbit points whose diagonals are the requested labeled vertices."""
-    t = gell_mann_basis(3)
-    m = np.einsum("a,aij->ij", s.reference, t)
-    targets = []
-    for lab in labels:
-        sigma = _SIGMA[lab]
-        p = np.zeros((3, 3))
-        for row, col in enumerate(sigma):
-            p[row, col] = 1.0
-        pm = p @ m @ p.T
-        targets.append(0.5 * np.real(np.einsum("aij,ji->a", t, pm)))
-    return np.array(targets)
+    """Exact orbit points whose diagonals are the requested labeled vertices.
+
+    Each is the reference conjugated by the permutation matrix of its label.
+    """
+    perms = np.eye(3)[[list(_SIGMA[lab]) for lab in labels]]
+    return act(s.rep, perms, s.reference)
 
 
 def max_distinguishable_sampled(s: StructureSample, k, tol=1e-8):

@@ -15,15 +15,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .classification import quartic_reference
 from .compact_rep import (
     CompactRepSpec,
+    act,
     block_subgroup,
     ensure_rng,
     full_torus,
-    gell_mann_basis,
     haar_samples,
     invariant_projector,
-    rep_matrices,
     so_fundamental,
     so_traceless_symmetric,
     su_adjoint,
@@ -124,8 +124,7 @@ def build_structure(rep, sub, reference, n_samples, rng, elements=None,
     seed = rng if isinstance(rng, (int, np.integer)) else None
     if elements is None:
         elements = haar_samples(rep, n_samples, ensure_rng(rng))
-    gammas = rep_matrices(rep, elements)
-    orbit = gammas @ v
+    orbit = act(rep, elements, v)
     points = np.concatenate([np.ones((len(orbit), 1)), orbit], axis=1)
 
     mixed = np.zeros(points.shape[1])
@@ -159,9 +158,8 @@ def paired_structures(rep0, ref0, rep1, ref1, n_samples, rng, sub0=None,
 
 def transform_structure(s, g):
     """Apply one group element (fundamental picture) to every sampled point."""
-    gamma = rep_matrices(s.rep, np.asarray(g)[None])[0]
     pts = s.points.copy()
-    pts[:, 1:] = s.points[:, 1:] @ gamma.T
+    pts[:, 1:] = act(s.rep, g, s.points[:, 1:])
     elements = np.asarray(g) @ s.elements
     return replace(s, points=pts, elements=elements)
 
@@ -264,9 +262,7 @@ def deformable_reference(alpha):
     a = np.asarray(alpha, dtype=float)
     if a.shape != (3,):
         raise DomainError("alpha must have three components")
-    m = np.diag(a - a.sum() / 3.0)
-    t = gell_mann_basis(3)
-    coords = 0.5 * np.real(np.einsum("aij,ji->a", t, m))
+    coords = su_adjoint(3).coordinates(np.diag(a - a.sum() / 3.0))
     norm = np.linalg.norm(coords)
     if norm < 1e-12:
         raise DomainError("alpha is fully degenerate: reference vanishes")
@@ -280,15 +276,11 @@ def deformable_structure(alpha, n_samples, rng):
 
 
 def quartic_structure(k, n_samples, rng):
-    """Rank-k projector orbit under SU(k^2) adjoint (k = 2 is the 4-level case)."""
-    if k < 2:
-        raise DomainError("k must be >= 2")
-    d = k * k
-    rho = np.zeros((d, d))
-    rho[:k, :k] = np.eye(k)
-    m = rho - np.trace(rho) / d * np.eye(d)
-    t = gell_mann_basis(d)
-    coords = 0.5 * np.real(np.einsum("aij,ji->a", t, m))
-    coords /= np.linalg.norm(coords)
-    return build_structure(su_adjoint(d), block_subgroup(k, d - k), coords,
-                           n_samples, rng)
+    """Rank-k projector orbit under SU(k^2) adjoint (k = 2 is the 4-level case).
+
+    The traceless basis drops the trace part of the projector by itself.
+    """
+    rho = quartic_reference(k)
+    rep = su_adjoint(k * k)
+    return build_structure(rep, block_subgroup(k, k * k - k),
+                           rep.coordinates(rho), n_samples, rng)

@@ -208,6 +208,30 @@ class TestOtherCommands:
         assert data["meta"]["seed"] == 7
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ("sphere-check", "bloch", "--samples", "-1"),
+        ("sphere-check", "bloch", "--samples", "x"),
+        ("deform", "--t-grid", "0:0.1"),
+        ("deform", "--t-grid", "a:b:c"),
+        ("deform", "--t-grid", "0:0.1:-0.02"),
+        ("deform", "--t-grid", "0:0.1:0"),
+        ("distance", "deformable:x,y,z", "bloch"),
+        ("distance", "bloch", "spin2", "--family-size", "0"),
+        ("sphere-check", "quartic:x"),
+        ("sphere-check", "deformable:0.5,0.3,0.2:t"),
+        ("schur-average", "bloch", "--trials", "-1"),
+    ])
+    def test_exit_2(self, capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects its input this way
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("hexagon", "0.5", "0.3", "0.2", "--game"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptforge import compact_rep as cr
 from gptforge.errors import AccuracyError, DomainError
@@ -24,7 +26,7 @@ class TestBases:
 
 class TestHaar:
     def test_su1_scalar(self):
-        u = cr.haar_sample(cr.su_fundamental(1), 0)
+        u = cr.haar_samples(cr.su_fundamental(1), 1, 0)[0]
         assert u.shape == (1, 1) and u[0, 0] == 1.0
 
     def test_unitary_det_and_columns(self):
@@ -55,17 +57,27 @@ class TestHaar:
         # group elements within statistical tolerance
         n = 3000
         us = cr.haar_unitaries(2, n, 2)
-        gammas = cr.adjoint_matrices(us)
+        gammas = cr.rep_matrices(cr.su_adjoint(2), us)
         a = np.diag([1.0, 2.0, 3.0])
         avg = np.einsum("nij,jk,nlk->il", gammas, a, gammas) / n
-        fresh = cr.adjoint_matrices(cr.haar_unitaries(2, 20, 3))
+        fresh = cr.rep_matrices(cr.su_adjoint(2), cr.haar_unitaries(2, 20, 3))
         comm = np.max(np.abs(fresh @ avg - avg @ fresh))
         assert comm < 5.0 / np.sqrt(n)
 
 
+class TestCoordinates:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([cr.su_adjoint, cr.so_traceless_symmetric]),
+           st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_coordinates_invert_matrix(self, make, d, seed):
+        spec = make(d)
+        v = np.random.default_rng(seed).normal(size=spec.real_dimension)
+        assert np.max(np.abs(spec.coordinates(spec.matrix(v)) - v)) < 1e-13
+
+
 class TestAdjoint:
     def test_identity(self):
-        assert np.allclose(cr.adjoint_matrix(np.eye(3)), np.eye(8), atol=1e-12)
+        assert np.allclose(cr.rep_matrices(cr.su_adjoint(3), np.eye(3)), np.eye(8), atol=1e-12)
 
     def test_su2_phase_is_xy_rotation(self):
         # U T_x U^H = cos(2 th) T_x - sin(2 th) T_y and
@@ -73,7 +85,7 @@ class TestAdjoint:
         # so the adjoint matrix rotates the (x, y) plane by 2 th and fixes z.
         th = 0.41
         u = np.diag([np.exp(1j * th), np.exp(-1j * th)])
-        m = cr.adjoint_matrix(u)
+        m = cr.rep_matrices(cr.su_adjoint(2), u)
         expect = np.array([
             [np.cos(2 * th), np.sin(2 * th), 0.0],
             [-np.sin(2 * th), np.cos(2 * th), 0.0],
@@ -82,8 +94,8 @@ class TestAdjoint:
         assert np.max(np.abs(m - expect)) < 1e-12
 
     def test_su3_orthogonal_special(self):
-        u = cr.haar_sample(cr.su_adjoint(3), 7)
-        m = cr.adjoint_matrix(u)
+        u = cr.haar_samples(cr.su_adjoint(3), 1, 7)[0]
+        m = cr.rep_matrices(cr.su_adjoint(3), u)
         assert m.shape == (8, 8)
         assert np.max(np.abs(m @ m.T - np.eye(8))) < 1e-8
         assert abs(np.linalg.det(m) - 1.0) < 1e-8
@@ -93,21 +105,23 @@ class TestAdjoint:
         for _ in range(5):
             u, v = cr.haar_unitaries(3, 2, rng)
             err = np.max(np.abs(
-                cr.adjoint_matrix(u @ v)
-                - cr.adjoint_matrix(u) @ cr.adjoint_matrix(v)
+                cr.rep_matrices(cr.su_adjoint(3), u @ v)
+                - cr.rep_matrices(cr.su_adjoint(3), u)
+                @ cr.rep_matrices(cr.su_adjoint(3), v)
             ))
             assert err < 1e-8
 
     def test_rejects_non_unitary(self):
         with pytest.raises(DomainError):
-            cr.adjoint_matrix(np.ones((2, 2)))
+            cr.rep_matrices(cr.su_adjoint(2), np.ones((2, 2)))
 
     def test_symmetric_action_homomorphism(self):
         rng = np.random.default_rng(6)
         r, s = cr.haar_orthogonals(3, 2, rng)
         err = np.max(np.abs(
-            cr.symmetric_action_matrices(r @ s)
-            - cr.symmetric_action_matrices(r) @ cr.symmetric_action_matrices(s)
+            cr.rep_matrices(cr.so_traceless_symmetric(3), r @ s)
+            - cr.rep_matrices(cr.so_traceless_symmetric(3), r)
+            @ cr.rep_matrices(cr.so_traceless_symmetric(3), s)
         ))
         assert err < 1e-10
 
@@ -122,7 +136,7 @@ def _torus_average_oracle(d, n_grid):
         phases = 2.0 * np.pi * np.array(ks) / n_grid
         full = np.append(phases, -phases.sum())
         u = np.diag(np.exp(1j * full))
-        total += cr.adjoint_matrix(u)
+        total += cr.rep_matrices(cr.su_adjoint(d), u)
         count += 1
     return total / count
 
@@ -214,3 +228,29 @@ class TestSubgroupSamples:
         err = np.max(np.abs(np.swapaxes(hs, 1, 2) @ hs - np.eye(3)))
         assert err < 1e-12
         assert np.max(np.abs(hs[:, :, 2] - [0, 0, 1])) < 1e-12
+
+    # entries at seed 2024 pin the seeded draw order: SU tori draw sample by
+    # sample, SO tori one plane at a time, block subgroups one block at a time
+    @pytest.mark.parametrize("spec, sub, entries", [
+        (cr.su_adjoint(3), cr.full_torus(), [
+            ((0, 0, 0), -0.4493301989265983 - 0.8933657550704435j),
+            ((3, 1, 1), 0.4210900662184776 + 0.907018828984337j),
+            ((3, 2, 2), -0.05996432555087181 - 0.998200520767861j),
+        ]),
+        (cr.so_fundamental(5), cr.full_torus(), [
+            ((0, 0, 0), -0.4493301989265983),
+            ((2, 0, 1), -0.9310384222263774),
+            ((3, 1, 1), 0.3058248351522179),
+            ((3, 3, 3), 0.4210900662184776),
+        ]),
+        (cr.su_adjoint(3), cr.block_subgroup(2, 1), [
+            ((0, 0, 0), 0.13925863481158296 - 0.6915063192419888j),
+            ((2, 0, 1), 0.32768610637035206 + 0.047421091712438135j),
+            ((3, 1, 1), 0.19548738104460905 + 0.9786840877417332j),
+            ((3, 2, 2), 0.866478966031549 + 0.4992135829731578j),
+        ]),
+    ])
+    def test_seeded_draw_order(self, spec, sub, entries):
+        hs = cr.subgroup_samples(spec, sub, 4, 2024)
+        for index, value in entries:
+            assert abs(hs[index] - value) < 1e-15

@@ -189,7 +189,7 @@ class TestPureStateDistance:
 
     def test_group_invariance(self):
         s = ss.bloch_structure(150, 5)
-        g = cr.haar_sample(s.rep, 8)
+        g = cr.haar_samples(s.rep, 1, 8)[0]
         moved = ss.transform_structure(s, g)
         for i, j in ((0, 10), (3, 77)):
             assert dm.pure_state_distance(s, i, j) == pytest.approx(

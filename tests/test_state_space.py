@@ -121,10 +121,24 @@ class TestWitnessEffect:
             ss.witness_effect(bad, anchor=0)
 
 
+class TestOrbitKernel:
+    @pytest.mark.parametrize("rep, sub, ref", [
+        (cr.su_adjoint(3), cr.full_torus(),
+         [0, 0, 0, 0, 0, 0, 0.6, 0.8]),
+        (cr.so_traceless_symmetric(3), cr.full_torus(), [0, 0, 0, 0, 1.0]),
+        (cr.so_fundamental(3), cr.full_torus(), [0, 0, 1.0]),
+        (cr.su_fundamental(3), None, [0.1, -0.4, 0.3, 0.5, 0.2, -0.6]),
+    ])
+    def test_orbit_matches_rep_matrices(self, rep, sub, ref):
+        s = ss.build_structure(rep, sub, np.array(ref), 300, 4)
+        gammas = cr.rep_matrices(rep, s.elements)
+        assert np.max(np.abs(s.points[:, 1:] - gammas @ s.reference)) < 1e-14
+
+
 class TestCovariance:
     def test_orbit_covariance_hausdorff(self):
         s = ss.bloch_structure(1000, 3)
-        g = cr.haar_sample(s.rep, 17)
+        g = cr.haar_samples(s.rep, 1, 17)[0]
         moved = ss.transform_structure(s, g)
         a = s.points[:, 1:]
         b = moved.points[:, 1:]
