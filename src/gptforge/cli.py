@@ -30,6 +30,7 @@ from .errors import (
 from .numerics import DEFAULT_TOL
 
 DEFAULT_SAMPLES = 2000
+MAX_T_GRID_ROWS = 1001  # a 0:1:0.001 grid; each row is a full distance estimate
 
 
 def _default_seed():
@@ -344,7 +345,8 @@ def cmd_distance(args):
 
 
 def _t_grid(text):
-    """start:stop:step, inclusive, with 0 <= start <= stop <= 1 and step > 0."""
+    """start:stop:step, inclusive, with 0 <= start <= stop <= 1, step > 0
+    and at most ``MAX_T_GRID_ROWS`` rows."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"t grid {text!r} is not start:stop:step")
@@ -353,7 +355,10 @@ def _t_grid(text):
         raise DomainError("t grid must lie inside [0, 1]")
     if not step > 0.0:
         raise DomainError(f"t grid step must be positive, got {step:g}")
-    count = int(round((stop - start) / step)) + 1
+    # capped before rounding: a tiny step would overflow or build a huge list
+    count = round(min((stop - start) / step, MAX_T_GRID_ROWS)) + 1
+    if count > MAX_T_GRID_ROWS:
+        raise DomainError(f"t grid {text!r} has more than {MAX_T_GRID_ROWS} rows")
     return [start + i * step for i in range(count)]
 
 
@@ -363,13 +368,7 @@ def cmd_deform(args):
     rows = deformation.deformation_sweep(base, ts,
                                          effect_family_size=args.family_size,
                                          rng=args.seed)
-    lines = ["t,d_sym_estimate,seed,n"]
-    for row in rows:
-        lines.append(
-            f"{row['t']:.12g},{row['d_sym_estimate']:.12g},"
-            f"{row['seed']},{row['n']}"
-        )
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, deformation.sweep_csv(rows))
     return 0
 
 

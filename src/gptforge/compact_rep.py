@@ -48,11 +48,6 @@ def ensure_rng(rng):
     return np.random.default_rng(rng)
 
 
-def stream_rng(seed, stream=0):
-    """Independent stream ``stream`` of the seed (for sharded Monte Carlo)."""
-    return np.random.default_rng([int(seed), int(stream)])
-
-
 # ---------------------------------------------------------------------------
 # carrier bases
 
@@ -317,6 +312,8 @@ def finite_subgroup(matrices):
 
 
 def _check_blocks(spec, sub):
+    if not spec.is_unitary_group:
+        raise DomainError("block_su_u1 subgroups live in SU(d)")
     if sum(sub.blocks) != spec.d:
         raise DomainError(
             f"block sizes {sub.blocks} do not sum to d = {spec.d}"
@@ -360,8 +357,6 @@ def subgroup_samples(spec, sub, n, rng):
             angles = rng.uniform(0.0, 2.0 * np.pi, size=(d // 2, n)).T
         return _torus_elements(spec, angles)
     if sub.kind == "block_su_u1":
-        if not spec.is_unitary_group:
-            raise DomainError("block_su_u1 subgroups live in SU(d)")
         _check_blocks(spec, sub)
         out = np.zeros((n, d, d), dtype=complex)
         start = 0

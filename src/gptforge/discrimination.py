@@ -24,7 +24,7 @@ import numpy as np
 
 from .compact_rep import act
 from .errors import DomainError
-from .numerics import LinearProgram, lp_solve
+from .numerics import effect_lp
 from .state_space import StructureSample
 
 _SIGMA = (  # images (s(1), s(2), s(3)) as 0-based index triples into alpha
@@ -146,43 +146,21 @@ class Distinguishability:
     effects: np.ndarray  # (n, 3) dual vectors, rows sum to the unit effect
 
 
-def _discrimination_lp(vertices, chosen, tol):
-    """Feasibility LP for effects A_i with A_i . x_j = delta_ij.
+def _perfect_measurement(points, anchors, unit, tol):
+    """Feasibility LP for effects e_i with e_i . a_j = delta_ij.
 
-    Variables are the k stacked effect vectors; they must form a measurement
-    (sum equal to the unit effect, every effect valid on every vertex).
+    Variables are the k stacked effect vectors, one per anchor; they must
+    form a measurement (sum equal to ``unit``, every effect valid on every
+    point).
     """
-    k = len(chosen)
-    nvar = 3 * k
-    rows_eq = []
-    rhs_eq = []
+    anchors = np.asarray(anchors, dtype=float)
+    k, dim = anchors.shape
+    a_eq = np.zeros((k * k + dim, k * dim))
     for i in range(k):
-        for j, vj in enumerate(chosen):
-            row = np.zeros(nvar)
-            row[3 * i:3 * i + 3] = vertices[vj]
-            rows_eq.append(row)
-            rhs_eq.append(1.0 if i == j else 0.0)
-    for c in range(3):
-        row = np.zeros(nvar)
-        row[c::3] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(1.0)
-    rows_ub = []
-    rhs_ub = []
-    for i in range(k):
-        for v in vertices:
-            row = np.zeros(nvar)
-            row[3 * i:3 * i + 3] = v
-            rows_ub.append(row)
-            rhs_ub.append(1.0)
-            rows_ub.append(-row)
-            rhs_ub.append(0.0)
-    lp = LinearProgram(
-        np.zeros(nvar),
-        eq=(np.array(rows_eq), np.array(rhs_eq)),
-        ub=(np.array(rows_ub), np.array(rhs_ub)),
-    )
-    return lp_solve(lp, tol=tol)
+        a_eq[i * k:(i + 1) * k, i * dim:(i + 1) * dim] = anchors
+        a_eq[k * k:, i * dim:(i + 1) * dim] = np.eye(dim)
+    b_eq = np.concatenate([np.eye(k).ravel(), unit])
+    return effect_lp(points, np.zeros((k, dim)), eq=(a_eq, b_eq), tol=tol)
 
 
 def max_distinguishable(h, tol=1e-8):
@@ -194,7 +172,8 @@ def max_distinguishable(h, tol=1e-8):
     nv = len(h.vertices)
     for k in range(min(3, nv), 0, -1):
         for chosen in itertools.combinations(range(nv), k):
-            res = _discrimination_lp(h.vertices, chosen, tol)
+            res = _perfect_measurement(h.vertices, h.vertices[list(chosen)],
+                                       np.ones(3), tol)
             if res.optimal:
                 effects = res.x.reshape(k, 3)
                 return Distinguishability(k, chosen, effects)
@@ -216,9 +195,7 @@ class EncodingGame:
 def _best_two_class_guess(vertices, plus, minus, tol):
     """max over valid effects B of mean success guessing class(plus) vs class(minus)."""
     objective = 0.25 * (np.sum(plus, axis=0) - np.sum(minus, axis=0))
-    rows = np.concatenate([vertices, -vertices], axis=0)
-    rhs = np.concatenate([np.ones(len(vertices)), np.zeros(len(vertices))])
-    res = lp_solve(LinearProgram(objective, ub=(rows, rhs)), tol=tol)
+    res = effect_lp(vertices, [objective], tol=tol)
     if not res.optimal:
         raise DomainError(f"encoding-game LP came back {res.status}")
     return 0.5 + float(res.value)
@@ -319,31 +296,5 @@ def max_distinguishable_sampled(s: StructureSample, k, tol=1e-8):
 
     target_points = np.concatenate([np.ones((k, 1)), targets], axis=1)
     points = np.concatenate([s.points, target_points], axis=0)
-    anchors = list(range(s.n_points, s.n_points + k))
-
-    npts = len(points)
-    dim = s.ambient_dim
-    nvar = k * dim
-    rows_eq, rhs_eq = [], []
-    for i in range(k):
-        for j, a in enumerate(anchors):
-            row = np.zeros(nvar)
-            row[i * dim:(i + 1) * dim] = points[a]
-            rows_eq.append(row)
-            rhs_eq.append(1.0 if i == j else 0.0)
-    for c in range(dim):
-        row = np.zeros(nvar)
-        row[c::dim] = 1.0
-        rows_eq.append(row)
-        rhs_eq.append(1.0 if c == 0 else 0.0)
-    big = np.zeros((k * npts, nvar))
-    for i in range(k):
-        big[i * npts:(i + 1) * npts, i * dim:(i + 1) * dim] = points
-    rows_ub = np.concatenate([big, -big], axis=0)
-    rhs_ub = np.concatenate([np.ones(k * npts), np.zeros(k * npts)])
-    lp = LinearProgram(
-        np.zeros(nvar),
-        eq=(np.array(rows_eq), np.array(rhs_eq)),
-        ub=(rows_ub, rhs_ub),
-    )
-    return lp_solve(lp, tol=tol).optimal
+    unit = np.eye(s.ambient_dim)[0]
+    return _perfect_measurement(points, target_points, unit, tol).optimal

@@ -160,6 +160,28 @@ def lp_solve(p: LinearProgram, tol=DEFAULT_TOL):
     return LpResult("optimal", value=-float(res.fun), x=x)
 
 
+def effect_lp(points, objective, eq=None, tol=DEFAULT_TOL):
+    """Maximize over k stacked effects, each valid (0 <= e.x <= 1) on every
+    row of ``points``.
+
+    ``objective`` has shape (k, dim), one row per effect; the variables are
+    the k effect vectors flattened row-major, and ``eq`` is an optional
+    (matrix, rhs) pair over them.  The validity rows are
+    ``[blockdiag(P); -blockdiag(P)]`` with rhs ``[1...; 0...]``.
+    """
+    pts = np.asarray(points, dtype=float)
+    obj = np.asarray(objective, dtype=float)
+    k, dim = obj.shape
+    n = len(pts)
+    block = np.zeros((2 * k * n, k * dim))
+    for i in range(k):
+        block[i * n:(i + 1) * n, i * dim:(i + 1) * dim] = pts
+        block[(k + i) * n:(k + i + 1) * n, i * dim:(i + 1) * dim] = -pts
+    rhs = np.concatenate([np.ones(k * n), np.zeros(k * n)])
+    return lp_solve(LinearProgram(obj.ravel(), eq=eq, ub=(block, rhs)),
+                    tol=tol)
+
+
 def _check_feasible(p: LinearProgram, x, tol):
     if p.eq is not None:
         resid = np.max(np.abs(np.asarray(p.eq[0]) @ x - np.asarray(p.eq[1])))

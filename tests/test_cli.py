@@ -216,6 +216,8 @@ class TestMalformedInput:
         ("deform", "--t-grid", "a:b:c"),
         ("deform", "--t-grid", "0:0.1:-0.02"),
         ("deform", "--t-grid", "0:0.1:0"),
+        ("deform", "--t-grid", "0:1:1e-6"),
+        ("deform", "--t-grid", "0:1:1e-12"),
         ("distance", "deformable:x,y,z", "bloch"),
         ("distance", "bloch", "spin2", "--family-size", "0"),
         ("sphere-check", "quartic:x"),

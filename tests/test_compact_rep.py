@@ -200,6 +200,12 @@ class TestInvariantProjector:
                                    cr.full_torus())
         assert p.rank == 1
 
+    @pytest.mark.parametrize("quadrature", [None, cr.MonteCarlo(64, 0)])
+    def test_block_subgroup_needs_su(self, quadrature):
+        with pytest.raises(DomainError, match="SU"):
+            cr.invariant_projector(cr.so_fundamental(3),
+                                   cr.block_subgroup(2, 1), quadrature)
+
 
 class TestWitness:
     def test_su3_torus_witnesses_non_gelfand(self):

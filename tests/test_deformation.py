@@ -103,6 +103,25 @@ class TestSymmetrizedDistance:
         assert r.estimate == max(r.directed_01, r.directed_10)
         assert r.estimate >= r.directed_01 and r.estimate >= r.directed_10
 
+    def test_argument_order_irrelevant(self, deformable_2000):
+        st = dm.deform(dm.make_deformation_path(deformable_2000), 0.3)
+        r01 = dm.symmetrized_distance_estimate(deformable_2000, st, rng=0)
+        r10 = dm.symmetrized_distance_estimate(st, deformable_2000, rng=0)
+        assert r01.estimate == r10.estimate
+        assert r01.directed_01 == r10.directed_10
+        assert r01.directed_10 == r10.directed_01
+
+    def test_generator_draws_one_seed(self, deformable_2000):
+        st = dm.deform(dm.make_deformation_path(deformable_2000), 0.1)
+        seed = int(np.random.default_rng(4).integers(2**63))
+        r = dm.symmetrized_distance_estimate(deformable_2000, st,
+                                             rng=np.random.default_rng(4))
+        by_seed = dm.symmetrized_distance_estimate(deformable_2000, st,
+                                                   rng=seed)
+        assert r.seed is None
+        assert (r.directed_01, r.directed_10) == (by_seed.directed_01,
+                                                  by_seed.directed_10)
+
     def test_small_deformation_close(self, deformable_2000):
         path = dm.make_deformation_path(deformable_2000)
         st = dm.deform(path, 0.05)
@@ -210,5 +229,5 @@ class TestSweepCsv:
         rows = dm.deformation_sweep(deformable_2000, [0.0], rng=0)
         out = dm.sweep_csv(rows)
         lines = out.strip().split("\n")
-        assert lines[0] == "t,d_sym_estimate,lower_bound,n,seed"
-        assert len(lines[1].split(",")) == 5
+        assert lines[0] == "t,d_sym_estimate,seed,n"
+        assert len(lines[1].split(",")) == 4

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gptforge.errors import DomainError
 from gptforge.numerics import (
     LinearProgram,
+    effect_lp,
     lp_solve,
     orthonormalize,
     round_to_int,
@@ -133,6 +134,43 @@ class TestLpSolve:
             assert res.status == status
             if status == "optimal":
                 assert abs(res.value - value) < 1e-8
+
+
+class TestEffectLp:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=2, max_value=3),
+           st.integers(min_value=0, max_value=3))
+    def test_against_vertex_enumeration(self, seed, k, dim, extra):
+        # identity rows bound every coordinate to [0, 1], so the oracle's
+        # box is slack; the k effects separate into k independent LPs
+        rng = np.random.default_rng(seed)
+        points = np.concatenate(
+            [np.eye(dim), rng.uniform(-1.0, 1.0, (extra, dim))])
+        objective = rng.standard_normal((k, dim))
+        res = effect_lp(points, objective)
+        assert res.optimal
+        a_ub = np.concatenate([points, -points])
+        b_ub = np.concatenate([np.ones(len(points)), np.zeros(len(points))])
+        box = [-5.0] * dim, [5.0] * dim
+        expected = 0.0
+        for c in objective:
+            status, value = lp_vertex_oracle(c, a_ub, b_ub, *box)
+            assert status == "optimal"
+            expected += value
+        assert abs(res.value - expected) < 1e-8
+        vals = points @ res.x.reshape(k, dim).T
+        assert vals.min() >= -1e-8 and vals.max() <= 1.0 + 1e-8
+
+    def test_equalities_over_stacked_effects(self):
+        # two effects summing to the unit on a segment: a measurement
+        points = np.array([[1.0, 1.0], [1.0, -1.0]])
+        a_eq = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        res = effect_lp(points, [[0.0, 1.0], [0.0, -1.0]],
+                        eq=(a_eq, np.array([1.0, 0.0])))
+        assert res.optimal and abs(res.value - 1.0) < 1e-8
+        assert np.allclose(res.x, [0.5, 0.5, 0.5, -0.5], atol=1e-8)
 
 
 class TestRoundToInt:
