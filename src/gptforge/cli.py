@@ -95,18 +95,27 @@ def _load_json(path):
         raise DomainError(f"malformed JSON in {path}: {err}") from err
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _perms_from_file(data, degree=None):
+    if not isinstance(data, dict):
+        raise DomainError("group file must hold a JSON object")
     if degree is None:
         degree = data.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         raise DomainError("group file needs a positive integer 'degree'")
     gens = data.get("generators", [])
     if not isinstance(gens, list):
         raise DomainError("'generators' must be a list of cycle lists")
     perms = []
     for cycles in gens:
-        if not isinstance(cycles, list):
-            raise DomainError("each generator must be a list of cycles")
+        if not (isinstance(cycles, list)
+                and all(isinstance(c, list) and all(map(_is_int, c))
+                        for c in cycles)):
+            raise DomainError(
+                "each generator must be a list of cycles of integer indices")
         perms.append(finite_rep.cycles_to_perm(degree, cycles))
     return degree, perms
 
@@ -246,23 +255,31 @@ def _parse_structure_spec(text):
 def _structure_from_file(data, n, seed):
     from . import compact_rep
 
-    kind = data.get("kind")
-    d = data.get("d")
-    rep = compact_rep.CompactRepSpec(kind, int(d))
+    if not (isinstance(data, dict) and _is_int(data.get("d"))):
+        raise DomainError("structure file needs a JSON object with integer 'd'")
+    rep = compact_rep.CompactRepSpec(data.get("kind"), data["d"])
     subspec = data.get("subgroup")
     sub = None
     if subspec:
-        if subspec.get("kind") == "torus":
+        kind = subspec.get("kind") if isinstance(subspec, dict) else None
+        blocks = subspec.get("blocks") if kind == "block" else None
+        if kind == "torus":
             sub = compact_rep.full_torus()
-        elif subspec.get("kind") == "block":
-            sub = compact_rep.block_subgroup(*subspec["blocks"])
+        elif isinstance(blocks, list) and blocks and all(
+                _is_int(b) and b >= 1 for b in blocks):
+            sub = compact_rep.block_subgroup(*blocks)
         else:
-            raise DomainError(f"unknown subgroup kind {subspec.get('kind')!r}")
-    ref = data.get("reference")
-    if ref is None:
-        raise DomainError("structure file needs a 'reference' vector")
-    return state_space.build_structure(rep, sub, np.asarray(ref, dtype=float),
-                                       n, seed)
+            raise DomainError(
+                f"subgroup {subspec!r} is not {{'kind': 'torus'}} or "
+                "{'kind': 'block', 'blocks': [positive integers]}")
+    try:
+        ref = np.asarray(data.get("reference"), dtype=float)
+    except (TypeError, ValueError):
+        ref = None
+    if ref is None or not np.all(np.isfinite(ref)):
+        raise DomainError(
+            "structure file needs a 'reference' vector of finite numbers")
+    return state_space.build_structure(rep, sub, ref, n, seed)
 
 
 def _build_single(spec, n, seed):
@@ -324,17 +341,11 @@ def cmd_distance(args):
         "n": report.n,
     }
     if report.lower_bound > 0:
-        missing = [
-            b.label for b in s0.blocks[1:] if b.label not in s1.block_labels()
-        ] + [
-            b.label for b in s1.blocks[1:] if b.label not in s0.block_labels()
-        ]
-        payload["missing_blocks"] = missing
-        verify = deformation.structure_distance_lower_bound(
-            s0 if s0.blocks[1].label in missing else s1,
-            s1 if s0.blocks[1].label in missing else s0,
-            rng=args.seed,
-        )
+        payload["missing_blocks"] = list(report.missing_01 + report.missing_10)
+        # the bound is verified from the structure that has the missing block
+        owner, rival = (s0, s1) if report.missing_01 else (s1, s0)
+        verify = deformation.structure_distance_lower_bound(owner, rival,
+                                                            rng=args.seed)
         payload["mc_verification"] = {
             "mc_min": verify.mc_min,
             "sigma": verify.sigma,
@@ -345,16 +356,17 @@ def cmd_distance(args):
 
 
 def _t_grid(text):
-    """start:stop:step, inclusive, with 0 <= start <= stop <= 1, step > 0
-    and at most ``MAX_T_GRID_ROWS`` rows."""
+    """start:stop:step, inclusive, with 0 <= start <= stop <= 1, a positive
+    finite step and at most ``MAX_T_GRID_ROWS`` rows."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"t grid {text!r} is not start:stop:step")
     start, stop, step = (_number(float, x, text) for x in parts)
     if not (0.0 <= start <= stop <= 1.0):
         raise DomainError("t grid must lie inside [0, 1]")
-    if not step > 0.0:
-        raise DomainError(f"t grid step must be positive, got {step:g}")
+    if not 0.0 < step < np.inf:
+        raise DomainError(
+            f"t grid step must be positive and finite, got {step:g}")
     # capped before rounding: a tiny step would overflow or build a huge list
     count = round(min((stop - start) / step, MAX_T_GRID_ROWS)) + 1
     if count > MAX_T_GRID_ROWS:

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .numerics import symmetric_eigen
+from .numerics import INVARIANCE_TOL, symmetric_eigen
 
 # ---------------------------------------------------------------------------
 # rng plumbing
@@ -450,7 +450,7 @@ class InvariantProjector:
     eigenvalues: np.ndarray  # of the averaged operator, descending
 
 
-def _round_average_to_projector(avg, idem_tol, n_power=5):
+def _round_average_to_projector(avg, n_power=5):
     """Power an averaged rep operator toward its eigenvalue-1 projector.
 
     Subgroup-invariant vectors are exact fixed points of the average, so
@@ -462,10 +462,10 @@ def _round_average_to_projector(avg, idem_tol, n_power=5):
         a = a @ a
     a = (a + a.T) / 2.0
     idem = np.max(np.abs(a @ a - a))
-    if idem > idem_tol:
+    if idem > 1e-4:
         raise AccuracyError(
             f"quadrature too coarse: powered average has idempotence error "
-            f"{idem:.3e} > {idem_tol:g}; use a finer grid or more samples"
+            f"{idem:.3e} > 1e-4; use a finer grid or more samples"
         )
     evals, evecs = symmetric_eigen(a)
     rank = int(np.sum(evals > 0.5))
@@ -473,8 +473,7 @@ def _round_average_to_projector(avg, idem_tol, n_power=5):
     return basis @ basis.T, rank, evals
 
 
-def invariant_projector(spec, sub, quadrature=None, idem_tol=1e-4,
-                        check_tol=1e-6):
+def invariant_projector(spec, sub, quadrature=None):
     """Orthogonal projector onto the subspace fixed by the subgroup.
 
     ``quadrature=None`` picks the exact structural route (common kernel of
@@ -483,8 +482,10 @@ def invariant_projector(spec, sub, quadrature=None, idem_tol=1e-4,
     force the corresponding numerical averages; rank is the number of
     averaged eigenvalues above 1/2.
 
-    Raises :class:`AccuracyError` when the requested quadrature is too coarse
-    (idempotence of the average off by more than ``idem_tol``).
+    Raises :class:`AccuracyError` when the requested quadrature is too coarse:
+    the powered average is off idempotent by more than 1e-4, or the rounded
+    projector drifts by more than ``INVARIANCE_TOL`` under fresh subgroup
+    samples.
     """
     dim = spec.real_dimension
 
@@ -527,14 +528,14 @@ def invariant_projector(spec, sub, quadrature=None, idem_tol=1e-4,
     avg = gammas.mean(axis=0)
     # averaging h and h^-1 together keeps the operator symmetric
     avg = (avg + avg.T) / 2.0
-    proj, rank, evals = _round_average_to_projector(avg, idem_tol)
+    proj, rank, evals = _round_average_to_projector(avg)
 
     check = rep_matrices(spec, subgroup_samples(spec, sub, 8, ensure_rng(1)))
     drift = np.max(np.abs(check @ proj - proj))
-    if drift > check_tol:
+    if drift > INVARIANCE_TOL:
         raise AccuracyError(
             f"projector not invariant under fresh subgroup samples "
-            f"(drift {drift:.3e} > {check_tol:g}); refine the quadrature"
+            f"(drift {drift:.3e} > {INVARIANCE_TOL:g}); refine the quadrature"
         )
     return InvariantProjector(proj, rank, evals)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .compact_rep import act, ensure_rng, haar_samples, invariant_projector
 from .errors import DomainError
-from .numerics import effect_lp
+from .numerics import INVARIANCE_TOL, ZERO_NORM, effect_lp
 from .state_space import Effect, build_structure, witness_effect
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def _reference_witness(s, block=1):
     sl = s.block_slice(block)
     v = np.concatenate([[1.0], s.reference])[sl]
     nv = np.linalg.norm(v)
-    if nv < 1e-12:
+    if nv < ZERO_NORM:
         raise DomainError("reference has no component in the chosen block")
     vec = np.zeros(s.ambient_dim)
     vec[0] = 0.5
@@ -156,6 +156,8 @@ class DistanceReport:
     n: int
     seed: int | None
     effect_family_size: int
+    missing_01: tuple  # labels of s0's blocks that s1 lacks
+    missing_10: tuple  # labels of s1's blocks that s0 lacks
 
 
 def symmetrized_distance_estimate(s0, s1, effect_family_size=8, rng=0):
@@ -176,17 +178,14 @@ def symmetrized_distance_estimate(s0, s1, effect_family_size=8, rng=0):
     d01 = _directed_estimate(s0, s1, effect_family_size, stream)
     d10 = _directed_estimate(s1, s0, effect_family_size, stream)
 
-    lower = 0.0
-    labels1 = s1.block_labels()
-    labels0 = s0.block_labels()
-    for b in s0.blocks[1:]:
-        if b.label not in labels1:
-            lower = max(lower, 1.0 / (4.0 * b.dim))
-    for b in s1.blocks[1:]:
-        if b.label not in labels0:
-            lower = max(lower, 1.0 / (4.0 * b.dim))
+    missing_01 = [b for b in s0.blocks[1:] if b.label not in s1.block_labels()]
+    missing_10 = [b for b in s1.blocks[1:] if b.label not in s0.block_labels()]
+    lower = max((1.0 / (4.0 * b.dim) for b in missing_01 + missing_10),
+                default=0.0)
     return DistanceReport(max(d01, d10), lower, d01, d10, s0.n_points, seed,
-                          effect_family_size)
+                          effect_family_size,
+                          tuple(b.label for b in missing_01),
+                          tuple(b.label for b in missing_10))
 
 
 def _witness_family(s, size, rng):
@@ -290,7 +289,7 @@ class DeformationPath:
         return apply
 
 
-def make_deformation_path(base, w2=None, invariance_tol=1e-6):
+def make_deformation_path(base):
     """Build a deformation path from a structure with a >= 2-dim fixed space.
 
     Raises :class:`DomainError` for rigid structures (fixed-space rank < 2:
@@ -305,30 +304,16 @@ def make_deformation_path(base, w2=None, invariance_tol=1e-6):
             "admits no deformation plane"
         )
     w1 = base.reference
-    if w2 is None:
-
-        basis = np.linalg.svd(proj.projector)[0][:, :proj.rank]
-        resid = basis - np.outer(w1, w1 @ basis)
-        norms = np.linalg.norm(resid, axis=0)
-        w2 = resid[:, int(np.argmax(norms))]
-        w2 /= np.linalg.norm(w2)
-    else:
-        w2 = np.asarray(w2, dtype=float).copy()
-        w2 -= (w2 @ w1) * w1
-        nw = np.linalg.norm(w2)
-        if nw < 1e-10:
-            raise DomainError("w2 is parallel to the reference")
-        w2 /= nw
-        viol = np.linalg.norm(proj.projector @ w2 - w2)
-        if viol > invariance_tol:
-            raise DomainError(
-                f"w2 is not subgroup-invariant: violation norm {viol:.3e}"
-            )
+    basis = np.linalg.svd(proj.projector)[0][:, :proj.rank]
+    resid = basis - np.outer(w1, w1 @ basis)
+    norms = np.linalg.norm(resid, axis=0)
+    w2 = resid[:, int(np.argmax(norms))]
+    w2 /= np.linalg.norm(w2)
     path = DeformationPath(base, w1, w2)
     for t in (0.25, 0.5, 0.75, 1.0):
         v = path.rotation(t)(w1)
         viol = np.linalg.norm(proj.projector @ v - v)
-        if viol > invariance_tol:
+        if viol > INVARIANCE_TOL:
             raise DomainError(
                 f"rotated reference leaves the fixed space at t = {t} "
                 f"(violation {viol:.3e}); the plane is not invariant"
@@ -383,7 +368,7 @@ def sweep_csv(rows):
 # the pure-state metric
 
 
-def pure_state_distance(s, i, j, tol=1e-8):
+def pure_state_distance(s, i, j):
     """sup over valid effects of f(x_i) - f(x_j), computed by LP.
 
     The supremum runs over all linear effects valid on the sampled orbit, so
@@ -393,7 +378,7 @@ def pure_state_distance(s, i, j, tol=1e-8):
     n = s.n_points
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError("point index out of range")
-    res = effect_lp(s.points, [s.points[i] - s.points[j]], tol=tol)
+    res = effect_lp(s.points, [s.points[i] - s.points[j]])
     if not res.optimal:
         raise DomainError(f"pure-state distance LP came back {res.status}")
     return float(res.value)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .compact_rep import act
 from .errors import DomainError
-from .numerics import effect_lp
+from .numerics import COINCIDENCE_TOL, ZERO_NORM, effect_lp
 from .state_space import StructureSample
 
 _SIGMA = (  # images (s(1), s(2), s(3)) as 0-based index triples into alpha
@@ -51,7 +51,7 @@ class AlphaTriple:
         if v.shape != (3,):
             raise DomainError("alpha needs exactly three components")
         total = v.sum()
-        if abs(total) < 1e-12:
+        if abs(total) < ZERO_NORM:
             raise DomainError("alpha components sum to zero")
         v = v / total
         return cls(float(v[0]), float(v[1]), float(v[2]))
@@ -60,13 +60,13 @@ class AlphaTriple:
     def values(self):
         return np.array([self.a1, self.a2, self.a3])
 
-    def equal_pairs(self, tol=1e-9):
+    def equal_pairs(self):
         """Index pairs (i, j) with alpha_i == alpha_j (degeneracy flags)."""
         v = self.values
         return tuple(
             (i, j)
             for i, j in ((0, 1), (0, 2), (1, 2))
-            if abs(v[i] - v[j]) <= tol
+            if abs(v[i] - v[j]) <= COINCIDENCE_TOL
         )
 
     @property
@@ -96,7 +96,7 @@ class HexagonProjection:
         return out
 
 
-def hexagon_vertices(alpha, tol=1e-9):
+def hexagon_vertices(alpha):
     """The up-to-six extreme points of the diagonal projection."""
     if not isinstance(alpha, AlphaTriple):
         alpha = AlphaTriple.of(alpha)
@@ -106,7 +106,7 @@ def hexagon_vertices(alpha, tol=1e-9):
     label_to_vertex = []
     for row in labeled:
         for k, v in enumerate(vertices):
-            if np.max(np.abs(row - v)) <= tol:
+            if np.max(np.abs(row - v)) <= COINCIDENCE_TOL:
                 label_to_vertex.append(k)
                 break
         else:
@@ -146,7 +146,7 @@ class Distinguishability:
     effects: np.ndarray  # (n, 3) dual vectors, rows sum to the unit effect
 
 
-def _perfect_measurement(points, anchors, unit, tol):
+def _perfect_measurement(points, anchors, unit):
     """Feasibility LP for effects e_i with e_i . a_j = delta_ij.
 
     Variables are the k stacked effect vectors, one per anchor; they must
@@ -160,10 +160,10 @@ def _perfect_measurement(points, anchors, unit, tol):
         a_eq[i * k:(i + 1) * k, i * dim:(i + 1) * dim] = anchors
         a_eq[k * k:, i * dim:(i + 1) * dim] = np.eye(dim)
     b_eq = np.concatenate([np.eye(k).ravel(), unit])
-    return effect_lp(points, np.zeros((k, dim)), eq=(a_eq, b_eq), tol=tol)
+    return effect_lp(points, np.zeros((k, dim)), eq=(a_eq, b_eq))
 
 
-def max_distinguishable(h, tol=1e-8):
+def max_distinguishable(h):
     """Largest number of perfectly distinguishable diagonal states.
 
     Searches vertex subsets exhaustively (at most C(6, 3) cases; more than
@@ -173,7 +173,7 @@ def max_distinguishable(h, tol=1e-8):
     for k in range(min(3, nv), 0, -1):
         for chosen in itertools.combinations(range(nv), k):
             res = _perfect_measurement(h.vertices, h.vertices[list(chosen)],
-                                       np.ones(3), tol)
+                                       np.ones(3))
             if res.optimal:
                 effects = res.x.reshape(k, 3)
                 return Distinguishability(k, chosen, effects)
@@ -192,16 +192,16 @@ class EncodingGame:
     note: str
 
 
-def _best_two_class_guess(vertices, plus, minus, tol):
+def _best_two_class_guess(vertices, plus, minus):
     """max over valid effects B of mean success guessing class(plus) vs class(minus)."""
     objective = 0.25 * (np.sum(plus, axis=0) - np.sum(minus, axis=0))
-    res = effect_lp(vertices, [objective], tol=tol)
+    res = effect_lp(vertices, [objective])
     if not res.optimal:
         raise DomainError(f"encoding-game LP came back {res.status}")
     return 0.5 + float(res.value)
 
 
-def encoding_game_value(alpha, tol=1e-8):
+def encoding_game_value(alpha):
     """Success probabilities of the two-bit game on states y1, y2, y4, y5.
 
     Bit 1 splits {y1, y2} against {y4, y5}; bit 2 splits {y1, y5} against
@@ -215,11 +215,11 @@ def encoding_game_value(alpha, tol=1e-8):
     h = hexagon_vertices(alpha)
     y = h.labeled
     y1, y2, y4, y5 = y[0], y[1], y[3], y[4]
-    bit1 = _best_two_class_guess(h.vertices, [y1, y2], [y4, y5], tol)
+    bit1 = _best_two_class_guess(h.vertices, [y1, y2], [y4, y5])
 
     game_states = [y1, y2, y4, y5]
     degenerate = any(
-        np.max(np.abs(a - b)) <= 1e-9
+        np.max(np.abs(a - b)) <= COINCIDENCE_TOL
         for a, b in itertools.combinations(game_states, 2)
     )
     if degenerate:
@@ -227,7 +227,7 @@ def encoding_game_value(alpha, tol=1e-8):
             bit1, 0.5, True,
             "game states coincide; the second bit carries no information",
         )
-    bit2 = _best_two_class_guess(h.vertices, [y1, y5], [y2, y4], tol)
+    bit2 = _best_two_class_guess(h.vertices, [y1, y5], [y2, y4])
     return EncodingGame(bit1, bit2, False, "")
 
 
@@ -258,7 +258,7 @@ def _vertex_targets(s, labels):
     return act(s.rep, perms, s.reference)
 
 
-def max_distinguishable_sampled(s: StructureSample, k, tol=1e-8):
+def max_distinguishable_sampled(s: StructureSample, k):
     """Feasibility of perfect k-state discrimination on the sampled orbit.
 
     Target states are the exact orbit points over the diagonal states that
@@ -272,7 +272,7 @@ def max_distinguishable_sampled(s: StructureSample, k, tol=1e-8):
         raise DomainError("k must be >= 1")
     alpha = recover_alpha(s)
     h = hexagon_vertices(alpha)
-    exact = max_distinguishable(h, tol=tol)
+    exact = max_distinguishable(h)
 
     if k <= exact.n:
         vertex_ids = exact.states[:k]
@@ -297,4 +297,4 @@ def max_distinguishable_sampled(s: StructureSample, k, tol=1e-8):
     target_points = np.concatenate([np.ones((k, 1)), targets], axis=1)
     points = np.concatenate([s.points, target_points], axis=0)
     unit = np.eye(s.ambient_dim)[0]
-    return _perfect_measurement(points, target_points, unit, tol).optimal
+    return _perfect_measurement(points, target_points, unit).optimal

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalConsistencyError, ResourceError
-from .numerics import round_to_int
+from .numerics import DEFAULT_TOL, round_to_int
 
 DEFAULT_ORDER_CAP = 10_000
 
@@ -95,34 +95,6 @@ class FiniteGroup:
 
     def __iter__(self):
         return iter(range(self.order))
-
-
-def group_from_elements(degree, elements):
-    """Validate closure/identity/inverses and freeze a FiniteGroup."""
-    elems = []
-    seen = set()
-    for p in elements:
-        p = tuple(p)
-        _check_perm(p, degree)
-        if p in seen:
-            raise DomainError("duplicate element in group list")
-        seen.add(p)
-        elems.append(p)
-    ident = identity_perm(degree)
-    if ident not in seen:
-        raise DomainError("group list does not contain the identity")
-    elems.remove(ident)
-    elems = [ident] + elems
-    index = {p: i for i, p in enumerate(elems)}
-    for p in elems:
-        if inverse(p) not in index:
-            raise DomainError("group list is not closed under inversion")
-    for p in elems:
-        for q in elems:
-            if compose(p, q) not in index:
-                raise DomainError("group list is not closed under composition")
-    inv = tuple(index[inverse(p)] for p in elems)
-    return FiniteGroup(degree, tuple(elems), index, inv)
 
 
 def generate_group(generators, degree=None, max_order=DEFAULT_ORDER_CAP):
@@ -347,13 +319,14 @@ def _class_constant_matrices(group, classes, class_of):
     return mats
 
 
-def character_table(group, order_cap=DEFAULT_ORDER_CAP, tol=1e-8):
+def character_table(group, order_cap=DEFAULT_ORDER_CAP):
     """Irreducible complex characters of a finite group (Burnside's method).
 
     Simultaneous eigenvectors of the class-sum matrices are isolated with a
     random (but internally seeded, hence reproducible) linear combination;
     degenerate draws are retried.  The table is verified against row
-    orthogonality and the sum-of-squares rule before being returned.
+    orthogonality (within ``DEFAULT_TOL``) and the sum-of-squares rule
+    before being returned.
     """
     if group.order > order_cap:
         raise ResourceError(
@@ -379,7 +352,7 @@ def character_table(group, order_cap=DEFAULT_ORDER_CAP, tol=1e-8):
             continue  # degenerate draw; resample the combination
         try:
             chars = _eigenvectors_to_characters(evecs, sizes, group.order)
-            _verify_table(chars, sizes, group.order, tol)
+            _verify_table(chars, sizes, group.order)
         except NumericalConsistencyError as err:
             last_err = err
             continue
@@ -412,10 +385,10 @@ def _eigenvectors_to_characters(evecs, sizes, order):
     return chars
 
 
-def _verify_table(chars, sizes, order, tol):
+def _verify_table(chars, sizes, order):
     k = chars.shape[0]
     gram = (chars * sizes) @ chars.conj().T / order
-    if np.max(np.abs(gram - np.eye(k))) > tol:
+    if np.max(np.abs(gram - np.eye(k))) > DEFAULT_TOL:
         raise NumericalConsistencyError("row orthogonality violated")
     dims = [round_to_int(chars[i, 0], soft_tol=1e-6, what="irrep dimension")
             for i in range(k)]
@@ -479,11 +452,12 @@ def frobenius_schur(table, irrep):
     return ind
 
 
-def conjugate_irrep(table, irrep, tol=1e-6):
-    """Index of the irrep whose character is the complex conjugate."""
+def conjugate_irrep(table, irrep):
+    """Index of the irrep whose character is the complex conjugate (within
+    1e-6 entrywise)."""
     target = np.conj(table.chars[irrep])
     for j in range(table.n_irreps):
-        if np.max(np.abs(table.chars[j] - target)) < tol:
+        if np.max(np.abs(table.chars[j] - target)) < 1e-6:
             return j
     raise NumericalConsistencyError("conjugate character not found in table")
 

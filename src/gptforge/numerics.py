@@ -1,7 +1,8 @@
 """Dense linear-algebra kernel and a small linear-program front end.
 
-Every other module funnels its matrix work through here so that tolerances
-are applied uniformly.  Problems are tiny (at most a few hundred variables),
+Every other module funnels its matrix work through here, and the package's
+tolerance policy lives here: each tolerance shared by several checks is one
+named constant below.  Problems are tiny (at most a few hundred variables),
 so everything is dense float64: eigendecompositions go through LAPACK
 (``numpy.linalg.eigh``) and linear programs through HiGHS
 (``scipy.optimize.linprog``).
@@ -16,8 +17,14 @@ from scipy.optimize import linprog
 
 from .errors import DomainError, LpSolverFailure, NumericalConsistencyError
 
-# Global default tolerance; every check quotes its tolerance relative to this.
+# Feasibility and exactness checks: LP points, character tables, effects.
 DEFAULT_TOL = 1e-8
+# Two diagonal (hexagon) states closer than this, entrywise, are one state.
+COINCIDENCE_TOL = 1e-9
+# A unit vector within this norm of its projection is subgroup-invariant.
+INVARIANCE_TOL = 1e-6
+# A vector (or coefficient sum) below this norm counts as zero.
+ZERO_NORM = 1e-12
 
 
 def as_real_matrix(m, name="matrix"):
@@ -30,7 +37,7 @@ def as_real_matrix(m, name="matrix"):
     return a
 
 
-def symmetric_eigen(m, tol=1e-10):
+def symmetric_eigen(m):
     """Eigendecomposition of a real symmetric matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues in descending
@@ -40,20 +47,20 @@ def symmetric_eigen(m, tol=1e-10):
     Raises
     ------
     DomainError
-        If ``m`` is not square or not symmetric within ``tol``.
+        If ``m`` is not square or not symmetric within 1e-10.
     """
     a = as_real_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix is not square: shape {a.shape}")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if asym > tol:
+    if asym > 1e-10:
         raise DomainError(f"matrix is not symmetric: max |a - a.T| = {asym:.3e}")
     w, v = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]
 
 
-def orthonormalize(columns, rank_tol=1e-10):
+def orthonormalize(columns):
     """Orthonormalize the columns of a matrix, preserving their span.
 
     Uses a QR factorization with the diagonal of R forced non-negative, so an
@@ -62,14 +69,14 @@ def orthonormalize(columns, rank_tol=1e-10):
     Raises
     ------
     DomainError
-        If the columns are linearly dependent within ``rank_tol``; the message
-        reports the numerical rank.
+        If the columns are linearly dependent (singular values at most
+        1e-10 times the larger side); the message reports the numerical rank.
     """
     a = as_real_matrix(m=columns, name="columns")
     if a.shape[1] == 0:
         return a.copy()
     svals = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(svals > rank_tol * max(a.shape)))
+    rank = int(np.sum(svals > 1e-10 * max(a.shape)))
     if rank < a.shape[1]:
         raise DomainError(
             f"columns are rank deficient: numerical rank {rank} < {a.shape[1]}"
@@ -124,31 +131,44 @@ class LpResult:
         return self.status == "optimal"
 
 
-def lp_solve(p: LinearProgram, tol=DEFAULT_TOL):
+def lp_solve(p: LinearProgram):
     """Solve a small dense LP, maximizing the objective.
 
     Returns an :class:`LpResult`.  An optimal point is feasibility-checked
-    within ``tol`` before being returned.
+    within ``DEFAULT_TOL`` before being returned.  HiGHS runs at its own
+    defaults (feasibility tolerance 1e-7) first; when its point fails the
+    check, or it stops without a status certificate, the LP is solved once
+    more with feasibility tolerances of ``DEFAULT_TOL / 10`` and the
+    objective scaled to a largest entry of 1 (the tolerances are absolute).
 
     Raises
     ------
     LpSolverFailure
-        If the backend stops without a status certificate.
+        If the re-solve also stops without a status certificate.
+    NumericalConsistencyError
+        If the re-solved optimal point also fails the check.
     """
     p._validate()
     c = -np.atleast_1d(np.asarray(p.objective, dtype=float))
     a_eq, b_eq = (None, None) if p.eq is None else p.eq
     a_ub, b_ub = (None, None) if p.ub is None else p.ub
     bounds = p.bounds if p.bounds else [(None, None)] * p.n_vars()
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
+
+    def solve(scale=1.0, options=None):
+        res = linprog(c / scale, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs", options=options)
+        return _certify(p, res, scale)
+
+    try:
+        return solve()
+    except (LpSolverFailure, NumericalConsistencyError):
+        return solve(np.max(np.abs(c)) or 1.0, dict.fromkeys(
+            ("primal_feasibility_tolerance", "dual_feasibility_tolerance"),
+            DEFAULT_TOL / 10))
+
+
+def _certify(p, res, scale):
+    """The LpResult of one HiGHS run; raises when the run certifies nothing."""
     if res.status == 2:
         return LpResult("infeasible")
     if res.status == 3:
@@ -156,11 +176,11 @@ def lp_solve(p: LinearProgram, tol=DEFAULT_TOL):
     if res.status != 0:
         raise LpSolverFailure(f"LP solver stopped: {res.message}")
     x = np.asarray(res.x, dtype=float)
-    _check_feasible(p, x, tol)
-    return LpResult("optimal", value=-float(res.fun), x=x)
+    _check_feasible(p, x)
+    return LpResult("optimal", value=-float(res.fun) * scale, x=x)
 
 
-def effect_lp(points, objective, eq=None, tol=DEFAULT_TOL):
+def effect_lp(points, objective, eq=None):
     """Maximize over k stacked effects, each valid (0 <= e.x <= 1) on every
     row of ``points``.
 
@@ -178,43 +198,42 @@ def effect_lp(points, objective, eq=None, tol=DEFAULT_TOL):
         block[i * n:(i + 1) * n, i * dim:(i + 1) * dim] = pts
         block[(k + i) * n:(k + i + 1) * n, i * dim:(i + 1) * dim] = -pts
     rhs = np.concatenate([np.ones(k * n), np.zeros(k * n)])
-    return lp_solve(LinearProgram(obj.ravel(), eq=eq, ub=(block, rhs)),
-                    tol=tol)
+    return lp_solve(LinearProgram(obj.ravel(), eq=eq, ub=(block, rhs)))
 
 
-def _check_feasible(p: LinearProgram, x, tol):
+def _check_feasible(p: LinearProgram, x):
     if p.eq is not None:
         resid = np.max(np.abs(np.asarray(p.eq[0]) @ x - np.asarray(p.eq[1])))
-        if resid > tol:
+        if resid > DEFAULT_TOL:
             raise NumericalConsistencyError(
                 f"optimal point violates equalities by {resid:.3e}"
             )
     if p.ub is not None:
         excess = np.max(np.asarray(p.ub[0]) @ x - np.asarray(p.ub[1]), initial=0.0)
-        if excess > tol:
+        if excess > DEFAULT_TOL:
             raise NumericalConsistencyError(
                 f"optimal point violates inequalities by {excess:.3e}"
             )
     for i, (lo, hi) in enumerate(p.bounds or []):
-        if lo is not None and x[i] < lo - tol:
+        if lo is not None and x[i] < lo - DEFAULT_TOL:
             raise NumericalConsistencyError(f"variable {i} below lower bound")
-        if hi is not None and x[i] > hi + tol:
+        if hi is not None and x[i] > hi + DEFAULT_TOL:
             raise NumericalConsistencyError(f"variable {i} above upper bound")
 
 
-def round_to_int(x, soft_tol=DEFAULT_TOL, hard_tol=1e-4, what="value"):
+def round_to_int(x, soft_tol=DEFAULT_TOL, what="value"):
     """Round to the nearest integer, failing loudly when the value is not
     structurally integral.
 
-    Deviation <= ``soft_tol`` rounds silently; deviation beyond ``hard_tol``
-    raises :class:`NumericalConsistencyError` (solver drift caught early).
-    The band in between rounds with a warning.
+    Deviation <= ``soft_tol`` rounds silently; deviation beyond 1e-4 raises
+    :class:`NumericalConsistencyError` (solver drift caught early).  The band
+    in between rounds with a warning.
     """
     import warnings
 
     n = round(float(np.real(x)))
     dev = abs(complex(x) - n)
-    if dev > hard_tol:
+    if dev > 1e-4:
         raise NumericalConsistencyError(
             f"{what} = {x} deviates from integer {n} by {dev:.3e}"
         )

@@ -29,6 +29,7 @@ from .compact_rep import (
     su_adjoint,
 )
 from .errors import DomainError
+from .numerics import DEFAULT_TOL, INVARIANCE_TOL, ZERO_NORM
 
 
 @dataclass(frozen=True)
@@ -95,14 +96,13 @@ def unit_effect(s):
     return Effect(v, "u")
 
 
-def build_structure(rep, sub, reference, n_samples, rng, elements=None,
-                    invariance_tol=1e-6):
+def build_structure(rep, sub, reference, n_samples, rng, elements=None):
     """Sample the orbit of an H-invariant unit reference vector.
 
     ``reference`` is given in the rep's carrier coordinates (length
     ``rep.real_dimension``) and is normalized here.  When ``sub`` is given,
     the reference must be fixed by the subgroup's invariant projector within
-    ``invariance_tol``.  Passing ``elements`` reuses an existing stream of
+    ``INVARIANCE_TOL``.  Passing ``elements`` reuses an existing stream of
     fundamental-picture group samples (paired builds, deformations).
     """
     v = np.asarray(reference, dtype=float).copy()
@@ -111,13 +111,13 @@ def build_structure(rep, sub, reference, n_samples, rng, elements=None,
             f"reference has shape {v.shape}, expected ({rep.real_dimension},)"
         )
     norm = np.linalg.norm(v)
-    if norm < 1e-12:
+    if norm < ZERO_NORM:
         raise DomainError("reference vector is zero")
     v /= norm
     if sub is not None:
         proj = invariant_projector(rep, sub).projector
         viol = np.linalg.norm(proj @ v - v)
-        if viol > invariance_tol:
+        if viol > INVARIANCE_TOL:
             raise DomainError(
                 f"reference is not subgroup-invariant: violation norm {viol:.3e}"
             )
@@ -179,8 +179,9 @@ class EffectValidity:
     max_value: float
 
 
-def effect_valid(s, e, tol=1e-8):
-    """Check 0 <= e . point <= 1 over all sampled points."""
+def effect_valid(s, e):
+    """Check 0 <= e . point <= 1 within ``DEFAULT_TOL`` over all sampled
+    points."""
     vec = np.asarray(e.vector, dtype=float)
     if vec.shape != (s.ambient_dim,):
         raise DomainError(
@@ -188,7 +189,8 @@ def effect_valid(s, e, tol=1e-8):
         )
     vals = s.points @ vec
     lo, hi = float(vals.min()), float(vals.max())
-    return EffectValidity(lo >= -tol and hi <= 1.0 + tol, lo, hi)
+    return EffectValidity(lo >= -DEFAULT_TOL and hi <= 1.0 + DEFAULT_TOL,
+                          lo, hi)
 
 
 def witness_effect(s, block=1, anchor=0):
@@ -200,7 +202,7 @@ def witness_effect(s, block=1, anchor=0):
     sl = s.block_slice(block)
     a = s.points[anchor, sl]
     na = np.linalg.norm(a)
-    if na < 1e-12:
+    if na < ZERO_NORM:
         raise DomainError("anchor point has zero component in the block")
     vec = np.zeros(s.ambient_dim)
     vec[0] = 0.5
@@ -264,7 +266,7 @@ def deformable_reference(alpha):
         raise DomainError("alpha must have three components")
     coords = su_adjoint(3).coordinates(np.diag(a - a.sum() / 3.0))
     norm = np.linalg.norm(coords)
-    if norm < 1e-12:
+    if norm < ZERO_NORM:
         raise DomainError("alpha is fully degenerate: reference vanishes")
     return coords / norm
 

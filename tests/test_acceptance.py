@@ -169,7 +169,7 @@ def test_criterion_4_distinguishability_theorem():
             if min(gaps) > 0.02:
                 break
         start = time.monotonic()
-        r = dc.max_distinguishable(dc.hexagon_vertices(a), tol=1e-8)
+        r = dc.max_distinguishable(dc.hexagon_vertices(a))
         worst = max(worst, time.monotonic() - start)
         ok &= r.n == 2
     start = time.monotonic()

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from gptforge.cli import main
+from gptforge.cli import _t_grid, main
+from gptforge.errors import DomainError
+
+REF8 = [0, 0, 0, 0, 0, 0, 0.6, 0.8]  # a torus-fixed su(3)-adjoint reference
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +89,18 @@ class TestHexagonCommand:
         assert data["game_degenerate"] is True
         assert data["bit2_success"] == 0.5
         assert "second bit" in err
+
+    def test_near_equal_game(self, capsys):
+        # a2 - a1 = 1e-8 lies between the check tolerance and HiGHS's own
+        code, out, _ = run_cli(capsys, "hexagon", "0.4", "0.40000001", "0.2",
+                               "--game")
+        assert code == 0
+        data = json.loads(out)
+        assert data["n_distinguishable"] == 2
+        effects = np.array(data["effects"])
+        verts = np.array(data["vertices"])
+        states = verts[data["states"]]
+        assert np.max(np.abs(effects @ states.T - np.eye(2))) <= 1e-8
 
     def test_renormalization_warning(self, capsys):
         code, out, err = run_cli(capsys, "hexagon", "1.0", "0.6", "0.4")
@@ -218,6 +234,7 @@ class TestMalformedInput:
         ("deform", "--t-grid", "0:0.1:0"),
         ("deform", "--t-grid", "0:1:1e-6"),
         ("deform", "--t-grid", "0:1:1e-12"),
+        ("deform", "--t-grid", "0:1:inf"),
         ("distance", "deformable:x,y,z", "bloch"),
         ("distance", "bloch", "spin2", "--family-size", "0"),
         ("sphere-check", "quartic:x"),
@@ -230,6 +247,34 @@ class TestMalformedInput:
         except SystemExit as exc:  # argparse rejects its input this way
             code = exc.code
         err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err
+
+    def test_infinite_step_refused_before_building(self):
+        with pytest.raises(DomainError, match="finite"):
+            _t_grid("0:1:inf")
+
+    @pytest.mark.parametrize("command,content", [
+        ("sphere-check", [1, 2]),
+        ("sphere-check", {"kind": "su_adjoint", "reference": REF8}),
+        ("sphere-check", {"kind": "su_adjoint", "d": "3", "reference": REF8}),
+        ("sphere-check", {"kind": "su_adjoint", "d": 2.5, "reference": REF8}),
+        ("sphere-check", {"kind": "su_adjoint", "d": 3,
+                          "subgroup": {"kind": "block"}, "reference": REF8}),
+        ("sphere-check", {"kind": "su_adjoint", "d": 3,
+                          "reference": ["a"] + REF8[1:]}),
+        ("gelfand", [1, 2]),
+        ("gelfand", {"degree": 3, "generators": [[[0, "a"]]]}),
+    ])
+    def test_malformed_file_exit_2(self, capsys, tmp_path, command, content):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(content))
+        argv = [command, str(path)]
+        if command == "gelfand":
+            trivial = tmp_path / "trivial.json"
+            trivial.write_text(json.dumps({"generators": []}))
+            argv.append(str(trivial))
+        code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "error:" in err
 

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptforge import discrimination as dc
 from gptforge import state_space as ss
 from gptforge.errors import DomainError
+from gptforge.numerics import DEFAULT_TOL
 
 
 class TestAlphaTriple:
@@ -121,6 +124,17 @@ class TestEncodingGame:
         assert g.bit2_success == 0.5
         assert g.degenerate
 
+    def test_tiny_objective(self):
+        # a1 - a3 = 1.6e-6 puts the game objectives near 1e-7 per entry, the
+        # size of HiGHS's absolute dual tolerance; values are the vertex
+        # oracle's (tests/oracles.py) with a 1e9 box
+        g = dc.encoding_game_value([0.5951756036511849, 0.33721119341209316,
+                                    0.5951739926862741])
+        assert g.bit1_success == pytest.approx(0.5 + 3.12245574754e-06,
+                                               abs=1e-12)
+        assert g.bit2_success == pytest.approx(0.5 + 1.56122787378e-06,
+                                               abs=1e-12)
+
     def test_continuity_along_generic_path(self):
         previous = None
         for s in np.arange(0.0, 0.05 + 1e-12, 0.01):
@@ -128,6 +142,27 @@ class TestEncodingGame:
             if previous is not None:
                 assert abs(g.bit2_success - previous) < 0.02
             previous = g.bit2_success
+
+
+class TestNearEqual:
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 0.3), st.floats(0.02, 0.5), st.floats(0.02, 0.5),
+           st.integers(0, 1), st.floats(-9.0, -6.0))
+    def test_answers_certified(self, low, gap1, gap2, j, log_gap):
+        # descending a1 > a2 > a3, then a_j and a_(j+1) 1e-9 to 1e-6 apart
+        a = np.array([low + gap1 + gap2, low + gap2, low])
+        a[j + 1] = a[j] - 10.0 ** log_gap
+        h = dc.hexagon_vertices(a / a.sum())
+        r = dc.max_distinguishable(h)
+        e = r.effects
+        assert np.max(np.abs(e.sum(axis=0) - 1.0)) <= DEFAULT_TOL
+        vals = e @ h.vertices.T
+        assert vals.min() >= -DEFAULT_TOL and vals.max() <= 1.0 + DEFAULT_TOL
+        delta = e @ h.vertices[list(r.states)].T - np.eye(r.n)
+        assert np.max(np.abs(delta)) <= DEFAULT_TOL
+        # a1 > a3 with a gap of at least 0.02: the first bit stays perfect
+        g = dc.encoding_game_value(h.alpha)
+        assert abs(g.bit1_success - 1.0) < 1e-6
 
 
 @pytest.fixture(scope="module")

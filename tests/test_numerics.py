@@ -1,8 +1,13 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gptforge
 from gptforge.errors import DomainError
 from gptforge.numerics import (
     LinearProgram,
@@ -189,3 +194,36 @@ class TestRoundToInt:
     def test_warning_band(self):
         with pytest.warns(UserWarning):
             assert round_to_int(2.0 + 1e-6) == 2
+
+
+def _public_callables():
+    """(name, callable) for every public function, class and method defined
+    in a gptforge module, exception types aside."""
+    for info in pkgutil.iter_modules(gptforge.__path__):
+        mod = importlib.import_module(f"gptforge.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != mod.__name__ or not callable(obj) \
+                    or (inspect.isclass(obj)
+                        and issubclass(obj, BaseException)):
+                continue
+            yield f"{info.name}.{name}", obj
+            if inspect.isclass(obj):
+                for attr, member in inspect.getmembers(
+                        obj, lambda m: inspect.isfunction(m)
+                        or inspect.ismethod(m)):
+                    if not attr.startswith("_") and \
+                            member.__module__ == mod.__name__:
+                        yield f"{info.name}.{name}.{attr}", member
+
+
+def test_one_tolerance_knob():
+    # tolerances come from the constants in gptforge.numerics; the one
+    # parameter kept is used with two values (1e-6 for irrep dimensions)
+    knobs = {
+        f"{name}({param})"
+        for name, fn in _public_callables()
+        for param in inspect.signature(fn).parameters
+        if param.endswith("tol")
+    }
+    assert knobs == {"numerics.round_to_int(soft_tol)"}
