@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -31,6 +32,7 @@ from .numerics import DEFAULT_TOL
 
 DEFAULT_SAMPLES = 2000
 MAX_T_GRID_ROWS = 1001  # a 0:1:0.001 grid; each row is a full distance estimate
+MAX_GRASSMANN_ROWS = 10_000  # candidate partitions, comb(b1_max + m, m)
 
 
 def _default_seed():
@@ -438,6 +440,11 @@ def cmd_grassmann(args):
         raise DomainError(
             f"m = {args.m} exceeds n = {args.n}; swap the arguments"
         )
+    m, b = args.m, args.b1_max  # comb(m + b, m) >= m + b: test the cheap one
+    if min(m, b) >= 1 and (m + b > MAX_GRASSMANN_ROWS
+                           or math.comb(m + b, m) > MAX_GRASSMANN_ROWS):
+        raise DomainError(f"m = {m}, b1_max = {b} gives more than "
+                          f"{MAX_GRASSMANN_ROWS} candidate partitions")
     audit = classification.spherical_reality_audit(args.m, args.n, args.b1_max)
     payload = {
         "meta": _meta(args, "grassmann"),

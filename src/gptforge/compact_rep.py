@@ -494,13 +494,10 @@ def invariant_projector(spec, sub, quadrature=None):
         if gens is not None:
             if not gens:  # trivial connected subgroup: everything is fixed
                 return InvariantProjector(np.eye(dim), dim, np.ones(dim))
-            stacked = np.concatenate(
-                [_generator_action(spec, a) for a in gens], axis=0
-            )
-            _, s, vt = np.linalg.svd(stacked, full_matrices=False)
-            tol = max(stacked.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
-            rank = int(np.sum(s > max(tol, 1e-10)))
-            null = vt[rank:].T
+            # the common kernel is the null space of sum A^T A, built in O(D^2)
+            gram = sum(m.T @ m for m in (_generator_action(spec, a) for a in gens))
+            w, v = np.linalg.eigh(gram)
+            null = v[:, w <= 1e-9 * max(w[-1], 1.0)]
             proj = null @ null.T
             evals = np.concatenate([np.ones(null.shape[1]),
                                     np.zeros(dim - null.shape[1])])

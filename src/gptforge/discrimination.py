@@ -213,7 +213,7 @@ def encoding_game_value(alpha):
     if not isinstance(alpha, AlphaTriple):
         alpha = AlphaTriple.of(alpha)
     h = hexagon_vertices(alpha)
-    y = h.labeled
+    y = h.vertices[list(h.label_to_vertex)]  # merged, as in the validity rows
     y1, y2, y4, y5 = y[0], y[1], y[3], y[4]
     bit1 = _best_two_class_guess(h.vertices, [y1, y2], [y4, y5])
 

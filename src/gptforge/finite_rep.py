@@ -41,10 +41,6 @@ def inverse(p):
     return tuple(inv)
 
 
-def identity_perm(degree):
-    return tuple(range(degree))
-
-
 def cycles_to_perm(degree, cycles):
     """Build a permutation from a list of cycles (each a list of indices)."""
     images = list(range(degree))
@@ -70,18 +66,35 @@ def _check_perm(p, degree):
 # groups
 
 
+def _closure(seeds, steps):
+    """Yield the seeds, then each new point the maps in ``steps`` reach:
+    breadth-first, each point once, lazily so that a caller can stop early."""
+    queue = list(dict.fromkeys(seeds))
+    seen = set(queue)
+    yield from queue
+    for p in queue:  # the queue grows while it is read
+        for step in steps:
+            q = step(p)
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+                yield q
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A fully enumerated permutation group.
 
     ``elements[0]`` is the identity.  ``index`` maps a permutation tuple back
     to its position, which makes composition and inversion table lookups.
+    ``generators`` holds the element indices of the generating set.
     """
 
     degree: int
     elements: tuple
     index: dict = field(repr=False)
     inverses: tuple = field(repr=False)
+    generators: tuple = field(repr=False)
 
     @property
     def order(self):
@@ -117,31 +130,20 @@ def generate_group(generators, degree=None, max_order=DEFAULT_ORDER_CAP):
     if max_order < 1:
         raise DomainError("max_order must be at least 1")
 
-    ident = identity_perm(degree)
-    elems = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(p, g)
-                if q not in index:
-                    if len(elems) >= max_order:
-                        raise ResourceError(
-                            f"group order exceeds max_order = {max_order}"
-                        )
-                    index[q] = len(elems)
-                    elems.append(q)
-                    nxt.append(q)
-        frontier = nxt
+    steps = [lambda p, g=g: compose(p, g) for g in gens]
+    elems = tuple(itertools.islice(_closure([tuple(range(degree))], steps),
+                                   max_order + 1))  # stop before a huge group
+    if len(elems) > max_order:
+        raise ResourceError(f"group order exceeds max_order = {max_order}")
+    index = {p: i for i, p in enumerate(elems)}
     inv = tuple(index[inverse(p)] for p in elems)
-    return FiniteGroup(degree, tuple(elems), index, inv)
+    return FiniteGroup(degree, elems, index, inv, tuple(index[g] for g in gens))
 
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """Member indices of a subgroup inside a parent group."""
+    """Member indices of a subgroup inside a parent group: distinct, with the
+    identity, closed under composition (so, being finite, under inverses)."""
 
     parent: FiniteGroup
     members: tuple
@@ -153,14 +155,19 @@ class Subgroup:
     def __post_init__(self):
         g = self.parent
         mem = set(self.members)
-        if 0 not in mem:
-            raise DomainError("subgroup must contain the identity (index 0)")
+        if len(mem) != len(self.members) or not {0} <= mem <= set(range(g.order)):
+            raise DomainError("subgroup members must be distinct element indices "
+                              f"in 0..{g.order - 1}, the identity 0 among them")
+        span, steps = {0}, []  # the span at least doubles with each step
         for i in self.members:
-            if g.inverse(i) not in mem:
-                raise DomainError("subgroup not closed under inverses")
-            for j in self.members:
-                if g.compose(i, j) not in mem:
-                    raise DomainError("subgroup not closed under composition")
+            if i not in span:
+                steps.append(lambda x, i=i: g.compose(x, i))
+                grown = set()
+                for x in _closure(span, steps):
+                    if x not in mem:
+                        raise DomainError("subgroup not closed under composition")
+                    grown.add(x)
+                span = grown
 
 
 def subgroup_from_generators(group, generators):
@@ -174,18 +181,8 @@ def subgroup_from_generators(group, generators):
             if p not in group.index:
                 raise DomainError(f"generator {p} is not an element of the group")
             idxs.append(group.index[p])
-    members = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in idxs:
-                k = group.compose(i, j)
-                if k not in members:
-                    members.add(k)
-                    nxt.append(k)
-        frontier = nxt
-    return Subgroup(group, tuple(sorted(members)))
+    steps = [lambda i, j=j: group.compose(i, j) for j in idxs]
+    return Subgroup(group, tuple(sorted(_closure([0], steps))))
 
 
 def trivial_subgroup(group):
@@ -202,18 +199,14 @@ def full_subgroup(group):
 def cyclic_group(n):
     if n < 1:
         raise DomainError("n must be >= 1")
-    if n == 1:
-        return generate_group([], degree=1)
     return generate_group([tuple(list(range(1, n)) + [0])])
 
 
 def symmetric_group(n):
     if n < 1:
         raise DomainError("n must be >= 1")
-    if n == 1:
-        return generate_group([], degree=1)
     swap = list(range(n))
-    swap[0], swap[1] = 1, 0
+    swap[:2] = swap[1::-1]  # the identity when n = 1
     cycle = list(range(1, n)) + [0]
     return generate_group([tuple(swap), tuple(cycle)])
 
@@ -264,20 +257,19 @@ def conjugacy_classes(group):
     """Classes in deterministic order (identity class first).
 
     Returns (classes, class_of) where classes is a tuple of index tuples and
-    class_of maps an element index to its class index.
+    class_of maps an element index to its class index.  A class is closed
+    under conjugation by the generators alone.
     """
     n = group.order
     class_of = np.full(n, -1, dtype=int)
     classes = []
+    c, inv = group.compose, group.inverse
+    steps = [lambda x, g=g: c(c(g, x), inv(g)) for g in group.generators]
     for i in range(n):
-        if class_of[i] >= 0:
-            continue
-        orbit = sorted(
-            {group.compose(group.compose(g, i), group.inverse(g)) for g in group}
-        )
-        for j in orbit:
-            class_of[j] = len(classes)
-        classes.append(tuple(orbit))
+        if class_of[i] < 0:
+            orbit = sorted(_closure([i], steps))
+            class_of[orbit] = len(classes)
+            classes.append(tuple(orbit))
     return tuple(classes), class_of
 
 
@@ -440,9 +432,11 @@ def is_gelfand_pair(group, sub, table=None):
 
 
 def frobenius_schur(table, irrep):
-    """Indicator (1/|G|) sum_g chi(g^2): +1 real, 0 complex, -1 quaternionic."""
+    """Indicator (1/|G|) sum_g chi(g^2) = (1/|G|) sum_C |C| chi(c^2) over the
+    classes C, c in C: +1 real, 0 complex, -1 quaternionic."""
     g = table.group
-    total = sum(table.value(irrep, g.compose(x, x)) for x in g)
+    total = sum(len(c) * table.value(irrep, g.compose(c[0], c[0]))
+                for c in table.classes)
     val = total / g.order
     ind = round_to_int(val, what="Frobenius-Schur indicator")
     if ind not in (-1, 0, 1):

@@ -167,3 +167,28 @@ def gelfand_tsetlin_count(top):
         return total
 
     return patterns(tuple(top))
+
+
+def conjugacy_classes_oracle(group):
+    """Classes by the definition: conjugate each element by every element."""
+    classes, seen = [], set()
+    for x in group:
+        if x not in seen:
+            orbit = tuple(sorted({group.compose(group.compose(g, x),
+                                                group.inverse(g))
+                                  for g in group}))
+            seen.update(orbit)
+            classes.append(orbit)
+    return tuple(classes)
+
+
+def closed_under_composition(group, members):
+    """Whether every product of two members is a member (all pairs)."""
+    mem = set(members)
+    return all(group.compose(i, j) in mem for i in mem for j in mem)
+
+
+def frobenius_schur_element_sum(table, irrep):
+    """(1/|G|) sum_g chi(g^2), summed over every element g."""
+    g = table.group
+    return sum(table.value(irrep, g.compose(x, x)) for x in g) / g.order

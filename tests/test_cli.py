@@ -240,6 +240,8 @@ class TestMalformedInput:
         ("sphere-check", "quartic:x"),
         ("sphere-check", "deformable:0.5,0.3,0.2:t"),
         ("schur-average", "bloch", "--trials", "-1"),
+        ("grassmann", "2", "2", "200"),
+        ("grassmann", "1", "1", "1000000000"),
     ])
     def test_exit_2(self, capsys, argv):
         try:

@@ -151,6 +151,15 @@ class TestInvariantProjector:
         p = cr.invariant_projector(cr.su_adjoint(3), cr.block_subgroup(2, 1))
         assert p.rank == 1
 
+    def test_su16_block_rank_1(self):
+        # 159 generators on a 255-dimensional carrier; the fixed line is the
+        # centre of S(U(4) x U(12))
+        spec = cr.su_adjoint(16)
+        p = cr.invariant_projector(spec, cr.block_subgroup(4, 12))
+        assert p.rank == 1
+        z = spec.coordinates(np.diag([3.0] * 4 + [-1.0] * 12))
+        assert np.max(np.abs(p.projector @ z - z)) < 1e-10
+
     def test_su2_torus_rank_1_z_axis(self):
         p = cr.invariant_projector(cr.su_adjoint(2), cr.full_torus())
         assert p.rank == 1

@@ -135,6 +135,12 @@ class TestEncodingGame:
         assert g.bit2_success == pytest.approx(0.5 + 1.56122787378e-06,
                                                abs=1e-12)
 
+    def test_merged_states_keep_success_at_most_one(self):
+        # a2 and a3 are 1e-9 apart, so hexagon_vertices merges labeled states;
+        # objective and validity rows must then use the same merged vertex
+        g = dc.encoding_game_value([0.5234375, 0.5, 0.5 - 1e-9])
+        assert g.bit1_success == pytest.approx(1.0, abs=1e-12)
+
     def test_continuity_along_generic_path(self):
         previous = None
         for s in np.arange(0.0, 0.05 + 1e-12, 0.01):

@@ -1,14 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptforge import finite_rep as fr
 from gptforge.errors import DomainError, ResourceError
 from oracles import (
+    closed_under_composition,
+    conjugacy_classes_oracle,
     fixed_vector_multiplicity,
+    frobenius_schur_element_sum,
     gelfand_oracle,
     invariant_bilinear_type,
     irrep_matrices,
 )
+
+GROUPS = {
+    **{f"S{n}": (lambda n=n: fr.symmetric_group(n)) for n in (3, 4, 5)},
+    **{f"D{n}": (lambda n=n: fr.dihedral_group(n)) for n in (5, 6, 7, 8)},
+    "Q8": fr.quaternion_group,
+    "Z6": lambda: fr.cyclic_group(6),
+}
 
 
 class TestGenerateGroup:
@@ -31,6 +43,15 @@ class TestGenerateGroup:
     def test_mixed_degrees(self):
         with pytest.raises(DomainError):
             fr.generate_group([(1, 0), (1, 2, 0)])
+
+
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_match_all_pairs_definition(self, name):
+        g = GROUPS[name]()
+        classes, class_of = fr.conjugacy_classes(g)
+        assert classes == conjugacy_classes_oracle(g)
+        assert all(class_of[x] == k for k, c in enumerate(classes) for x in c)
 
 
 class TestCharacterTable:
@@ -151,6 +172,13 @@ class TestFrobeniusSchur:
         t = fr.character_table(q8)
         assert fr.frobenius_schur(t, 4) == -1
 
+    @pytest.mark.parametrize("name", ["S5", "D6", "Q8"])
+    def test_class_sum_matches_element_sum(self, name):
+        t = fr.character_table(GROUPS[name]())
+        for i in range(t.n_irreps):
+            assert abs(fr.frobenius_schur(t, i)
+                       - frobenius_schur_element_sum(t, i)) < 1e-8
+
     def test_z4_has_complex_pair(self):
         t = fr.character_table(fr.cyclic_group(4))
         inds = sorted(fr.frobenius_schur(t, i) for i in range(4))
@@ -210,6 +238,26 @@ class TestSubgroups:
         three_cycle = s3.index[(1, 2, 0)]
         with pytest.raises(DomainError):
             fr.Subgroup(s3, (0, three_cycle))
+
+    @pytest.mark.parametrize("members", [(0, 0, "sw", "sw"), (0, "sw", "sw"),
+                                         (0, 99)])
+    def test_repeated_or_out_of_range_members(self, s3, members):
+        sw = s3.index[(1, 0, 2)]
+        with pytest.raises(DomainError):
+            fr.Subgroup(s3, tuple(sw if m == "sw" else m for m in members))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 23), max_size=2),
+           st.sets(st.integers(1, 23), max_size=3))
+    def test_raises_exactly_when_not_closed(self, s4, gens, extra):
+        # a generated subgroup with a few extra elements: closed or not
+        members = tuple(sorted(
+            set(fr.subgroup_from_generators(s4, gens).members) | extra))
+        if closed_under_composition(s4, members):
+            assert fr.Subgroup(s4, members).order == len(members)
+        else:
+            with pytest.raises(DomainError):
+                fr.Subgroup(s4, members)
 
     def test_foreign_generator(self, s3):
         with pytest.raises(DomainError):
