@@ -16,14 +16,14 @@ from gptforge import state_space as ss
 
 s_bloch, s_spin2 = ss.bloch_spin2_pair(10_000, 0)
 
-report = dm.structure_distance_lower_bound(s_bloch, s_spin2, rng=0)
+report = dm.structure_distance_lower_bound(s_bloch, s_spin2)
 print("Bloch (spin-1, d = 3) against spin-2 only:")
 print(f"  analytic lower bound 1/(4*3) = {report.bound:.6f}")
 print(f"  Monte-Carlo minimum of the averaged squared difference: "
       f"{report.mc_min:.6f} +- {report.sigma:.6f}")
 print(f"  verified above bound - 3 sigma: {report.verified}")
 
-rev = dm.structure_distance_lower_bound(s_spin2, s_bloch, rng=0)
+rev = dm.structure_distance_lower_bound(s_spin2, s_bloch)
 print(f"\nReverse direction (missing block d = 5): bound = {rev.bound:.6f}, "
       f"verified: {rev.verified}")
 

@@ -33,6 +33,8 @@ from .numerics import DEFAULT_TOL
 DEFAULT_SAMPLES = 2000
 MAX_T_GRID_ROWS = 1001  # a 0:1:0.001 grid; each row is a full distance estimate
 MAX_GRASSMANN_ROWS = 10_000  # candidate partitions, comb(b1_max + m, m)
+MAX_GRASSMANN_RANK = 64  # m + n; each row is an O((m + n)^2) Weyl product
+MAX_FUNDAMENTAL_DIM = 16  # d of a structure's group, quartic k = 4 at most
 
 
 def _default_seed():
@@ -224,6 +226,12 @@ def _number(cast, text, where):
         raise DomainError(f"malformed number {text!r} in {where!r}") from None
 
 
+def _check_dim(d, where):
+    if d > MAX_FUNDAMENTAL_DIM:
+        raise DomainError(f"{where}: fundamental dimension d = {d} exceeds "
+                          f"{MAX_FUNDAMENTAL_DIM}")
+
+
 def _parse_structure_spec(text):
     """bloch | spin2 | deformable:a1,a2,a3[:t] | quartic[:k] | file.json"""
     if text == "bloch":
@@ -244,6 +252,7 @@ def _parse_structure_spec(text):
     if text.startswith("quartic"):
         parts = text.split(":")
         k = _number(int, parts[1], text) if len(parts) > 1 else 2
+        _check_dim(k * k, text)
         return {"name": "quartic", "k": k}
     if text.endswith(".json"):
         data = _load_json(text)
@@ -259,6 +268,7 @@ def _structure_from_file(data, n, seed):
 
     if not (isinstance(data, dict) and _is_int(data.get("d"))):
         raise DomainError("structure file needs a JSON object with integer 'd'")
+    _check_dim(data["d"], "structure file 'd'")
     rep = compact_rep.CompactRepSpec(data.get("kind"), data["d"])
     subspec = data.get("subgroup")
     sub = None
@@ -277,10 +287,8 @@ def _structure_from_file(data, n, seed):
     try:
         ref = np.asarray(data.get("reference"), dtype=float)
     except (TypeError, ValueError):
-        ref = None
-    if ref is None or not np.all(np.isfinite(ref)):
         raise DomainError(
-            "structure file needs a 'reference' vector of finite numbers")
+            "structure file needs a 'reference' vector of numbers") from None
     return state_space.build_structure(rep, sub, ref, n, seed)
 
 
@@ -342,12 +350,12 @@ def cmd_distance(args):
         "lower_bound": report.lower_bound if report.lower_bound > 0 else None,
         "n": report.n,
     }
-    if report.lower_bound > 0:
-        payload["missing_blocks"] = list(report.missing_01 + report.missing_10)
-        # the bound is verified from the structure that has the missing block
-        owner, rival = (s0, s1) if report.missing_01 else (s1, s0)
-        verify = deformation.structure_distance_lower_bound(owner, rival,
-                                                            rng=args.seed)
+    if report.missing_blocks:
+        payload["missing_blocks"] = list(report.missing_blocks)
+        # verified from the structure whose smaller irrep sets the bound
+        d0, d1 = s0.rep.real_dimension, s1.rep.real_dimension
+        owner, rival = (s0, s1) if d0 <= d1 else (s1, s0)
+        verify = deformation.structure_distance_lower_bound(owner, rival)
         payload["mc_verification"] = {
             "mc_min": verify.mc_min,
             "sigma": verify.sigma,
@@ -403,18 +411,13 @@ def cmd_schur_average(args):
     spec = _parse_structure_spec(args.spec)
     s = _build_single(spec, args.samples, args.seed)
     rng = np.random.default_rng([args.seed, 1])
-    sl = s.block_slice(1)
-    dim = sl.stop - sl.start
     checks = []
     effects = [state_space.unit_effect(s)]
     for i in range(args.trials):
         c0 = rng.uniform(0.3, 0.7)
-        w = rng.standard_normal(dim)
+        w = rng.standard_normal(s.rep.real_dimension)
         w *= rng.uniform(0.2, 1.0) * min(c0, 1.0 - c0) / np.linalg.norm(w)
-        vec = np.zeros(s.ambient_dim)
-        vec[0] = c0
-        vec[sl] = w
-        effects.append(state_space.Effect(vec, f"random[{i}]"))
+        effects.append(state_space.Effect.affine(c0, w, f"random[{i}]"))
     for e in effects:
         r = deformation.schur_average_check(s, e, args.samples,
                                             np.random.default_rng([args.seed, 2]))
@@ -440,6 +443,9 @@ def cmd_grassmann(args):
         raise DomainError(
             f"m = {args.m} exceeds n = {args.n}; swap the arguments"
         )
+    if args.m + args.n > MAX_GRASSMANN_RANK:
+        raise DomainError(f"m + n = {args.m + args.n} exceeds "
+                          f"{MAX_GRASSMANN_RANK}")
     m, b = args.m, args.b1_max  # comb(m + b, m) >= m + b: test the cheap one
     if min(m, b) >= 1 and (m + b > MAX_GRASSMANN_ROWS
                            or math.comb(m + b, m) > MAX_GRASSMANN_ROWS):
@@ -486,6 +492,7 @@ def cmd_catalog(args):
 
 
 def cmd_quartic(args):
+    _check_dim(args.k * args.k, "quartic k")
     rho = classification.quartic_reference(args.k)
     payload = {
         "meta": _meta(args, "quartic"),

@@ -6,11 +6,12 @@ witness effects, projecting each onto the rival structure's effects by least
 squares, and polishing with a coordinate-wise search on the sup-norm
 objective.  Analytic lower bounds (1 / (4 d) for a missing irreducible block,
 1 / (4 (d - 1)) for rigidity) are computed exactly and cross-checked by a
-Monte-Carlo average that realizes the block-orthogonality identity
+Monte-Carlo average that realizes the Schur orthogonality identity
 
-    integral over g of f(g x)^2  =  sum_j c_j(f)^2 / d_j,
+    integral over g of f(g x)^2  =  c_0^2 + |w|^2 |v|^2 / D
 
-where c_j are the block norms of the effect and d_j the block dimensions.
+for an effect f(x) = c_0 + <w, x> on the orbit of a reference v in one
+irrep carrier of dimension D.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compact_rep import act, ensure_rng, haar_samples, invariant_projector
+from .compact_rep import ensure_rng, haar_samples, invariant_projector
 from .errors import DomainError
-from .numerics import INVARIANCE_TOL, ZERO_NORM, effect_lp
-from .state_space import Effect, build_structure, witness_effect
+from .numerics import INVARIANCE_TOL, effect_lp
+from .state_space import Effect, build_structure, orbit_points, witness_effect
 
 # ---------------------------------------------------------------------------
 # basic distances
@@ -46,7 +47,7 @@ def rigidity_bound(d0):
 
 
 # ---------------------------------------------------------------------------
-# the block-average identity
+# the Schur average identity
 
 
 @dataclass(frozen=True)
@@ -64,25 +65,16 @@ class SchurAverageResult:
 def schur_average_check(s, e, n, rng):
     """Monte-Carlo estimate of the Haar average of f^2 against its exact value.
 
-    The exact value is assembled from the effect's block norms, the reference
-    vector's block norms, and the block dimensions.
+    The exact value is c_0^2 + |w|^2 |v|^2 / D for the effect c_0 + <w, x>,
+    the reference v and the carrier dimension D.
     """
-    rng = ensure_rng(rng)
-    fresh = haar_samples(s.rep, n, rng)
-    orbit = act(s.rep, fresh, s.reference)
-    pts = np.concatenate([np.ones((n, 1)), orbit], axis=1)
-    vals = pts @ np.asarray(e.vector, dtype=float)
-    sq = vals**2
+    fresh = haar_samples(s.rep, n, ensure_rng(rng))
+    vec = np.asarray(e.vector, dtype=float)
+    sq = (orbit_points(s.rep, fresh, s.reference) @ vec) ** 2
     mc = float(sq.mean())
     sigma = float(sq.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-
-    ref = np.concatenate([[1.0], s.reference])
-    exact = 0.0
-    for j, b in enumerate(s.blocks):
-        sl = s.block_slice(j)
-        c = np.linalg.norm(np.asarray(e.vector)[sl])
-        r = np.linalg.norm(ref[sl])
-        exact += (c * r) ** 2 / b.dim
+    c, r = np.linalg.norm(vec[1:]), np.linalg.norm(s.reference)
+    exact = vec[0] ** 2 + (c * r) ** 2 / s.rep.real_dimension
     return SchurAverageResult(mc, float(exact), sigma, n)
 
 
@@ -100,26 +92,25 @@ class LowerBoundReport:
     verified: bool
 
 
-def structure_distance_lower_bound(s0, s1, block=1, rng=0):
-    """Lower bound 1 / (4 d0) when s0's block is absent from s1, verified.
+def structure_distance_lower_bound(s0, s1):
+    """Lower bound 1 / (4 d0) when s0's irrep is absent from s1, verified.
 
     Requires point-aligned samples (built from one element stream, see
     ``paired_structures``): the verification minimizes the sampled average of
     (f0(g x0) - f1(g x0))^2 over all linear effects f1 of s1 by least squares
     and checks that it stays above the bound within 3 sigma.
     """
-    label = s0.blocks[block].label
-    if label in s1.block_labels():
+    if s0.label == s1.label:
         raise DomainError(
-            f"block {label!r} is present in both structures; the missing-block "
-            "bound does not apply"
+            f"block {s0.label!r} is present in both structures; the "
+            "missing-block bound does not apply"
         )
     if s0.n_points != s1.n_points:
         raise DomainError("samples must be point-aligned (equal lengths)")
-    d0 = s0.blocks[block].dim
+    d0 = s0.rep.real_dimension
     bound = 1.0 / (4.0 * d0)
 
-    f0 = _reference_witness(s0, block)
+    f0 = _reference_witness(s0)
     y = s0.points @ f0.vector
     beta, *_ = np.linalg.lstsq(s1.points, y, rcond=None)
     resid = y - s1.points @ beta
@@ -130,17 +121,11 @@ def structure_distance_lower_bound(s0, s1, block=1, rng=0):
                             mc_min >= bound - 3.0 * sigma)
 
 
-def _reference_witness(s, block=1):
-    """Witness effect 1/2 + <v, x>/2 anchored at the reference vector."""
-    sl = s.block_slice(block)
-    v = np.concatenate([[1.0], s.reference])[sl]
+def _reference_witness(s):
+    """Witness effect 1/2 + <v, x>/2 anchored at the (nonzero) reference v."""
+    v = s.reference
     nv = np.linalg.norm(v)
-    if nv < ZERO_NORM:
-        raise DomainError("reference has no component in the chosen block")
-    vec = np.zeros(s.ambient_dim)
-    vec[0] = 0.5
-    vec[sl] = v / (2.0 * nv * nv)
-    return Effect(vec, "witness[reference]")
+    return Effect.affine(0.5, v / (2.0 * nv * nv), "witness[reference]")
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +141,7 @@ class DistanceReport:
     n: int
     seed: int | None
     effect_family_size: int
-    missing_01: tuple  # labels of s0's blocks that s1 lacks
-    missing_10: tuple  # labels of s1's blocks that s0 lacks
+    missing_blocks: tuple  # (s0.label, s1.label) when the irreps differ
 
 
 def symmetrized_distance_estimate(s0, s1, effect_family_size=8, rng=0):
@@ -178,14 +162,12 @@ def symmetrized_distance_estimate(s0, s1, effect_family_size=8, rng=0):
     d01 = _directed_estimate(s0, s1, effect_family_size, stream)
     d10 = _directed_estimate(s1, s0, effect_family_size, stream)
 
-    missing_01 = [b for b in s0.blocks[1:] if b.label not in s1.block_labels()]
-    missing_10 = [b for b in s1.blocks[1:] if b.label not in s0.block_labels()]
-    lower = max((1.0 / (4.0 * b.dim) for b in missing_01 + missing_10),
-                default=0.0)
+    missing = (s0.label, s1.label) if s0.label != s1.label else ()
+    # the smaller irrep sets the larger of the two missing-block bounds
+    d = min(s0.rep.real_dimension, s1.rep.real_dimension)
+    lower = 1.0 / (4.0 * d) if missing else 0.0
     return DistanceReport(max(d01, d10), lower, d01, d10, s0.n_points, seed,
-                          effect_family_size,
-                          tuple(b.label for b in missing_01),
-                          tuple(b.label for b in missing_10))
+                          effect_family_size, missing)
 
 
 def _witness_family(s, size, rng):
@@ -194,15 +176,10 @@ def _witness_family(s, size, rng):
     n_anchor = max(0, (size - 1) // 2)
     for idx in np.unique(np.linspace(0, n - 1, n_anchor, dtype=int)):
         effects.append(witness_effect(s, anchor=int(idx)))
-    sl = s.block_slice(1)
-    dim = sl.stop - sl.start
     while len(effects) < size:
-        w = rng.standard_normal(dim)
+        w = rng.standard_normal(s.rep.real_dimension)
         w /= np.linalg.norm(w)
-        vec = np.zeros(s.ambient_dim)
-        vec[0] = 0.5
-        vec[sl] = w / 2.0
-        effects.append(Effect(vec, "witness[random]"))
+        effects.append(Effect.affine(0.5, w / 2.0, "witness[random]"))
     return effects
 
 

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compact_rep import act
 from .errors import DomainError
 from .numerics import COINCIDENCE_TOL, ZERO_NORM, effect_lp
-from .state_space import StructureSample
+from .state_space import StructureSample, orbit_points, unit_effect
 
 _SIGMA = (  # images (s(1), s(2), s(3)) as 0-based index triples into alpha
     (0, 1, 2),
@@ -48,8 +47,8 @@ class AlphaTriple:
     @classmethod
     def of(cls, values):
         v = np.asarray(values, dtype=float)
-        if v.shape != (3,):
-            raise DomainError("alpha needs exactly three components")
+        if v.shape != (3,) or not np.all(np.isfinite(v)):
+            raise DomainError("alpha needs exactly three finite components")
         total = v.sum()
         if abs(total) < ZERO_NORM:
             raise DomainError("alpha components sum to zero")
@@ -255,7 +254,7 @@ def _vertex_targets(s, labels):
     Each is the reference conjugated by the permutation matrix of its label.
     """
     perms = np.eye(3)[[list(_SIGMA[lab]) for lab in labels]]
-    return act(s.rep, perms, s.reference)
+    return orbit_points(s.rep, perms, s.reference)
 
 
 def max_distinguishable_sampled(s: StructureSample, k):
@@ -293,8 +292,5 @@ def max_distinguishable_sampled(s: StructureSample, k):
         vertex_ids = best
     labels = [h.label_to_vertex.index(v) for v in vertex_ids]
     targets = _vertex_targets(s, labels)
-
-    target_points = np.concatenate([np.ones((k, 1)), targets], axis=1)
-    points = np.concatenate([s.points, target_points], axis=0)
-    unit = np.eye(s.ambient_dim)[0]
-    return _perfect_measurement(points, target_points, unit).optimal
+    points = np.concatenate([s.points, targets], axis=0)
+    return _perfect_measurement(points, targets, unit_effect(s).vector).optimal

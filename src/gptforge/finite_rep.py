@@ -174,8 +174,11 @@ def subgroup_from_generators(group, generators):
     """Subgroup of ``group`` generated by permutations (or element indices)."""
     idxs = []
     for g in generators:
-        if isinstance(g, int):
-            idxs.append(g)
+        if isinstance(g, (int, np.integer)):
+            if not 0 <= g < group.order:
+                raise DomainError(
+                    f"generator index {g} is outside 0..{group.order - 1}")
+            idxs.append(int(g))
         else:
             p = tuple(g)
             if p not in group.index:

@@ -1,10 +1,11 @@
 """Embedded state spaces: group orbits of subgroup-invariant reference vectors.
 
 A structure sample holds a seeded Monte-Carlo picture of one probabilistic
-structure: the orbit points Gamma(g_i) v prefixed with an explicit leading
-coordinate fixed to 1 (the unit-effect / normalization component), the
-maximally mixed state, and block metadata describing how the ambient
-coordinates split into irreducible pieces.  Orthogonality of the group action
+structure: the augmented orbit of one irrep carrier, that is the orbit points
+Gamma(g_i) v prefixed with an explicit leading coordinate fixed to 1 (the
+unit-effect / normalization component), and the maximally mixed state.  This
+module alone knows that layout: ``orbit_points`` builds augmented points and
+``Effect.affine`` builds effects on them.  Orthogonality of the group action
 puts every orbit on a hypersphere around the mixed state, which is the basic
 consistency check exposed here.
 """
@@ -32,26 +33,14 @@ from .errors import DomainError
 from .numerics import DEFAULT_TOL, INVARIANCE_TOL, ZERO_NORM
 
 
-@dataclass(frozen=True)
-class Block:
-    """One isotypic block of the ambient coordinates: [start, stop)."""
-
-    label: str
-    start: int
-    stop: int
-
-    @property
-    def dim(self):
-        return self.stop - self.start
-
-
 @dataclass(frozen=True, eq=False)
 class StructureSample:
     """A seeded orbit sample of one probabilistic structure.
 
-    ``points`` has shape (n, 1 + D) with column 0 identically 1; rows are
-    the embedded pure states.  ``elements`` keeps the fundamental-picture
-    group samples so deformations and paired builds can reuse the stream.
+    ``points`` has shape (n, 1 + D): column 0 is identically 1 (the trivial
+    block) and columns 1..D carry the irrep ``rep``; rows are the embedded
+    pure states.  ``elements`` keeps the fundamental-picture group samples
+    so deformations and paired builds can reuse the stream.
     """
 
     rep: CompactRepSpec
@@ -60,7 +49,6 @@ class StructureSample:
     points: np.ndarray
     elements: np.ndarray
     mixed: np.ndarray
-    blocks: tuple
     seed: int | None = None
 
     @property
@@ -71,12 +59,10 @@ class StructureSample:
     def ambient_dim(self):
         return self.points.shape[1]
 
-    def block_labels(self):
-        return tuple(b.label for b in self.blocks)
-
-    def block_slice(self, j):
-        b = self.blocks[j]
-        return slice(b.start, b.stop)
+    @property
+    def label(self):
+        """The label of the irrep the orbit carries."""
+        return self.rep.block_label
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,14 +72,23 @@ class Effect:
     vector: np.ndarray
     label: str = ""
 
+    @classmethod
+    def affine(cls, c0, w, label=""):
+        """The effect x -> c0 + <w, x> on augmented points (1, x)."""
+        return cls(np.concatenate([[c0], w]), label)
+
     def __call__(self, points):
         return np.asarray(points) @ np.asarray(self.vector, dtype=float)
 
 
 def unit_effect(s):
-    v = np.zeros(s.ambient_dim)
-    v[0] = 1.0
-    return Effect(v, "u")
+    return Effect.affine(1.0, np.zeros(s.ambient_dim - 1), "u")
+
+
+def orbit_points(rep, elements, v):
+    """Augmented orbit rows (1, Gamma(g) v): ``act`` with a leading 1 per row."""
+    orbit = act(rep, elements, v)
+    return np.concatenate([np.ones((len(orbit), 1)), orbit], axis=1)
 
 
 def build_structure(rep, sub, reference, n_samples, rng, elements=None):
@@ -110,6 +105,8 @@ def build_structure(rep, sub, reference, n_samples, rng, elements=None):
         raise DomainError(
             f"reference has shape {v.shape}, expected ({rep.real_dimension},)"
         )
+    if not np.all(np.isfinite(v)):
+        raise DomainError("reference has non-finite entries")
     norm = np.linalg.norm(v)
     if norm < ZERO_NORM:
         raise DomainError("reference vector is zero")
@@ -124,17 +121,12 @@ def build_structure(rep, sub, reference, n_samples, rng, elements=None):
     seed = rng if isinstance(rng, (int, np.integer)) else None
     if elements is None:
         elements = haar_samples(rep, n_samples, ensure_rng(rng))
-    orbit = act(rep, elements, v)
-    points = np.concatenate([np.ones((len(orbit), 1)), orbit], axis=1)
-
-    mixed = np.zeros(points.shape[1])
-    mixed[0] = 1.0
-    if rep.d == 1:  # trivial group: the orbit is a single fixed point
-        mixed[1:] = v
-    blocks = (Block("trivial", 0, 1),
-              Block(rep.block_label, 1, points.shape[1]))
+    points = orbit_points(rep, elements, v)
+    # the trivial group fixes its single orbit point; otherwise the carrier
+    # part of the mixed state vanishes
+    mixed = np.concatenate([[1.0], v if rep.d == 1 else np.zeros_like(v)])
     return StructureSample(rep, sub, v, points, np.asarray(elements), mixed,
-                           blocks, seed=seed)
+                           seed=seed)
 
 
 def paired_structures(rep0, ref0, rep1, ref1, n_samples, rng, sub0=None,
@@ -150,16 +142,13 @@ def paired_structures(rep0, ref0, rep1, ref1, n_samples, rng, sub0=None,
             f"{rep0.kind}(d={rep0.d}) vs {rep1.kind}(d={rep1.d})"
         )
     elements = haar_samples(rep0, n_samples, ensure_rng(rng))
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    s0 = build_structure(rep0, sub0, ref0, n_samples, seed, elements=elements)
-    s1 = build_structure(rep1, sub1, ref1, n_samples, seed, elements=elements)
-    return s0, s1
+    return (build_structure(rep0, sub0, ref0, n_samples, rng, elements=elements),
+            build_structure(rep1, sub1, ref1, n_samples, rng, elements=elements))
 
 
 def transform_structure(s, g):
     """Apply one group element (fundamental picture) to every sampled point."""
-    pts = s.points.copy()
-    pts[:, 1:] = act(s.rep, g, s.points[:, 1:])
+    pts = orbit_points(s.rep, g, s.points[:, 1:])
     elements = np.asarray(g) @ s.elements
     return replace(s, points=pts, elements=elements)
 
@@ -193,27 +182,22 @@ def effect_valid(s, e):
                           lo, hi)
 
 
-def witness_effect(s, block=1, anchor=0):
-    """The effect f(x) = 1/2 + <anchor, x>/2 restricted to one block.
+def witness_effect(s, anchor=0):
+    """The effect f(x) = 1/2 + <a, x>/2 with a the anchor point's carrier part.
 
-    Block components are renormalized to unit length, which makes the effect
+    The carrier part is renormalized to unit length, which makes the effect
     valid on the whole orbit and equal to 1 at the anchor point.
     """
-    sl = s.block_slice(block)
-    a = s.points[anchor, sl]
+    a = s.points[anchor, 1:]
     na = np.linalg.norm(a)
     if na < ZERO_NORM:
-        raise DomainError("anchor point has zero component in the block")
-    vec = np.zeros(s.ambient_dim)
-    vec[0] = 0.5
-    vec[sl] = a / (2.0 * na * na)
-    return Effect(vec, f"witness[{s.blocks[block].label}@{anchor}]")
+        raise DomainError("anchor point has zero component in the carrier")
+    return Effect.affine(0.5, a / (2.0 * na * na), f"witness[{s.label}@{anchor}]")
 
 
 def sample_csv(s):
     """Orbit export: one row per point, block boundaries in the header."""
-    blocks = " ".join(f"{b.label}={b.start}:{b.stop}" for b in s.blocks)
-    lines = ["# blocks " + blocks,
+    lines = [f"# blocks trivial=0:1 {s.label}=1:{s.ambient_dim}",
              ",".join(f"c{i}" for i in range(s.ambient_dim))]
     for row in s.points:
         lines.append(",".join(f"{v:.12g}" for v in row))
@@ -224,46 +208,43 @@ def sample_csv(s):
 # stock structures
 
 
+# references fixed by z rotations: the z axis (spin 1) and the
+# diag(1, 1, -2) direction of the traceless symmetric carrier (spin 2)
+_SPIN1_REFERENCE = np.array([0.0, 0.0, 1.0])
+_SPIN2_REFERENCE = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+
+
 def bloch_structure(n_samples, rng, via="su2"):
     """Qubit (spin-1) orbit: the Bloch sphere with the z axis as reference.
 
     ``via='su2'`` uses the SU(2) adjoint picture, ``via='so3'`` the SO(3)
     vector picture; the two embed the same structure.
     """
-    if via == "su2":
-        rep = su_adjoint(2)
-        ref = np.array([0.0, 0.0, 1.0])
-        return build_structure(rep, full_torus(), ref, n_samples, rng)
-    if via == "so3":
-        rep = so_fundamental(3)
-        ref = np.array([0.0, 0.0, 1.0])
-        return build_structure(rep, full_torus(), ref, n_samples, rng)
-    raise DomainError("via must be 'su2' or 'so3'")
+    if via not in ("su2", "so3"):
+        raise DomainError("via must be 'su2' or 'so3'")
+    rep = su_adjoint(2) if via == "su2" else so_fundamental(3)
+    return build_structure(rep, full_torus(), _SPIN1_REFERENCE, n_samples, rng)
 
 
 def spin2_structure(n_samples, rng):
     """Spin-2 orbit over the same pure states as the Bloch sphere."""
-    rep = so_traceless_symmetric(3)
-    ref = np.zeros(rep.real_dimension)
-    ref[-1] = 1.0  # the diag(1, 1, -2)-direction, fixed by z rotations
-    return build_structure(rep, full_torus(), ref, n_samples, rng)
+    return build_structure(so_traceless_symmetric(3), full_torus(),
+                           _SPIN2_REFERENCE, n_samples, rng)
 
 
 def bloch_spin2_pair(n_samples, rng):
     """Bloch and spin-2 structures driven by one SO(3) sample stream."""
-    ref3 = np.array([0.0, 0.0, 1.0])
-    rep5 = so_traceless_symmetric(3)
-    ref5 = np.zeros(rep5.real_dimension)
-    ref5[-1] = 1.0
-    return paired_structures(so_fundamental(3), ref3, rep5, ref5, n_samples,
-                             rng, sub0=full_torus(), sub1=full_torus())
+    return paired_structures(so_fundamental(3), _SPIN1_REFERENCE,
+                             so_traceless_symmetric(3), _SPIN2_REFERENCE,
+                             n_samples, rng, sub0=full_torus(),
+                             sub1=full_torus())
 
 
 def deformable_reference(alpha):
     """su(3)-adjoint coordinates of diag(alpha) minus its trace part, unit norm."""
     a = np.asarray(alpha, dtype=float)
-    if a.shape != (3,):
-        raise DomainError("alpha must have three components")
+    if a.shape != (3,) or not np.all(np.isfinite(a)):
+        raise DomainError("alpha must have three finite components")
     coords = su_adjoint(3).coordinates(np.diag(a - a.sum() / 3.0))
     norm = np.linalg.norm(coords)
     if norm < ZERO_NORM:

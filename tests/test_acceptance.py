@@ -197,7 +197,7 @@ def test_criterion_5_encoding_game():
 def test_criterion_6_missing_block_bound():
     start = time.monotonic()
     s0, s1 = ss.bloch_spin2_pair(10_000, 0)
-    r = dm.structure_distance_lower_bound(s0, s1, rng=0)
+    r = dm.structure_distance_lower_bound(s0, s1)
     elapsed = time.monotonic() - start
     ok = r.bound == pytest.approx(1 / 12, abs=1e-15)
     ok &= r.mc_min >= r.bound - 3.0 * r.sigma

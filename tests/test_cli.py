@@ -190,6 +190,17 @@ class TestDistanceCommand:
         code, _, err = run_cli(capsys, "distance", "bloch", "quartic")
         assert code == 2
 
+    def test_argument_order_irrelevant(self, capsys):
+        keys = ("estimate", "lower_bound", "mc_verification")
+        reports = []
+        for specs in (("bloch", "spin2"), ("spin2", "bloch")):
+            code, out, _ = run_cli(capsys, "distance", *specs,
+                                   "--samples", "1000")
+            assert code == 0
+            reports.append({k: json.loads(out)[k] for k in keys})
+        assert reports[0] == reports[1]
+        assert reports[0]["lower_bound"] == pytest.approx(1 / 12)
+
 
 class TestOtherCommands:
     def test_sphere_check(self, capsys):
@@ -242,6 +253,16 @@ class TestMalformedInput:
         ("schur-average", "bloch", "--trials", "-1"),
         ("grassmann", "2", "2", "200"),
         ("grassmann", "1", "1", "1000000000"),
+        ("grassmann", "1", "1000", "1"),
+        ("grassmann", "1", "64", "1"),
+        ("sphere-check", "deformable:nan,0.3,0.2"),
+        ("deform", "--alpha", "nan,0.3,0.2"),
+        ("deform", "--alpha", "inf,0.3,0.2"),
+        ("hexagon", "inf", "0.3", "0.2"),
+        ("sphere-check", "quartic:5"),
+        ("sphere-check", "quartic:3000"),
+        ("quartic", "5"),
+        ("quartic", "3000"),
     ])
     def test_exit_2(self, capsys, argv):
         try:
@@ -267,6 +288,10 @@ class TestMalformedInput:
                           "reference": ["a"] + REF8[1:]}),
         ("gelfand", [1, 2]),
         ("gelfand", {"degree": 3, "generators": [[[0, "a"]]]}),
+        ("sphere-check", {"kind": "su_adjoint", "d": 3,
+                          "reference": [float("nan")] + REF8[1:]}),
+        ("sphere-check", {"kind": "so_fundamental", "d": 17,
+                          "reference": [1.0] + [0.0] * 16}),
     ])
     def test_malformed_file_exit_2(self, capsys, tmp_path, command, content):
         path = tmp_path / "spec.json"
@@ -279,6 +304,26 @@ class TestMalformedInput:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "error:" in err
+
+
+class TestInputCaps:
+    """The largest inputs under each cap still run."""
+
+    def test_quartic_k_4(self, capsys):
+        code, out, _ = run_cli(capsys, "quartic", "4")
+        assert code == 0 and json.loads(out)["size"] == 16
+
+    def test_structure_file_d_16(self, capsys, tmp_path):
+        path = tmp_path / "so16.json"
+        path.write_text(json.dumps({"kind": "so_fundamental", "d": 16,
+                                    "reference": [1.0] + [0.0] * 15}))
+        code, out, _ = run_cli(capsys, "sphere-check", str(path),
+                               "--samples", "20")
+        assert code == 0 and json.loads(out)["n"] == 20
+
+    def test_grassmann_rank_64(self, capsys):
+        code, out, _ = run_cli(capsys, "grassmann", "1", "63", "1")
+        assert code == 0 and json.loads(out)["all_real"] is True
 
 
 class TestDeterminism:

@@ -73,14 +73,14 @@ class TestSchurAverage:
 class TestLowerBound:
     def test_bloch_vs_spin2(self):
         s0, s1 = ss.bloch_spin2_pair(4000, 0)
-        r = dm.structure_distance_lower_bound(s0, s1, rng=0)
+        r = dm.structure_distance_lower_bound(s0, s1)
         assert r.bound == pytest.approx(1 / 12)
         assert r.block_dim == 3
         assert r.verified
 
     def test_spin2_direction_gives_one_twentieth(self):
         s0, s1 = ss.bloch_spin2_pair(4000, 0)
-        r = dm.structure_distance_lower_bound(s1, s0, rng=0)
+        r = dm.structure_distance_lower_bound(s1, s0)
         assert r.bound == pytest.approx(1 / 20)
         assert r.block_dim == 5
         assert r.verified

@@ -246,6 +246,17 @@ class TestSubgroups:
         with pytest.raises(DomainError):
             fr.Subgroup(s3, tuple(sw if m == "sw" else m for m in members))
 
+    @pytest.mark.parametrize("index", [-1, 6, 99, np.int64(-1)])
+    def test_generator_index_out_of_range(self, s3, index):
+        with pytest.raises(DomainError, match="outside"):
+            fr.subgroup_from_generators(s3, [index])
+
+    def test_numpy_integer_generator(self, s3):
+        sw = s3.index[(1, 0, 2)]
+        by_int = fr.subgroup_from_generators(s3, [sw])
+        by_numpy = fr.subgroup_from_generators(s3, [np.int64(sw)])
+        assert by_numpy.members == by_int.members and by_int.order == 2
+
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(0, 23), max_size=2),
            st.sets(st.integers(1, 23), max_size=3))

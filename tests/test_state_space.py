@@ -42,6 +42,12 @@ class TestBuildStructure:
         with pytest.raises(DomainError):
             ss.build_structure(cr.su_adjoint(2), None, np.zeros(3), 10, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reference_rejected(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            ss.build_structure(cr.su_adjoint(2), None,
+                               np.array([0.0, bad, 1.0]), 10, 0)
+
     def test_seeded_reproducibility(self):
         a = ss.bloch_structure(64, 9)
         b = ss.bloch_structure(64, 9)
@@ -77,6 +83,25 @@ class TestPairedStructures:
         with pytest.raises(DomainError, match="fundamental group"):
             ss.paired_structures(cr.su_adjoint(2), np.array([0, 0, 1.0]),
                                  cr.su_adjoint(3), np.zeros(8), 10, 0)
+
+
+class TestAugmentedLayout:
+    def test_orbit_points_prefix_one(self):
+        rep = cr.su_adjoint(3)
+        g = cr.haar_samples(rep, 7, 3)
+        v = np.array([0, 0, 0, 0, 0, 0, 0.6, 0.8])
+        pts = ss.orbit_points(rep, g, v)
+        assert pts.shape == (7, 9)
+        assert np.all(pts[:, 0] == 1.0)
+        assert np.array_equal(pts[:, 1:], cr.act(rep, g, v))
+
+    def test_affine_effect(self, bloch_2000):
+        w = np.array([0.1, -0.2, 0.3])
+        e = ss.Effect.affine(0.4, w, "f")
+        assert e.label == "f"
+        assert np.array_equal(e.vector, [0.4, 0.1, -0.2, 0.3])
+        assert np.allclose(e(bloch_2000.points),
+                           0.4 + bloch_2000.points[:, 1:] @ w, atol=1e-15)
 
 
 class TestEffects:
