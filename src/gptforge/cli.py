@@ -418,9 +418,9 @@ def cmd_schur_average(args):
         w = rng.standard_normal(s.rep.real_dimension)
         w *= rng.uniform(0.2, 1.0) * min(c0, 1.0 - c0) / np.linalg.norm(w)
         effects.append(state_space.Effect.affine(c0, w, f"random[{i}]"))
-    for e in effects:
-        r = deformation.schur_average_check(s, e, args.samples,
-                                            np.random.default_rng([args.seed, 2]))
+    results = deformation.schur_average_check(
+        s, effects, args.samples, np.random.default_rng([args.seed, 2]))
+    for e, r in zip(effects, results):
         checks.append({
             "label": e.label,
             "mc_average": r.mc_average,

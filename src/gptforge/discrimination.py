@@ -2,9 +2,11 @@
 
 All exact work happens on the projection of the state space onto the diagonal,
 which is the convex hull of the six permutations of the coefficient vector
-(alpha_1, alpha_2, alpha_3).  Perfect discrimination of k states and the
-two-bit encoding game are linear programs over effects on that polygon; an
-LP on the full sampled eight-dimensional orbit serves as a consistency check.
+(alpha_1, alpha_2, alpha_3).  Perfect discrimination of one or two states
+and the two-bit encoding game are linear programs over effects on that
+polygon; three states, which fix their effects uniquely, take one linear
+solve.  An LP on the full sampled eight-dimensional orbit serves as a
+consistency check.
 
 Vertex labels follow the fixed convention
 
@@ -22,8 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .numerics import COINCIDENCE_TOL, ZERO_NORM, effect_lp
+from .errors import DomainError, NumericalConsistencyError
+from .numerics import (
+    COINCIDENCE_TOL,
+    ZERO_NORM,
+    check_feasible,
+    effect_lp,
+    effect_program,
+    lp_solve,
+)
 from .state_space import StructureSample, orbit_points, unit_effect
 
 _SIGMA = (  # images (s(1), s(2), s(3)) as 0-based index triples into alpha
@@ -146,11 +155,12 @@ class Distinguishability:
 
 
 def _perfect_measurement(points, anchors, unit):
-    """Feasibility LP for effects e_i with e_i . a_j = delta_ij.
+    """Effects e_i with e_i . a_j = delta_ij that sum to ``unit`` and are
+    valid on every point, as a (k, dim) array; None when there are none.
 
-    Variables are the k stacked effect vectors, one per anchor; they must
-    form a measurement (sum equal to ``unit``, every effect valid on every
-    point).
+    Fewer anchors than dimensions leave a feasibility LP.  One anchor per
+    dimension fixes the effects as the rows of inv(A)^T, which are checked
+    by the rule every LP point passes; a singular A admits none.
     """
     anchors = np.asarray(anchors, dtype=float)
     k, dim = anchors.shape
@@ -159,22 +169,39 @@ def _perfect_measurement(points, anchors, unit):
         a_eq[i * k:(i + 1) * k, i * dim:(i + 1) * dim] = anchors
         a_eq[k * k:, i * dim:(i + 1) * dim] = np.eye(dim)
     b_eq = np.concatenate([np.eye(k).ravel(), unit])
-    return effect_lp(points, np.zeros((k, dim)), eq=(a_eq, b_eq))
+    program = effect_program(points, np.zeros((k, dim)), eq=(a_eq, b_eq))
+    if k != dim:
+        res = lp_solve(program)
+        return res.x.reshape(k, dim) if res.optimal else None
+    try:
+        effects = np.linalg.inv(anchors).T
+        check_feasible(program, effects.ravel())
+    except (np.linalg.LinAlgError, NumericalConsistencyError):
+        return None
+    return effects
 
 
 def max_distinguishable(h):
     """Largest number of perfectly distinguishable diagonal states.
 
-    Searches vertex subsets exhaustively (at most C(6, 3) cases; more than
-    three affinely independent points cannot fit in the plane).
+    Tries vertex subsets from three states down to one, each size in
+    ``itertools.combinations`` order, and returns the first one that a
+    measurement discriminates.  Perfectly distinguishable states are
+    linearly independent 3-vectors, so no more than three fit.  Three, the
+    plane's dimension plus one, need no LP: dim + 1 perfectly
+    distinguishable states force the state space to be their simplex.  The
+    only candidate effects are then the barycentric coordinates of that
+    triangle, the rows of inv(Y)^T for the matrix Y of the three states, and
+    they are valid on every vertex exactly when the polygon is the triangle.
+    That is checked within ``DEFAULT_TOL``, the rule every LP point passes.
+    Pairs and single states are found by LP.
     """
     nv = len(h.vertices)
     for k in range(min(3, nv), 0, -1):
         for chosen in itertools.combinations(range(nv), k):
-            res = _perfect_measurement(h.vertices, h.vertices[list(chosen)],
-                                       np.ones(3))
-            if res.optimal:
-                effects = res.x.reshape(k, 3)
+            effects = _perfect_measurement(
+                h.vertices, h.vertices[list(chosen)], np.ones(3))
+            if effects is not None:
                 return Distinguishability(k, chosen, effects)
     raise DomainError("hexagon has no vertices")
 
@@ -293,4 +320,5 @@ def max_distinguishable_sampled(s: StructureSample, k):
     labels = [h.label_to_vertex.index(v) for v in vertex_ids]
     targets = _vertex_targets(s, labels)
     points = np.concatenate([s.points, targets], axis=0)
-    return _perfect_measurement(points, targets, unit_effect(s).vector).optimal
+    unit = unit_effect(s).vector
+    return _perfect_measurement(points, targets, unit) is not None

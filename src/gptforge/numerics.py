@@ -136,17 +136,24 @@ def lp_solve(p: LinearProgram):
 
     Returns an :class:`LpResult`.  An optimal point is feasibility-checked
     within ``DEFAULT_TOL`` before being returned.  HiGHS runs at its own
-    defaults (feasibility tolerance 1e-7) first; when its point fails the
-    check, or it stops without a status certificate, the LP is solved once
-    more with feasibility tolerances of ``DEFAULT_TOL / 10`` and the
-    objective scaled to a largest entry of 1 (the tolerances are absolute).
+    defaults (feasibility tolerance 1e-7) first.  When its point fails the
+    check, when it stops without a status certificate, or when its presolve
+    calls the LP infeasible before any simplex iteration, the LP is solved
+    again with feasibility tolerances of ``DEFAULT_TOL / 10``, the objective
+    scaled to a largest entry of 1 (the tolerances are absolute) and presolve
+    off, and a point from that run which passes the check is returned.
+    Presolve can call a feasible LP infeasible: the three-state LP of the
+    nearly degenerate hexagon (1.35e-9, 1 - 2.7e-9, 1.35e-9), which the
+    exact solution meets within 3e-16, is refused there.  Without such a
+    point the presolve verdict stands, and otherwise the LP is solved once
+    more at the tight tolerances with presolve on.
 
     Raises
     ------
     LpSolverFailure
-        If the re-solve also stops without a status certificate.
+        If the last re-solve also stops without a status certificate.
     NumericalConsistencyError
-        If the re-solved optimal point also fails the check.
+        If the last re-solved optimal point also fails the check.
     """
     p._validate()
     c = -np.atleast_1d(np.asarray(p.objective, dtype=float))
@@ -154,17 +161,29 @@ def lp_solve(p: LinearProgram):
     a_ub, b_ub = (None, None) if p.ub is None else p.ub
     bounds = p.bounds if p.bounds else [(None, None)] * p.n_vars()
 
-    def solve(scale=1.0, options=None):
-        res = linprog(c / scale, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs", options=options)
-        return _certify(p, res, scale)
+    def run(scale=1.0, options=None):
+        return linprog(c / scale, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                       bounds=bounds, method="highs", options=options)
 
+    scale = np.max(np.abs(c)) or 1.0
+    tight = dict.fromkeys(
+        ("primal_feasibility_tolerance", "dual_feasibility_tolerance"),
+        DEFAULT_TOL / 10)
+    first = None
     try:
-        return solve()
+        res = run()
+        first = _certify(p, res, 1.0)
+        if first.status != "infeasible" or res.nit > 0:
+            return first
     except (LpSolverFailure, NumericalConsistencyError):
-        return solve(np.max(np.abs(c)) or 1.0, dict.fromkeys(
-            ("primal_feasibility_tolerance", "dual_feasibility_tolerance"),
-            DEFAULT_TOL / 10))
+        pass
+    try:
+        result = _certify(p, run(scale, {**tight, "presolve": False}), scale)
+        if result.optimal:
+            return result
+    except (LpSolverFailure, NumericalConsistencyError):
+        pass
+    return first or _certify(p, run(scale, tight), scale)
 
 
 def _certify(p, res, scale):
@@ -176,13 +195,13 @@ def _certify(p, res, scale):
     if res.status != 0:
         raise LpSolverFailure(f"LP solver stopped: {res.message}")
     x = np.asarray(res.x, dtype=float)
-    _check_feasible(p, x)
+    check_feasible(p, x)
     return LpResult("optimal", value=-float(res.fun) * scale, x=x)
 
 
-def effect_lp(points, objective, eq=None):
-    """Maximize over k stacked effects, each valid (0 <= e.x <= 1) on every
-    row of ``points``.
+def effect_program(points, objective, eq=None):
+    """The LP that maximizes over k stacked effects, each valid
+    (0 <= e.x <= 1) on every row of ``points``.
 
     ``objective`` has shape (k, dim), one row per effect; the variables are
     the k effect vectors flattened row-major, and ``eq`` is an optional
@@ -198,10 +217,19 @@ def effect_lp(points, objective, eq=None):
         block[i * n:(i + 1) * n, i * dim:(i + 1) * dim] = pts
         block[(k + i) * n:(k + i + 1) * n, i * dim:(i + 1) * dim] = -pts
     rhs = np.concatenate([np.ones(k * n), np.zeros(k * n)])
-    return lp_solve(LinearProgram(obj.ravel(), eq=eq, ub=(block, rhs)))
+    return LinearProgram(obj.ravel(), eq=eq, ub=(block, rhs))
 
 
-def _check_feasible(p: LinearProgram, x):
+def effect_lp(points, objective, eq=None):
+    """Solve :func:`effect_program` with :func:`lp_solve`."""
+    return lp_solve(effect_program(points, objective, eq))
+
+
+def check_feasible(p: LinearProgram, x):
+    """Raise :class:`NumericalConsistencyError` unless ``x`` meets every
+    equality, inequality and bound of ``p`` within ``DEFAULT_TOL``."""
+    if not np.all(np.isfinite(x)):
+        raise NumericalConsistencyError("point has non-finite entries")
     if p.eq is not None:
         resid = np.max(np.abs(np.asarray(p.eq[0]) @ x - np.asarray(p.eq[1])))
         if resid > DEFAULT_TOL:

@@ -1,8 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
+from gptforge import deformation as dm
 from gptforge.cli import _t_grid, main
 from gptforge.errors import DomainError
 
@@ -214,6 +216,30 @@ class TestOtherCommands:
                                "--samples", "2000", "--trials", "2")
         data = json.loads(out)
         assert data["all_ok"] is True
+
+    def test_schur_average_one_haar_draw(self, capsys, monkeypatch):
+        argv = ("schur-average", "deformable:0.5,0.3,0.2", "--samples", "300")
+        draws = []
+        haar_samples = dm.haar_samples
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return haar_samples(*args, **kwargs)
+
+        monkeypatch.setattr(dm, "haar_samples", counted)
+        _, out, _ = run_cli(capsys, *argv)
+        assert len(draws) == 1  # one for six effects, not one per effect
+        # reference: each effect checked by its own call on its own copy of
+        # the stream, so every effect redraws the same Haar samples
+        check = dm.schur_average_check
+
+        def one_call_per_effect(s, effects, n, rng):
+            return [check(s, e, n, copy.deepcopy(rng)) for e in effects]
+
+        monkeypatch.setattr(dm, "schur_average_check", one_call_per_effect)
+        _, reference, _ = run_cli(capsys, *argv)
+        assert len(draws) == 7
+        assert out == reference
 
     def test_catalog(self, capsys):
         code, out, _ = run_cli(capsys, "catalog")

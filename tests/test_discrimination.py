@@ -2,13 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gptforge import discrimination as dc
+from gptforge import numerics
 from gptforge import state_space as ss
-from gptforge.errors import DomainError
-from gptforge.numerics import DEFAULT_TOL
+from gptforge.cli import main
+from gptforge.errors import (
+    DomainError,
+    LpSolverFailure,
+    NumericalConsistencyError,
+)
+from gptforge.numerics import DEFAULT_TOL, effect_lp
+
+# HiGHS's default primal feasibility tolerance, at which lp_solve first runs
+HIGHS_FEASIBILITY_TOL = 1e-7
 
 
 class TestAlphaTriple:
@@ -169,6 +178,123 @@ class TestNearEqual:
         # a1 > a3 with a gap of at least 0.02: the first bit stays perfect
         g = dc.encoding_game_value(h.alpha)
         assert abs(g.bit1_success - 1.0) < 1e-6
+
+
+def _lp_three_states(points, anchors):
+    """Reference: the feasibility LP that decided three states before the
+    direct solve, e_i . a_j = delta_ij and sum e_i = (1, 1, 1) over effects
+    valid on ``points``.  None when the LP stops without an answer."""
+    k, dim = anchors.shape
+    a_eq = np.zeros((k * k + dim, k * dim))
+    for i in range(k):
+        a_eq[i * k:(i + 1) * k, i * dim:(i + 1) * dim] = anchors
+        a_eq[k * k:, i * dim:(i + 1) * dim] = np.eye(dim)
+    b_eq = np.concatenate([np.eye(k).ravel(), np.ones(dim)])
+    try:
+        return effect_lp(points, np.zeros((k, dim)), eq=(a_eq, b_eq)).optimal
+    except (LpSolverFailure, NumericalConsistencyError):
+        return None
+
+
+def _barycentric_violation(points, anchors):
+    """Worst violation by the only candidate effects, the rows of
+    inv(Y)^T, of e_i . y_j = delta_ij, of sum e_i = (1, 1, 1) and of
+    0 <= e . x <= 1 on ``points``; inf when the anchors are singular."""
+    try:
+        e = np.linalg.inv(anchors).T
+    except np.linalg.LinAlgError:
+        return np.inf
+    if not np.all(np.isfinite(e)):  # singular, seen through a subnormal pivot
+        return np.inf
+    vals = e @ points.T
+    return max(np.max(np.abs(e @ anchors.T - np.eye(3))),
+               np.max(np.abs(e.sum(axis=0) - 1.0)),
+               np.max(vals - 1.0), np.max(-vals))
+
+
+def _assert_certified(effects, points, states):
+    assert np.max(np.abs(effects.sum(axis=0) - 1.0)) <= DEFAULT_TOL
+    vals = effects @ points.T
+    assert vals.min() >= -DEFAULT_TOL and vals.max() <= 1.0 + DEFAULT_TOL
+    delta = effects @ states.T - np.eye(len(states))
+    assert np.max(np.abs(delta)) <= DEFAULT_TOL
+
+
+def _assert_three_states_match_lp(a):
+    """Every labeled triple (repeats make singular anchors) gets the same
+    answer from the direct solve as from the LP reference."""
+    h = dc.hexagon_vertices(np.asarray(a) / np.sum(a))
+    for chosen in itertools.combinations(range(6), 3):
+        anchors = h.labeled[list(chosen)]
+        effects = dc._perfect_measurement(h.vertices, anchors, np.ones(3))
+        violation = _barycentric_violation(h.vertices, anchors)
+        assert (effects is not None) == (violation <= DEFAULT_TOL)
+        if effects is not None:
+            _assert_certified(effects, h.vertices, anchors)
+        # lp_solve runs HiGHS at 1e-7 and re-solves at DEFAULT_TOL / 10;
+        # between the two its answer depends on the point HiGHS returns
+        if not DEFAULT_TOL / 10 < violation <= HIGHS_FEASIBILITY_TOL:
+            assert _lp_three_states(h.vertices, anchors) == (
+                effects is not None)
+    r = dc.max_distinguishable(h)
+    if r.n == 3:
+        _assert_certified(r.effects, h.vertices, h.vertices[list(r.states)])
+
+
+class TestThreeStatesByLinearSolve:
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.0, 0.3), st.floats(0.02, 0.5), st.floats(0.02, 0.5))
+    def test_generic_agrees_with_lp(self, low, gap1, gap2):
+        _assert_three_states_match_lp([low + gap1 + gap2, low + gap2, low])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.0, 0.3), st.floats(0.02, 0.5), st.floats(0.02, 0.5),
+           st.integers(0, 1), st.floats(-9.0, -6.0))
+    def test_near_equal_agrees_with_lp(self, low, gap1, gap2, j, log_gap):
+        a = np.array([low + gap1 + gap2, low + gap2, low])
+        a[j + 1] = a[j] - 10.0 ** log_gap
+        _assert_three_states_match_lp(a)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(0.0, 0.5), st.integers(0, 2))
+    @example(2.225073858507e-311, 0)  # subnormal: inv gives inf, no error
+    @example(1e-8, 1)  # presolve at 1e-9 calls the (1, 2, 3) LP infeasible
+    @example(1.3509405486230396e-09, 1)  # and at 1e-7 the (0, 2, 4) LP
+    def test_triangle_agrees_with_lp(self, t, odd):
+        a = np.full(3, t)
+        a[odd] = 1.0 - 2.0 * t
+        _assert_three_states_match_lp(a)
+
+    def test_all_equal_agrees_with_lp(self):
+        _assert_three_states_match_lp([1.0, 1.0, 1.0])
+
+
+@pytest.fixture()
+def lp_calls(monkeypatch):
+    """Every lp_solve call, wherever the package binds it."""
+    calls = []
+    lp_solve = numerics.lp_solve
+
+    def counted(p):
+        calls.append(p)
+        return lp_solve(p)
+
+    monkeypatch.setattr(numerics, "lp_solve", counted)
+    monkeypatch.setattr(dc, "lp_solve", counted, raising=False)
+    return calls
+
+
+class TestLpCount:
+    def test_generic_game_five_lps(self, capsys, lp_calls):
+        # three pair LPs to the first feasible pair, two game LPs
+        assert main(["hexagon", "0.5", "0.3", "0.2", "--game"]) == 0
+        capsys.readouterr()
+        assert len(lp_calls) == 5
+
+    def test_triangle_no_lp(self, lp_calls):
+        r = dc.max_distinguishable(dc.hexagon_vertices([0.5, 0.5, 0.0]))
+        assert r.n == 3
+        assert lp_calls == []
 
 
 @pytest.fixture(scope="module")

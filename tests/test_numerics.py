@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gptforge
-from gptforge.errors import DomainError
+from gptforge.errors import DomainError, NumericalConsistencyError
 from gptforge.numerics import (
     LinearProgram,
+    check_feasible,
     effect_lp,
     lp_solve,
     orthonormalize,
@@ -123,6 +124,14 @@ class TestLpSolve:
         with pytest.raises(DomainError):
             lp_solve(lp)
 
+    def test_non_finite_point_never_feasible(self):
+        # nan passes every "> tol" comparison, so it is refused up front
+        lp = LinearProgram(np.array([1.0]),
+                           eq=(np.array([[1.0]]), np.array([1.0])))
+        check_feasible(lp, np.array([1.0]))
+        with pytest.raises(NumericalConsistencyError, match="non-finite"):
+            check_feasible(lp, np.array([np.nan]))
+
     def test_against_vertex_enumeration(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
@@ -176,6 +185,22 @@ class TestEffectLp:
                         eq=(a_eq, np.array([1.0, 0.0])))
         assert res.optimal and abs(res.value - 1.0) < 1e-8
         assert np.allclose(res.x, [0.5, 0.5, 0.5, -0.5], atol=1e-8)
+
+    def test_feasible_lp_that_presolve_refuses(self):
+        # three states of the nearly degenerate hexagon (t, 1 - 2t, t): the
+        # only measurement is inv(Y)^T, valid within 3e-16, but HiGHS
+        # presolve at its default tolerances calls the LP infeasible
+        t = 1.3509405486230396e-09
+        points = np.full((3, 3), t) + (1.0 - 3.0 * t) * np.roll(np.eye(3), 1, 1)
+        anchors = points[[0, 2, 1]]
+        a_eq = np.zeros((12, 9))
+        for i in range(3):
+            a_eq[3 * i:3 * i + 3, 3 * i:3 * i + 3] = anchors
+            a_eq[9:, 3 * i:3 * i + 3] = np.eye(3)
+        b_eq = np.concatenate([np.eye(3).ravel(), np.ones(3)])
+        res = effect_lp(points, np.zeros((3, 3)), eq=(a_eq, b_eq))
+        assert res.optimal
+        assert np.allclose(res.x, np.linalg.inv(anchors).T.ravel(), atol=1e-8)
 
 
 class TestRoundToInt:
