@@ -39,7 +39,7 @@ for d0 in (2, 4, 9):
 print("\nBlock-average identity on the Bloch orbit:")
 bloch = ss.bloch_structure(2000, 0, via="su2")
 hand = ss.Effect(np.array([0.5, 0.0, 0.0, 0.5]), "(1+z)/2")
-r = dm.schur_average_check(bloch, hand, 5000, 0)
+r = dm.schur_average_check(bloch, [hand], 5000, 0)[0]
 print(f"  effect (1+z)/2: exact 1/4 + (1/4)/3 = {r.exact:.6f}, "
       f"Monte Carlo {r.mc_average:.6f} +- {r.sigma:.6f}")
 

@@ -62,29 +62,27 @@ class SchurAverageResult:
         return abs(self.mc_average - self.exact)
 
 
-def schur_average_check(s, e, n, rng):
-    """Monte-Carlo estimate of the Haar average of f^2 against its exact value.
+def schur_average_check(s, effects, n, rng):
+    """Monte-Carlo estimates of the Haar average of f^2 against its exact
+    value, one :class:`SchurAverageResult` per effect in ``effects``.
 
     The exact value is c_0^2 + |w|^2 |v|^2 / D for the effect c_0 + <w, x>,
-    the reference v and the carrier dimension D.  ``e`` is one
-    :class:`Effect`, or a sequence of them averaged over one Haar draw and
-    one orbit; the answer is one :class:`SchurAverageResult`, or a list in
-    the order of the effects.
+    the reference v and the carrier dimension D.  All effects are averaged
+    over one Haar draw and one orbit.
     """
     fresh = haar_samples(s.rep, n, ensure_rng(rng))
     points = orbit_points(s.rep, fresh, s.reference)
     r = np.linalg.norm(s.reference)
-    single = isinstance(e, Effect)
     results = []
-    for f in [e] if single else e:
-        vec = np.asarray(f.vector, dtype=float)
+    for e in effects:
+        vec = np.asarray(e.vector, dtype=float)
         sq = (points @ vec) ** 2
         mc = float(sq.mean())
         sigma = float(sq.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         c = np.linalg.norm(vec[1:])
         exact = vec[0] ** 2 + (c * r) ** 2 / s.rep.real_dimension
         results.append(SchurAverageResult(mc, float(exact), sigma, n))
-    return results[0] if single else results
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -136,24 +136,17 @@ def lp_solve(p: LinearProgram):
 
     Returns an :class:`LpResult`.  An optimal point is feasibility-checked
     within ``DEFAULT_TOL`` before being returned.  HiGHS runs at its own
-    defaults (feasibility tolerance 1e-7) first.  When its point fails the
-    check, when it stops without a status certificate, or when its presolve
-    calls the LP infeasible before any simplex iteration, the LP is solved
-    again with feasibility tolerances of ``DEFAULT_TOL / 10``, the objective
-    scaled to a largest entry of 1 (the tolerances are absolute) and presolve
-    off, and a point from that run which passes the check is returned.
-    Presolve can call a feasible LP infeasible: the three-state LP of the
-    nearly degenerate hexagon (1.35e-9, 1 - 2.7e-9, 1.35e-9), which the
-    exact solution meets within 3e-16, is refused there.  Without such a
-    point the presolve verdict stands, and otherwise the LP is solved once
-    more at the tight tolerances with presolve on.
+    defaults (feasibility tolerance 1e-7) first; when its point fails the
+    check, or it stops without a status certificate, the LP is solved once
+    more with feasibility tolerances of ``DEFAULT_TOL / 10`` and the
+    objective scaled to a largest entry of 1 (the tolerances are absolute).
 
     Raises
     ------
     LpSolverFailure
-        If the last re-solve also stops without a status certificate.
+        If the re-solve also stops without a status certificate.
     NumericalConsistencyError
-        If the last re-solved optimal point also fails the check.
+        If the re-solved optimal point also fails the check.
     """
     p._validate()
     c = -np.atleast_1d(np.asarray(p.objective, dtype=float))
@@ -161,29 +154,17 @@ def lp_solve(p: LinearProgram):
     a_ub, b_ub = (None, None) if p.ub is None else p.ub
     bounds = p.bounds if p.bounds else [(None, None)] * p.n_vars()
 
-    def run(scale=1.0, options=None):
-        return linprog(c / scale, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                       bounds=bounds, method="highs", options=options)
+    def solve(scale=1.0, options=None):
+        res = linprog(c / scale, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs", options=options)
+        return _certify(p, res, scale)
 
-    scale = np.max(np.abs(c)) or 1.0
-    tight = dict.fromkeys(
-        ("primal_feasibility_tolerance", "dual_feasibility_tolerance"),
-        DEFAULT_TOL / 10)
-    first = None
     try:
-        res = run()
-        first = _certify(p, res, 1.0)
-        if first.status != "infeasible" or res.nit > 0:
-            return first
+        return solve()
     except (LpSolverFailure, NumericalConsistencyError):
-        pass
-    try:
-        result = _certify(p, run(scale, {**tight, "presolve": False}), scale)
-        if result.optimal:
-            return result
-    except (LpSolverFailure, NumericalConsistencyError):
-        pass
-    return first or _certify(p, run(scale, tight), scale)
+        return solve(np.max(np.abs(c)) or 1.0, dict.fromkeys(
+            ("primal_feasibility_tolerance", "dual_feasibility_tolerance"),
+            DEFAULT_TOL / 10))
 
 
 def _certify(p, res, scale):

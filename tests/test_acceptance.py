@@ -231,10 +231,10 @@ def test_criterion_8_block_average_identity():
             w = rng.standard_normal(dim)
             w *= rng.uniform(0.1, 1.0) * min(c0, 1 - c0) / np.linalg.norm(w)
             e = ss.Effect(np.concatenate([[c0], w]))
-            r = dm.schur_average_check(s, e, 5000, rng)
+            r = dm.schur_average_check(s, [e], 5000, rng)[0]
             ok &= r.deviation <= 4.0 * r.sigma + 1e-12
     hand = dm.schur_average_check(
-        bloch, ss.Effect(np.array([0.5, 0.0, 0.0, 0.5])), 5000, 0)
+        bloch, [ss.Effect(np.array([0.5, 0.0, 0.0, 0.5]))], 5000, 0)[0]
     ok &= hand.exact == pytest.approx(1 / 3, abs=1e-15)
     ok &= hand.deviation <= 4.0 * hand.sigma
     _report(8, "100 random effects and the hand value 1/3 inside 4 sigma", ok)

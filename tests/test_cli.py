@@ -234,7 +234,7 @@ class TestOtherCommands:
         check = dm.schur_average_check
 
         def one_call_per_effect(s, effects, n, rng):
-            return [check(s, e, n, copy.deepcopy(rng)) for e in effects]
+            return [check(s, [e], n, copy.deepcopy(rng))[0] for e in effects]
 
         monkeypatch.setattr(dm, "schur_average_check", one_call_per_effect)
         _, reference, _ = run_cli(capsys, *argv)

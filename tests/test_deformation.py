@@ -42,18 +42,19 @@ class TestRigidityBound:
 
 class TestSchurAverage:
     def test_unit_effect(self, bloch_2000):
-        r = dm.schur_average_check(bloch_2000, ss.unit_effect(bloch_2000),
-                                   1000, 0)
+        r = dm.schur_average_check(bloch_2000, [ss.unit_effect(bloch_2000)],
+                                   1000, 0)[0]
         assert r.mc_average == pytest.approx(1.0, abs=1e-12)
         assert r.exact == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_effect(self, bloch_2000):
-        r = dm.schur_average_check(bloch_2000, ss.Effect(np.zeros(4)), 500, 0)
+        r = dm.schur_average_check(bloch_2000, [ss.Effect(np.zeros(4))], 500,
+                                   0)[0]
         assert r.mc_average == 0.0 and r.exact == 0.0
 
     def test_bloch_hand_value(self, bloch_2000):
         e = ss.Effect(np.array([0.5, 0.0, 0.0, 0.5]), "(1+z)/2")
-        r = dm.schur_average_check(bloch_2000, e, 5000, 0)
+        r = dm.schur_average_check(bloch_2000, [e], 5000, 0)[0]
         assert r.exact == pytest.approx(1 / 3, abs=1e-12)
         assert r.deviation <= 4 * r.sigma
 
@@ -66,7 +67,7 @@ class TestSchurAverage:
                 w = rng.standard_normal(dim)
                 w *= rng.uniform(0.1, 1.0) * min(c0, 1 - c0) / np.linalg.norm(w)
                 e = ss.Effect(np.concatenate([[c0], w]))
-                r = dm.schur_average_check(s, e, 5000, rng)
+                r = dm.schur_average_check(s, [e], 5000, rng)[0]
                 assert r.deviation <= 4 * r.sigma + 1e-12
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from gptforge import discrimination as dc
 from gptforge import numerics
@@ -14,9 +15,14 @@ from gptforge.errors import (
     LpSolverFailure,
     NumericalConsistencyError,
 )
-from gptforge.numerics import DEFAULT_TOL, effect_lp
+from gptforge.numerics import (
+    DEFAULT_TOL,
+    check_feasible,
+    effect_program,
+    lp_solve,
+)
 
-# HiGHS's default primal feasibility tolerance, at which lp_solve first runs
+# HiGHS's default primal feasibility tolerance, at which the LP reference runs
 HIGHS_FEASIBILITY_TOL = 1e-7
 
 
@@ -180,44 +186,63 @@ class TestNearEqual:
         assert abs(g.bit1_success - 1.0) < 1e-6
 
 
-def _lp_three_states(points, anchors):
-    """Reference: the feasibility LP that decided three states before the
-    direct solve, e_i . a_j = delta_ij and sum e_i = (1, 1, 1) over effects
-    valid on ``points``.  None when the LP stops without an answer."""
+def _three_state_program(points, anchors):
+    """The feasibility LP that decided three states before the direct
+    solve: e_i . a_j = delta_ij and sum e_i = (1, 1, 1) over effects valid
+    on ``points``."""
     k, dim = anchors.shape
     a_eq = np.zeros((k * k + dim, k * dim))
     for i in range(k):
         a_eq[i * k:(i + 1) * k, i * dim:(i + 1) * dim] = anchors
         a_eq[k * k:, i * dim:(i + 1) * dim] = np.eye(dim)
     b_eq = np.concatenate([np.eye(k).ravel(), np.ones(dim)])
+    return effect_program(points, np.zeros((k, dim)), eq=(a_eq, b_eq))
+
+
+def _lp_three_states(p):
+    """Reference verdict on the LP ``p``: feasible when HiGHS returns a
+    point that passes the DEFAULT_TOL check, either through lp_solve, the
+    old route, or from one more run with presolve off at the tolerances of
+    lp_solve's re-solve.  Presolve calls the LP of some nearly degenerate
+    triangles infeasible although inv(Y)^T meets it within 1e-15 (see the
+    examples of the triangle test).  None when no run gives an answer."""
     try:
-        return effect_lp(points, np.zeros((k, dim)), eq=(a_eq, b_eq)).optimal
+        verdict = lp_solve(p).optimal
     except (LpSolverFailure, NumericalConsistencyError):
-        return None
+        verdict = None
+    if verdict:
+        return True
+    res = linprog(p.objective, A_ub=p.ub[0], b_ub=p.ub[1], A_eq=p.eq[0],
+                  b_eq=p.eq[1], bounds=(None, None), method="highs",
+                  options={"presolve": False,
+                           "primal_feasibility_tolerance": DEFAULT_TOL / 10,
+                           "dual_feasibility_tolerance": DEFAULT_TOL / 10})
+    if res.status == 0:
+        try:
+            check_feasible(p, res.x)
+            return True
+        except NumericalConsistencyError:
+            pass
+    return False if res.status in (0, 2) else verdict
 
 
-def _barycentric_violation(points, anchors):
-    """Worst violation by the only candidate effects, the rows of
-    inv(Y)^T, of e_i . y_j = delta_ij, of sum e_i = (1, 1, 1) and of
-    0 <= e . x <= 1 on ``points``; inf when the anchors are singular."""
+def _barycentric_violation(p, anchors):
+    """Worst violation of the equalities and validity rows of ``p`` by the
+    only candidate effects, the rows of inv(Y)^T; inf when the anchors are
+    singular."""
     try:
-        e = np.linalg.inv(anchors).T
+        x = np.linalg.inv(anchors).T.ravel()
     except np.linalg.LinAlgError:
         return np.inf
-    if not np.all(np.isfinite(e)):  # singular, seen through a subnormal pivot
+    if not np.all(np.isfinite(x)):  # singular, seen through a subnormal pivot
         return np.inf
-    vals = e @ points.T
-    return max(np.max(np.abs(e @ anchors.T - np.eye(3))),
-               np.max(np.abs(e.sum(axis=0) - 1.0)),
-               np.max(vals - 1.0), np.max(-vals))
+    return max(np.max(np.abs(p.eq[0] @ x - p.eq[1])),
+               np.max(p.ub[0] @ x - p.ub[1]))
 
 
 def _assert_certified(effects, points, states):
-    assert np.max(np.abs(effects.sum(axis=0) - 1.0)) <= DEFAULT_TOL
-    vals = effects @ points.T
-    assert vals.min() >= -DEFAULT_TOL and vals.max() <= 1.0 + DEFAULT_TOL
-    delta = effects @ states.T - np.eye(len(states))
-    assert np.max(np.abs(delta)) <= DEFAULT_TOL
+    """The effects pass the DEFAULT_TOL check of the three-state LP."""
+    check_feasible(_three_state_program(points, states), effects.ravel())
 
 
 def _assert_three_states_match_lp(a):
@@ -227,15 +252,15 @@ def _assert_three_states_match_lp(a):
     for chosen in itertools.combinations(range(6), 3):
         anchors = h.labeled[list(chosen)]
         effects = dc._perfect_measurement(h.vertices, anchors, np.ones(3))
-        violation = _barycentric_violation(h.vertices, anchors)
+        program = _three_state_program(h.vertices, anchors)
+        violation = _barycentric_violation(program, anchors)
         assert (effects is not None) == (violation <= DEFAULT_TOL)
         if effects is not None:
             _assert_certified(effects, h.vertices, anchors)
-        # lp_solve runs HiGHS at 1e-7 and re-solves at DEFAULT_TOL / 10;
-        # between the two its answer depends on the point HiGHS returns
+        # lp_solve runs HiGHS at 1e-7 first: between that and DEFAULT_TOL / 10
+        # the LP's answer depends on the point HiGHS returns
         if not DEFAULT_TOL / 10 < violation <= HIGHS_FEASIBILITY_TOL:
-            assert _lp_three_states(h.vertices, anchors) == (
-                effects is not None)
+            assert _lp_three_states(program) == (effects is not None)
     r = dc.max_distinguishable(h)
     if r.n == 3:
         _assert_certified(r.effects, h.vertices, h.vertices[list(r.states)])
@@ -258,8 +283,10 @@ class TestThreeStatesByLinearSolve:
     @settings(max_examples=15, deadline=None)
     @given(st.floats(0.0, 0.5), st.integers(0, 2))
     @example(2.225073858507e-311, 0)  # subnormal: inv gives inf, no error
-    @example(1e-8, 1)  # presolve at 1e-9 calls the (1, 2, 3) LP infeasible
-    @example(1.3509405486230396e-09, 1)  # and at 1e-7 the (0, 2, 4) LP
+    # presolve at 1e-9 calls the (1, 2, 3) LP infeasible, and at 1e-7 the
+    # (0, 2, 4) LP of the second triangle; inv(Y)^T meets both
+    @example(1e-8, 1)
+    @example(1.3509405486230396e-09, 1)
     def test_triangle_agrees_with_lp(self, t, odd):
         a = np.full(3, t)
         a[odd] = 1.0 - 2.0 * t
@@ -267,6 +294,31 @@ class TestThreeStatesByLinearSolve:
 
     def test_all_equal_agrees_with_lp(self):
         _assert_three_states_match_lp([1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("a", [
+        # every candidate triple violates by about 9.39e-9; the LP refused
+        # (0, 1, 3) and chose (0, 3, 5)
+        [0.43131754154468194, 0.4313175387850538, 0.13736491967026423],
+        # every candidate triple violates by about 8.61e-9; the LP refused
+        # them all and chose the pair (0, 3)
+        [0.4981173188635495, 0.4981173146090928, 0.0037653665273576723],
+    ])
+    def test_near_equal_choice_within_tol(self, a):
+        # the first triple in combinations order that certifies at
+        # DEFAULT_TOL, where the LP's answer depended on HiGHS's point
+        h = dc.hexagon_vertices(a)
+        r = dc.max_distinguishable(h)
+        assert (r.n, r.states) == (3, (0, 1, 3))
+        _assert_certified(r.effects, h.vertices, h.vertices[list(r.states)])
+
+    def test_near_degenerate_triangle_three(self):
+        # inv(Y)^T meets the three-state LP within 3e-16, but HiGHS presolve
+        # called it infeasible and the LP route answered with a pair
+        h = dc.hexagon_vertices([1.005438050730057e-09, 0.9999999979891239,
+                                 1.005438050730057e-09])
+        r = dc.max_distinguishable(h)
+        assert (r.n, r.states) == (3, (0, 1, 2))
+        _assert_certified(r.effects, h.vertices, h.vertices)
 
 
 @pytest.fixture()

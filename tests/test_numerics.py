@@ -186,22 +186,6 @@ class TestEffectLp:
         assert res.optimal and abs(res.value - 1.0) < 1e-8
         assert np.allclose(res.x, [0.5, 0.5, 0.5, -0.5], atol=1e-8)
 
-    def test_feasible_lp_that_presolve_refuses(self):
-        # three states of the nearly degenerate hexagon (t, 1 - 2t, t): the
-        # only measurement is inv(Y)^T, valid within 3e-16, but HiGHS
-        # presolve at its default tolerances calls the LP infeasible
-        t = 1.3509405486230396e-09
-        points = np.full((3, 3), t) + (1.0 - 3.0 * t) * np.roll(np.eye(3), 1, 1)
-        anchors = points[[0, 2, 1]]
-        a_eq = np.zeros((12, 9))
-        for i in range(3):
-            a_eq[3 * i:3 * i + 3, 3 * i:3 * i + 3] = anchors
-            a_eq[9:, 3 * i:3 * i + 3] = np.eye(3)
-        b_eq = np.concatenate([np.eye(3).ravel(), np.ones(3)])
-        res = effect_lp(points, np.zeros((3, 3)), eq=(a_eq, b_eq))
-        assert res.optimal
-        assert np.allclose(res.x, np.linalg.inv(anchors).T.ravel(), atol=1e-8)
-
 
 class TestRoundToInt:
     def test_exact(self):
