@@ -295,30 +295,27 @@ class TestThreeStatesByLinearSolve:
     def test_all_equal_agrees_with_lp(self):
         _assert_three_states_match_lp([1.0, 1.0, 1.0])
 
-    @pytest.mark.parametrize("a", [
-        # every candidate triple violates by about 9.39e-9; the LP refused
-        # (0, 1, 3) and chose (0, 3, 5)
-        [0.43131754154468194, 0.4313175387850538, 0.13736491967026423],
-        # every candidate triple violates by about 8.61e-9; the LP refused
-        # them all and chose the pair (0, 3)
-        [0.4981173188635495, 0.4981173146090928, 0.0037653665273576723],
+    @pytest.mark.parametrize("a, states", [
+        # every candidate triple violates by about 9.39e-9; the LP route
+        # refused (0, 1, 3) and chose (0, 3, 5)
+        ([0.43131754154468194, 0.4313175387850538, 0.13736491967026423],
+         (0, 1, 3)),
+        # every candidate triple violates by about 8.61e-9; the LP route
+        # refused them all and chose the pair (0, 3)
+        ([0.4981173188635495, 0.4981173146090928, 0.0037653665273576723],
+         (0, 1, 3)),
+        # inv(Y)^T meets the LP within 3e-16, but HiGHS presolve called it
+        # infeasible and the LP route chose the pair (0, 1)
+        ([1.005438050730057e-09, 0.9999999979891239, 1.005438050730057e-09],
+         (0, 1, 2)),
     ])
-    def test_near_equal_choice_within_tol(self, a):
+    def test_choice_where_lp_route_differed(self, a, states):
         # the first triple in combinations order that certifies at
-        # DEFAULT_TOL, where the LP's answer depended on HiGHS's point
+        # DEFAULT_TOL
         h = dc.hexagon_vertices(a)
         r = dc.max_distinguishable(h)
-        assert (r.n, r.states) == (3, (0, 1, 3))
-        _assert_certified(r.effects, h.vertices, h.vertices[list(r.states)])
-
-    def test_near_degenerate_triangle_three(self):
-        # inv(Y)^T meets the three-state LP within 3e-16, but HiGHS presolve
-        # called it infeasible and the LP route answered with a pair
-        h = dc.hexagon_vertices([1.005438050730057e-09, 0.9999999979891239,
-                                 1.005438050730057e-09])
-        r = dc.max_distinguishable(h)
-        assert (r.n, r.states) == (3, (0, 1, 2))
-        _assert_certified(r.effects, h.vertices, h.vertices)
+        assert r.states == states
+        _assert_certified(r.effects, h.vertices, h.vertices[list(states)])
 
 
 @pytest.fixture()
