@@ -25,13 +25,13 @@ pairs = {
 }
 
 for name, sub in pairs.items():
-    decision = gf.is_gelfand_pair(s4, sub, table=table)
+    decision = gf.is_gelfand_pair(table, sub)
     verdict = "Gelfand" if decision.gelfand else "NOT Gelfand"
     print(f"\n(S4, {name}), |H| = {sub.order}: {verdict}")
     print(f"  trivial-restriction multiplicities: {decision.multiplicities}")
     if decision.gelfand:
         structures = gf.count_probabilistic_structures(
-            s4, sub, dim_cap=s4.order // sub.order, table=table)
+            table, sub, dim_cap=s4.order // sub.order)
         print(f"  structures with dim <= |G/H| = {s4.order // sub.order}: "
               f"{structures}")
     else:

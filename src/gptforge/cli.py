@@ -65,24 +65,19 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _emit_json(args, payload):
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _jsonable(x):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
+def _json_default(x):
+    """numpy values json cannot encode: arrays as lists, scalars as Python
+    scalars (np.float64 is a float already and never gets here)."""
     if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
+        return x.tolist()
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _emit_json(args, payload):
+    _emit(args, json.dumps(payload, sort_keys=True, indent=2,
+                           default=_json_default) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +129,7 @@ def cmd_gelfand(args):
     sub = finite_rep.subgroup_from_generators(group, sperms)
 
     table = finite_rep.character_table(group)
-    decision = finite_rep.is_gelfand_pair(group, sub, table=table)
-    dims = table.dims
+    decision = finite_rep.is_gelfand_pair(table, sub)
     payload = {
         "meta": _meta(args, "gelfand"),
         "group_order": group.order,
@@ -145,14 +139,13 @@ def cmd_gelfand(args):
         "spherical_irreps": [],
     }
     if decision.gelfand:
-        units, _, _ = finite_rep.spherical_units(group, sub, table=table)
         payload["spherical_irreps"] = [
             {
                 "irreps": list(u.irreps),
                 "real_dim": u.real_dim,
                 "kind": u.kind,
             }
-            for u in units
+            for u in finite_rep.spherical_units(table, sub)
         ]
         cap = args.dim_cap
         if cap is None:
@@ -160,17 +153,15 @@ def cmd_gelfand(args):
         payload["dim_cap"] = cap
         payload["structures"] = [
             list(t)
-            for t in finite_rep.count_probabilistic_structures(
-                group, sub, cap, table=table
-            )
+            for t in finite_rep.count_probabilistic_structures(table, sub, cap)
         ]
     else:
         payload["witness"] = {
             "irrep": decision.witness_irrep,
             "multiplicity": decision.witness_multiplicity,
-            "dim": dims[decision.witness_irrep],
+            "dim": table.dims[decision.witness_irrep],
         }
-    _emit_json(args, _jsonable(payload))
+    _emit_json(args, payload)
     return 0
 
 
@@ -211,7 +202,7 @@ def cmd_hexagon(args):
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(discrimination.hexagon_csv(h))
-    _emit_json(args, _jsonable(payload))
+    _emit_json(args, payload)
     return 0
 
 
@@ -361,7 +352,7 @@ def cmd_distance(args):
             "sigma": verify.sigma,
             "verified": verify.verified,
         }
-    _emit_json(args, _jsonable(payload))
+    _emit_json(args, payload)
     return 0
 
 
@@ -403,7 +394,7 @@ def cmd_sphere_check(args):
         "n": s.n_points,
         "max_radial_deviation": state_space.sphere_check(s),
     }
-    _emit_json(args, _jsonable(payload))
+    _emit_json(args, payload)
     return 0
 
 
@@ -434,7 +425,7 @@ def cmd_schur_average(args):
         "checks": checks,
         "all_ok": all(c["ok"] for c in checks),
     }
-    _emit_json(args, _jsonable(payload))
+    _emit_json(args, payload)
     return 0
 
 
@@ -469,7 +460,7 @@ def cmd_grassmann(args):
         ],
         "spaces": classification.grassmann_spaces(args.m, args.n),
     }
-    _emit_json(args, _jsonable(payload))
+    _emit_json(args, payload)
     return 0
 
 
@@ -487,7 +478,7 @@ def cmd_catalog(args):
             for e in classification.two_point_catalog()
         ],
     }
-    _emit_json(args, _jsonable(payload))
+    _emit_json(args, payload)
     return 0
 
 
@@ -502,7 +493,7 @@ def cmd_quartic(args):
         "trace": float(np.trace(rho)),
         "matrix": rho,
     }
-    _emit_json(args, _jsonable(payload))
+    _emit_json(args, payload)
     return 0
 
 
@@ -510,15 +501,22 @@ def cmd_quartic(args):
 # parser
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low, kind):
+    """An argparse type: integers >= ``low``, called ``kind`` in errors."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def build_parser():
@@ -543,7 +541,7 @@ def build_parser():
     p = sub.add_parser("gelfand", help="decide a Gelfand pair from group files")
     p.add_argument("group_file")
     p.add_argument("subgroup_file")
-    p.add_argument("--dim-cap", type=int, default=None,
+    p.add_argument("--dim-cap", type=_nonnegative_int, default=None,
                    help="dimension cap for structure enumeration "
                         "(default |G/H|)")
     p.add_argument("--max-order", type=int, default=finite_rep.DEFAULT_ORDER_CAP)

@@ -80,22 +80,12 @@ def gell_mann_basis(d):
 
 @lru_cache(maxsize=None)
 def symmetric_traceless_basis(d):
-    """Real symmetric traceless basis with tr(B_a B_b) = 2 delta_ab.
-
-    Same layout as :func:`gell_mann_basis` minus the antisymmetric elements.
-    """
-    mats = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            s = np.zeros((d, d))
-            s[j, k] = s[k, j] = 1.0
-            mats.append(s)
-    for l in range(1, d):
-        m = np.zeros((d, d))
-        m[:l, :l] = np.eye(l)
-        m[l, l] = -l
-        mats.append(m * np.sqrt(2.0 / (l * (l + 1))))
-    return np.array(mats)
+    """Real symmetric traceless basis with tr(B_a B_b) = 2 delta_ab: the real
+    rows of :func:`gell_mann_basis` (all but the antisymmetric ones), in the
+    same order."""
+    antisymmetric = range(1, d * (d - 1), 2)
+    rows = np.delete(gell_mann_basis(d), antisymmetric, axis=0)
+    return np.ascontiguousarray(rows.real)
 
 
 _KINDS = ("su_fundamental", "su_adjoint", "so_fundamental",
@@ -183,10 +173,13 @@ def su_fundamental(d):
 # Haar sampling
 
 
-def _ginibre_unitaries(rng, n, d):
-    """n Haar samples from U(d): Ginibre + QR with the R-diagonal phase fixed."""
-    z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
+def _ginibre(rng, n, d, unitary):
+    """n Haar samples from U(d) (``unitary``) or O(d): Ginibre + QR with the
+    R-diagonal phase (the sign, for O(d)) fixed."""
+    z = rng.standard_normal((n, d, d))
+    if unitary:
+        z = (z + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
     diag = np.einsum("nii->ni", r)
     return q * (diag / np.abs(diag))[:, None, :]
 
@@ -197,33 +190,19 @@ def _unit_det(q):
     return q * np.exp(-1j * np.angle(det) / q.shape[-1])[:, None, None]
 
 
-def haar_unitaries(d, n, rng):
-    """n Haar samples from SU(d): Ginibre + QR, phases fixed, det normalized."""
-    rng = ensure_rng(rng)
-    if d == 1:
-        return np.ones((n, 1, 1), dtype=complex)
-    return _unit_det(_ginibre_unitaries(rng, n, d))
-
-
-def haar_orthogonals(d, n, rng):
-    """n Haar samples from SO(d)."""
-    rng = ensure_rng(rng)
-    if d == 1:
-        return np.ones((n, 1, 1))
-    q, r = np.linalg.qr(rng.standard_normal((n, d, d)))
-    diag = np.einsum("nii->ni", r)
-    signs = np.where(diag < 0, -1.0, 1.0)
-    q = q * signs[:, None, :]
-    flip = np.linalg.det(q) < 0
-    q[flip, :, -1] *= -1.0
-    return q
-
-
 def haar_samples(spec, n, rng):
-    """Batch of fundamental-picture group elements for ``spec``'s group."""
-    if spec.is_unitary_group:
-        return haar_unitaries(spec.d, n, rng)
-    return haar_orthogonals(spec.d, n, rng)
+    """n Haar samples from ``spec``'s group, SU(d) or SO(d), in the
+    fundamental picture: Ginibre + QR, phases fixed, then the determinant
+    brought to 1 by a phase (SU) or by flipping the last column (SO)."""
+    rng = ensure_rng(rng)
+    unitary = spec.is_unitary_group
+    if spec.d == 1:
+        return np.ones((n, 1, 1), dtype=complex if unitary else float)
+    q = _ginibre(rng, n, spec.d, unitary)
+    if unitary:
+        return _unit_det(q)
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +341,7 @@ def subgroup_samples(spec, sub, n, rng):
         start = 0
         for b in sub.blocks:
             # unrestricted U(b) blocks; the overall phase is fixed below
-            block = _ginibre_unitaries(rng, n, b)
+            block = _ginibre(rng, n, b, unitary=True)
             out[:, start:start + b, start:start + b] = block
             start += b
         return _unit_det(out)

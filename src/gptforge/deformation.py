@@ -312,7 +312,7 @@ def deform(path, t):
     base = path.base
     ref = path.rotation(t)(path.w1)
     return build_structure(base.rep, base.subgroup, ref, base.n_points,
-                           base.seed, elements=base.elements)
+                           None, elements=base.elements)
 
 
 def deformation_sweep(base, ts, effect_family_size=8, rng=0):

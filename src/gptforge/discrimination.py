@@ -96,13 +96,6 @@ class HexagonProjection:
     vertices: np.ndarray
     label_to_vertex: tuple
 
-    @property
-    def multiplicity(self):
-        out = {}
-        for lab, v in enumerate(self.label_to_vertex):
-            out.setdefault(v, []).append(lab)
-        return out
-
 
 def hexagon_vertices(alpha):
     """The up-to-six extreme points of the diagonal projection."""

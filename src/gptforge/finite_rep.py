@@ -314,19 +314,16 @@ def _class_constant_matrices(group, classes, class_of):
     return mats
 
 
-def character_table(group, order_cap=DEFAULT_ORDER_CAP):
+def character_table(group):
     """Irreducible complex characters of a finite group (Burnside's method).
 
     Simultaneous eigenvectors of the class-sum matrices are isolated with a
     random (but internally seeded, hence reproducible) linear combination;
     degenerate draws are retried.  The table is verified against row
     orthogonality (within ``DEFAULT_TOL``) and the sum-of-squares rule
-    before being returned.
+    before being returned.  The group's size was capped when it was built
+    (``generate_group(max_order)``); the table adds no cap of its own.
     """
-    if group.order > order_cap:
-        raise ResourceError(
-            f"group order {group.order} exceeds cap {order_cap}"
-        )
     classes, class_of = conjugacy_classes(group)
     k = len(classes)
     sizes = np.array([len(c) for c in classes], dtype=float)
@@ -415,14 +412,12 @@ class GelfandDecision:
     witness_multiplicity: int | None = None
 
 
-def is_gelfand_pair(group, sub, table=None):
-    """Decide whether (G, H) is a Gelfand pair.
+def is_gelfand_pair(table, sub):
+    """Decide whether (G, H) is a Gelfand pair, G being the table's group.
 
     Every irrep may contain the trivial representation of H at most once; the
     first violation is reported as a witness.
     """
-    if table is None:
-        table = character_table(group)
     mults = tuple(
         trivial_restriction_multiplicity(table, i, sub)
         for i in range(table.n_irreps)
@@ -472,11 +467,10 @@ class SphericalUnit:
     kind: str  # "real" | "complex-pair"
 
 
-def spherical_units(group, sub, table=None):
-    """Spherical irreps grouped into real-irreducible units (see above)."""
-    if table is None:
-        table = character_table(group)
-    decision = is_gelfand_pair(group, sub, table=table)
+def spherical_units(table, sub):
+    """Spherical irreps of (G, H), G being the table's group, grouped into
+    real-irreducible units (see above)."""
+    decision = is_gelfand_pair(table, sub)
     if not decision.gelfand:
         raise DomainError(
             "not a Gelfand pair (witness irrep "
@@ -504,10 +498,10 @@ def spherical_units(group, sub, table=None):
                 "quaternionic spherical irrep in a Gelfand pair; this "
                 "contradicts the real/complex structure constraint"
             )
-    return units, table, decision
+    return units
 
 
-def count_probabilistic_structures(group, sub, dim_cap, table=None):
+def count_probabilistic_structures(table, sub, dim_cap):
     """All multiplicity-free direct sums of spherical irreps under a cap.
 
     Returns a list of tuples of irrep indices (conjugate pairs appear with
@@ -515,7 +509,7 @@ def count_probabilistic_structures(group, sub, dim_cap, table=None):
     Gelfand pair; the correspondence with probabilistic structures is
     one-to-one exactly then.
     """
-    units, _, _ = spherical_units(group, sub, table=table)
+    units = spherical_units(table, sub)
     out = []
     for r in range(1, len(units) + 1):
         for combo in itertools.combinations(units, r):

@@ -49,7 +49,6 @@ class StructureSample:
     points: np.ndarray
     elements: np.ndarray
     mixed: np.ndarray
-    seed: int | None = None
 
     @property
     def n_points(self):
@@ -98,7 +97,8 @@ def build_structure(rep, sub, reference, n_samples, rng, elements=None):
     ``rep.real_dimension``) and is normalized here.  When ``sub`` is given,
     the reference must be fixed by the subgroup's invariant projector within
     ``INVARIANCE_TOL``.  Passing ``elements`` reuses an existing stream of
-    fundamental-picture group samples (paired builds, deformations).
+    fundamental-picture group samples (paired builds, deformations), and
+    ``rng`` is then unused.
     """
     v = np.asarray(reference, dtype=float).copy()
     if v.shape != (rep.real_dimension,):
@@ -118,15 +118,13 @@ def build_structure(rep, sub, reference, n_samples, rng, elements=None):
             raise DomainError(
                 f"reference is not subgroup-invariant: violation norm {viol:.3e}"
             )
-    seed = rng if isinstance(rng, (int, np.integer)) else None
     if elements is None:
         elements = haar_samples(rep, n_samples, ensure_rng(rng))
     points = orbit_points(rep, elements, v)
     # the trivial group fixes its single orbit point; otherwise the carrier
     # part of the mixed state vanishes
     mixed = np.concatenate([[1.0], v if rep.d == 1 else np.zeros_like(v)])
-    return StructureSample(rep, sub, v, points, np.asarray(elements), mixed,
-                           seed=seed)
+    return StructureSample(rep, sub, v, points, np.asarray(elements), mixed)
 
 
 def paired_structures(rep0, ref0, rep1, ref1, n_samples, rng, sub0=None,

@@ -118,7 +118,7 @@ def test_criterion_1_gelfand_oracle_sweep():
         if name not in tables:
             tables[name] = fr.character_table(group)
         table = tables[name]
-        got = fr.is_gelfand_pair(group, sub, table=table).gelfand
+        got = fr.is_gelfand_pair(table, sub).gelfand
         want = gelfand_oracle(group, table, sub)
         assert got == want, f"{name}, |H| = {sub.order}: {got} != oracle {want}"
         checked += 1

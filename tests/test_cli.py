@@ -69,6 +69,20 @@ class TestGelfandCommand:
         assert code == 3
         assert "cap" in err
 
+    def test_negative_dim_cap_exit_2(self, capsys, s3_files):
+        group, swap, _ = s3_files
+        with pytest.raises(SystemExit) as exc:
+            main(["gelfand", str(group), str(swap), "--dim-cap", "-1"])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+    def test_zero_dim_cap_no_structures(self, capsys, s3_files):
+        group, swap, _ = s3_files
+        code, out, _ = run_cli(capsys, "gelfand", str(group), str(swap),
+                               "--dim-cap", "0")
+        assert code == 0
+        assert json.loads(out)["structures"] == []
+
 
 class TestHexagonCommand:
     def test_generic(self, capsys):

@@ -30,7 +30,7 @@ class TestHaar:
         assert u.shape == (1, 1) and u[0, 0] == 1.0
 
     def test_unitary_det_and_columns(self):
-        us = cr.haar_unitaries(3, 200, 0)
+        us = cr.haar_samples(cr.su_fundamental(3), 200, 0)
         err = np.max(np.abs(np.swapaxes(us.conj(), 1, 2) @ us - np.eye(3)))
         assert err < 1e-10
         assert np.max(np.abs(np.linalg.det(us) - 1.0)) < 1e-10
@@ -38,29 +38,30 @@ class TestHaar:
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
     def test_su2_entry_mean(self):
-        us = cr.haar_unitaries(2, 10_000, 1)
+        us = cr.haar_samples(cr.su_fundamental(2), 10_000, 1)
         assert np.max(np.abs(us.mean(axis=0))) < 0.05
 
     def test_orthogonal_det(self):
-        rs = cr.haar_orthogonals(4, 200, 0)
+        rs = cr.haar_samples(cr.so_fundamental(4), 200, 0)
         err = np.max(np.abs(np.swapaxes(rs, 1, 2) @ rs - np.eye(4)))
         assert err < 1e-10
         assert np.max(np.abs(np.linalg.det(rs) - 1.0)) < 1e-10
 
     def test_determinism(self):
-        a = cr.haar_unitaries(3, 5, 123)
-        b = cr.haar_unitaries(3, 5, 123)
+        a = cr.haar_samples(cr.su_fundamental(3), 5, 123)
+        b = cr.haar_samples(cr.su_fundamental(3), 5, 123)
         assert np.array_equal(a, b)
 
     def test_haar_invariance_commutant(self):
         # the averaged conjugation of a fixed matrix commutes with fresh
         # group elements within statistical tolerance
         n = 3000
-        us = cr.haar_unitaries(2, n, 2)
+        us = cr.haar_samples(cr.su_fundamental(2), n, 2)
         gammas = cr.rep_matrices(cr.su_adjoint(2), us)
         a = np.diag([1.0, 2.0, 3.0])
         avg = np.einsum("nij,jk,nlk->il", gammas, a, gammas) / n
-        fresh = cr.rep_matrices(cr.su_adjoint(2), cr.haar_unitaries(2, 20, 3))
+        fresh = cr.rep_matrices(cr.su_adjoint(2),
+                                cr.haar_samples(cr.su_fundamental(2), 20, 3))
         comm = np.max(np.abs(fresh @ avg - avg @ fresh))
         assert comm < 5.0 / np.sqrt(n)
 
@@ -103,7 +104,7 @@ class TestAdjoint:
     def test_homomorphism_random_pairs(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
-            u, v = cr.haar_unitaries(3, 2, rng)
+            u, v = cr.haar_samples(cr.su_fundamental(3), 2, rng)
             err = np.max(np.abs(
                 cr.rep_matrices(cr.su_adjoint(3), u @ v)
                 - cr.rep_matrices(cr.su_adjoint(3), u)
@@ -117,7 +118,7 @@ class TestAdjoint:
 
     def test_symmetric_action_homomorphism(self):
         rng = np.random.default_rng(6)
-        r, s = cr.haar_orthogonals(3, 2, rng)
+        r, s = cr.haar_samples(cr.so_fundamental(3), 2, rng)
         err = np.max(np.abs(
             cr.rep_matrices(cr.so_traceless_symmetric(3), r @ s)
             - cr.rep_matrices(cr.so_traceless_symmetric(3), r)

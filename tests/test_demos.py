@@ -1,5 +1,7 @@
-"""Every demo script runs to completion and writes nothing to stderr."""
+"""Every demo script runs to completion and writes nothing to stderr, and the
+README's Library tour runs and shows the values its comments state."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -10,6 +12,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _library_tour():
+    """The first python block after the README's "## Library tour" heading."""
+    text = (ROOT / "README.md").read_text()
+    tour = text[text.index("## Library tour"):]
+    start = tour.index("```python\n") + len("```python\n")
+    return tour[start:tour.index("```", start)]
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
@@ -18,3 +28,23 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_readme_library_tour():
+    code = _library_tour()
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    checked = 0
+    for line in code.splitlines():
+        expr, _, comment = line.partition("#")
+        try:  # only comments that are Python literals state a value
+            want = ast.literal_eval(comment.strip())
+            ast.parse(expr.strip(), mode="eval")
+        except (SyntaxError, ValueError):
+            continue
+        got = eval(expr.strip(), namespace)
+        if isinstance(want, float):
+            want = pytest.approx(want)
+        assert got == want, line
+        checked += 1
+    assert checked >= 5

@@ -126,19 +126,20 @@ class TestRestrictionMultiplicity:
 
 
 class TestGelfand:
-    def test_s3_swap_is_gelfand(self, s3):
+    def test_s3_swap_is_gelfand(self, s3, s3_table):
         h = fr.subgroup_from_generators(s3, [(1, 0, 2)])
-        assert fr.is_gelfand_pair(s3, h).gelfand
+        assert fr.is_gelfand_pair(s3_table, h).gelfand
 
     def test_s3_trivial_not_gelfand(self, s3, s3_table):
-        d = fr.is_gelfand_pair(s3, fr.trivial_subgroup(s3))
+        d = fr.is_gelfand_pair(s3_table, fr.trivial_subgroup(s3))
         assert not d.gelfand
         assert s3_table.dims[d.witness_irrep] == 2
         assert d.witness_multiplicity == 2
 
     def test_full_subgroup_always_gelfand(self, s3, s4, q8):
         for g in (s3, s4, q8):
-            assert fr.is_gelfand_pair(g, fr.full_subgroup(g)).gelfand
+            assert fr.is_gelfand_pair(fr.character_table(g),
+                                      fr.full_subgroup(g)).gelfand
 
     def test_against_fixed_vector_oracle(self, s4):
         t = fr.character_table(s4)
@@ -151,7 +152,7 @@ class TestGelfand:
             fr.subgroup_from_generators(s4, [(1, 0, 2, 3), (1, 2, 0, 3)]),
         ]
         for h in subs:
-            assert fr.is_gelfand_pair(s4, h, table=t).gelfand == \
+            assert fr.is_gelfand_pair(t, h).gelfand == \
                 gelfand_oracle(s4, t, h)
 
     def test_multiplicities_match_oracle(self, s3, s3_table):
@@ -204,23 +205,24 @@ class TestFrobeniusSchur:
 
 
 class TestStructureEnumeration:
-    def test_s3_cap3(self, s3):
+    def test_s3_cap3(self, s3, s3_table):
         h = fr.subgroup_from_generators(s3, [(1, 0, 2)])
-        out = fr.count_probabilistic_structures(s3, h, 3)
+        out = fr.count_probabilistic_structures(s3_table, h, 3)
         assert out == [(0,), (2,), (0, 2)]
 
-    def test_cap_zero(self, s3):
+    def test_cap_zero(self, s3, s3_table):
         h = fr.subgroup_from_generators(s3, [(1, 0, 2)])
-        assert fr.count_probabilistic_structures(s3, h, 0) == []
+        assert fr.count_probabilistic_structures(s3_table, h, 0) == []
 
     def test_full_subgroup_only_trivial(self, s4):
-        out = fr.count_probabilistic_structures(s4, fr.full_subgroup(s4), 10)
+        out = fr.count_probabilistic_structures(fr.character_table(s4),
+                                                fr.full_subgroup(s4), 10)
         assert out == [(0,)]
 
     def test_complex_pairs_merged(self):
         g = fr.cyclic_group(4)
         h = fr.trivial_subgroup(g)
-        out = fr.count_probabilistic_structures(g, h, 2)
+        out = fr.count_probabilistic_structures(fr.character_table(g), h, 2)
         # units: trivial (dim 1), the other real character (dim 1),
         # and the conjugate pair (real dim 2)
         flat = set(out)
@@ -228,9 +230,10 @@ class TestStructureEnumeration:
         pair_units = [u for u in flat if len(u) == 2 and u[0] != u[1]]
         assert pair_units, "expected a merged conjugate pair"
 
-    def test_non_gelfand_rejected(self, s3):
+    def test_non_gelfand_rejected(self, s3, s3_table):
         with pytest.raises(DomainError, match="not a Gelfand pair"):
-            fr.count_probabilistic_structures(s3, fr.trivial_subgroup(s3), 5)
+            fr.count_probabilistic_structures(s3_table,
+                                              fr.trivial_subgroup(s3), 5)
 
 
 class TestSubgroups:
@@ -274,8 +277,3 @@ class TestSubgroups:
         with pytest.raises(DomainError):
             fr.subgroup_from_generators(s3, [(1, 0, 3, 2)])
 
-
-class TestResourceCaps:
-    def test_character_table_order_cap(self, s4):
-        with pytest.raises(ResourceError):
-            fr.character_table(s4, order_cap=10)
