@@ -31,7 +31,7 @@ for name, sub in pairs.items():
     print(f"  trivial-restriction multiplicities: {decision.multiplicities}")
     if decision.gelfand:
         structures = gf.count_probabilistic_structures(
-            table, sub, dim_cap=s4.order // sub.order)
+            fr.spherical_units(table, decision), dim_cap=s4.order // sub.order)
         print(f"  structures with dim <= |G/H| = {s4.order // sub.order}: "
               f"{structures}")
     else:

@@ -35,7 +35,6 @@ from .deformation import (
     deform,
     deformation_sweep,
     make_deformation_path,
-    opf_distance,
     pure_state_distance,
     rigidity_bound,
     schur_average_check,
@@ -69,7 +68,7 @@ from .finite_rep import (
     symmetric_group,
     trivial_restriction_multiplicity,
 )
-from .numerics import LinearProgram, lp_solve, orthonormalize, symmetric_eigen
+from .numerics import LinearProgram, lp_solve, symmetric_eigen
 from .state_space import (
     Effect,
     StructureSample,

@@ -169,13 +169,6 @@ def two_point_catalog():
     return list(_CATALOG)
 
 
-def catalog_lookup(space):
-    for entry in _CATALOG:
-        if entry.space == space:
-            return entry
-    raise DomainError(f"no catalog entry for {space!r}")
-
-
 def grassmann_spaces(m, n):
     """Descriptors of the rank-m Grassmannian dynamical structures over the
     three base fields (spherical enumeration is implemented for C only)."""

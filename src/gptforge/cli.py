@@ -139,13 +139,14 @@ def cmd_gelfand(args):
         "spherical_irreps": [],
     }
     if decision.gelfand:
+        units = finite_rep.spherical_units(table, decision)
         payload["spherical_irreps"] = [
             {
                 "irreps": list(u.irreps),
                 "real_dim": u.real_dim,
                 "kind": u.kind,
             }
-            for u in finite_rep.spherical_units(table, sub)
+            for u in units
         ]
         cap = args.dim_cap
         if cap is None:
@@ -153,7 +154,7 @@ def cmd_gelfand(args):
         payload["dim_cap"] = cap
         payload["structures"] = [
             list(t)
-            for t in finite_rep.count_probabilistic_structures(table, sub, cap)
+            for t in finite_rep.count_probabilistic_structures(units, cap)
         ]
     else:
         payload["witness"] = {

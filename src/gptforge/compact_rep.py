@@ -22,9 +22,9 @@ few callers that need Gamma(g) itself (Monte-Carlo and grid averages).
 Haar sampling is Ginibre + QR with the R-diagonal phase fixed, then
 det-normalized into SU(d) / SO(d).  Invariant projectors onto the
 H-fixed subspace come either from the exact common kernel of the subgroup's
-Lie-algebra action (connected subgroups: tori and unitary block subgroups),
-from an exact grid average (tori), or from a Monte-Carlo average that is
-symmetrized, powered, and spectrally rounded.
+Lie-algebra action (every subgroup here is connected: tori and unitary block
+subgroups), from an exact grid average (tori), or from a Monte-Carlo average
+that is symmetrized, powered, and spectrally rounded.
 """
 
 from __future__ import annotations
@@ -257,24 +257,21 @@ def rep_matrices(spec, elements):
 
 @dataclass(frozen=True, eq=False)
 class SubgroupSpec:
-    """A sampling description of a closed subgroup in the fundamental picture.
+    """A sampling description of a closed connected subgroup in the
+    fundamental picture.
 
-    kinds: ``full_torus`` (maximal torus), ``block_su_u1`` (block-diagonal
-    unitaries with overall determinant 1, block sizes in ``blocks``), and
-    ``finite_list`` (explicit matrices, assumed to form a finite subgroup).
+    kinds: ``full_torus`` (maximal torus) and ``block_su_u1`` (block-diagonal
+    unitaries with overall determinant 1, block sizes in ``blocks``).
     """
 
     kind: str
     blocks: tuple | None = None
-    matrices: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("full_torus", "block_su_u1", "finite_list"):
+        if self.kind not in ("full_torus", "block_su_u1"):
             raise DomainError(f"unknown subgroup kind {self.kind!r}")
         if self.kind == "block_su_u1" and not self.blocks:
             raise DomainError("block_su_u1 needs block sizes")
-        if self.kind == "finite_list" and not self.matrices:
-            raise DomainError("finite_list needs matrices")
 
 
 def full_torus():
@@ -283,11 +280,6 @@ def full_torus():
 
 def block_subgroup(*blocks):
     return SubgroupSpec("block_su_u1", blocks=tuple(int(b) for b in blocks))
-
-
-def finite_subgroup(matrices):
-    return SubgroupSpec("finite_list",
-                        matrices=tuple(np.asarray(m) for m in matrices))
 
 
 def _check_blocks(spec, sub):
@@ -335,29 +327,20 @@ def subgroup_samples(spec, sub, n, rng):
         else:  # drawn one plane at a time
             angles = rng.uniform(0.0, 2.0 * np.pi, size=(d // 2, n)).T
         return _torus_elements(spec, angles)
-    if sub.kind == "block_su_u1":
-        _check_blocks(spec, sub)
-        out = np.zeros((n, d, d), dtype=complex)
-        start = 0
-        for b in sub.blocks:
-            # unrestricted U(b) blocks; the overall phase is fixed below
-            block = _ginibre(rng, n, b, unitary=True)
-            out[:, start:start + b, start:start + b] = block
-            start += b
-        return _unit_det(out)
-    mats = np.asarray(sub.matrices)
-    picks = rng.integers(0, len(mats), size=n)
-    return mats[picks]
+    _check_blocks(spec, sub)
+    out = np.zeros((n, d, d), dtype=complex)
+    start = 0
+    for b in sub.blocks:
+        # unrestricted U(b) blocks; the overall phase is fixed below
+        block = _ginibre(rng, n, b, unitary=True)
+        out[:, start:start + b, start:start + b] = block
+        start += b
+    return _unit_det(out)
 
 
 def subgroup_lie_generators(spec, sub):
-    """Fundamental-picture Lie-algebra generators spanning the subgroup.
-
-    Only connected subgroups have these; ``finite_list`` returns None.
-    """
+    """Fundamental-picture Lie-algebra generators spanning the subgroup."""
     d = spec.d
-    if sub.kind == "finite_list":
-        return None
     gens = []
     if sub.kind == "full_torus":
         if spec.is_unitary_group:
@@ -455,11 +438,10 @@ def _round_average_to_projector(avg, n_power=5):
 def invariant_projector(spec, sub, quadrature=None):
     """Orthogonal projector onto the subspace fixed by the subgroup.
 
-    ``quadrature=None`` picks the exact structural route (common kernel of
-    the subgroup's Lie-algebra action) for connected subgroups and the exact
-    list average for finite ones.  :class:`TorusGrid` and :class:`MonteCarlo`
-    force the corresponding numerical averages; rank is the number of
-    averaged eigenvalues above 1/2.
+    ``quadrature=None`` takes the exact structural route: the common kernel
+    of the subgroup's Lie-algebra action.  :class:`TorusGrid` and
+    :class:`MonteCarlo` force the corresponding numerical averages; rank is
+    the number of averaged eigenvalues above 1/2.
 
     Raises :class:`AccuracyError` when the requested quadrature is too coarse:
     the powered average is off idempotent by more than 1e-4, or the rounded
@@ -470,18 +452,16 @@ def invariant_projector(spec, sub, quadrature=None):
 
     if quadrature is None:
         gens = subgroup_lie_generators(spec, sub)
-        if gens is not None:
-            if not gens:  # trivial connected subgroup: everything is fixed
-                return InvariantProjector(np.eye(dim), dim, np.ones(dim))
-            # the common kernel is the null space of sum A^T A, built in O(D^2)
-            gram = sum(m.T @ m for m in (_generator_action(spec, a) for a in gens))
-            w, v = np.linalg.eigh(gram)
-            null = v[:, w <= 1e-9 * max(w[-1], 1.0)]
-            proj = null @ null.T
-            evals = np.concatenate([np.ones(null.shape[1]),
-                                    np.zeros(dim - null.shape[1])])
-            return InvariantProjector(proj, null.shape[1], evals)
-        quadrature = MonteCarlo()  # finite_list falls through to averaging
+        if not gens:  # trivial connected subgroup: everything is fixed
+            return InvariantProjector(np.eye(dim), dim, np.ones(dim))
+        # the common kernel is the null space of sum A^T A, built in O(D^2)
+        gram = sum(m.T @ m for m in (_generator_action(spec, a) for a in gens))
+        w, v = np.linalg.eigh(gram)
+        null = v[:, w <= 1e-9 * max(w[-1], 1.0)]
+        proj = null @ null.T
+        evals = np.concatenate([np.ones(null.shape[1]),
+                                np.zeros(dim - null.shape[1])])
+        return InvariantProjector(proj, null.shape[1], evals)
 
     if isinstance(quadrature, TorusGrid):
         if sub.kind != "full_torus":
@@ -492,11 +472,8 @@ def invariant_projector(spec, sub, quadrature=None):
         angles = np.stack([g.ravel() for g in grids], axis=1)
         elements = _torus_elements(spec, angles)
     elif isinstance(quadrature, MonteCarlo):
-        if sub.kind == "finite_list":
-            elements = np.asarray(sub.matrices)
-        else:
-            elements = subgroup_samples(spec, sub, quadrature.n,
-                                        ensure_rng(quadrature.seed))
+        elements = subgroup_samples(spec, sub, quadrature.n,
+                                    ensure_rng(quadrature.seed))
     else:
         raise DomainError(f"unknown quadrature {quadrature!r}")
 

@@ -26,16 +26,7 @@ from .numerics import INVARIANCE_TOL, effect_lp
 from .state_space import Effect, build_structure, orbit_points, witness_effect
 
 # ---------------------------------------------------------------------------
-# basic distances
-
-
-def opf_distance(f0, f1, s):
-    """max over sampled points of |f0(x) - f1(x)|."""
-    v0 = np.asarray(f0.vector, dtype=float)
-    v1 = np.asarray(f1.vector, dtype=float)
-    if v0.shape != (s.ambient_dim,) or v1.shape != (s.ambient_dim,):
-        raise DomainError("effect dimensions do not match the sample")
-    return float(np.max(np.abs(s.points @ (v0 - v1))))
+# the rigidity bound
 
 
 def rigidity_bound(d0):

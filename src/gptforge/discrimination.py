@@ -236,12 +236,9 @@ def encoding_game_value(alpha):
     y1, y2, y4, y5 = y[0], y[1], y[3], y[4]
     bit1 = _best_two_class_guess(h.vertices, [y1, y2], [y4, y5])
 
-    game_states = [y1, y2, y4, y5]
-    degenerate = any(
-        np.max(np.abs(a - b)) <= COINCIDENCE_TOL
-        for a, b in itertools.combinations(game_states, 2)
-    )
-    if degenerate:
+    # distinct hexagon vertices lie more than COINCIDENCE_TOL apart, so game
+    # states coincide exactly when two labels share a vertex
+    if len({h.label_to_vertex[i] for i in (0, 1, 3, 4)}) < 4:
         return EncodingGame(
             bit1, 0.5, True,
             "game states coincide; the second bit carries no information",

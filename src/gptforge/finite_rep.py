@@ -24,6 +24,7 @@ from .errors import DomainError, NumericalConsistencyError, ResourceError
 from .numerics import DEFAULT_TOL, round_to_int
 
 DEFAULT_ORDER_CAP = 10_000
+MAX_STRUCTURES = 10_000  # listed sums; Z_32 over its trivial subgroup has 131,071
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -467,10 +468,9 @@ class SphericalUnit:
     kind: str  # "real" | "complex-pair"
 
 
-def spherical_units(table, sub):
-    """Spherical irreps of (G, H), G being the table's group, grouped into
-    real-irreducible units (see above)."""
-    decision = is_gelfand_pair(table, sub)
+def spherical_units(table, decision):
+    """Spherical irreps of (G, H), grouped into real-irreducible units (see
+    above), read off the pair's decision ``is_gelfand_pair(table, sub)``."""
     if not decision.gelfand:
         raise DomainError(
             "not a Gelfand pair (witness irrep "
@@ -501,21 +501,33 @@ def spherical_units(table, sub):
     return units
 
 
-def count_probabilistic_structures(table, sub, dim_cap):
-    """All multiplicity-free direct sums of spherical irreps under a cap.
+def count_probabilistic_structures(units, dim_cap):
+    """All multiplicity-free direct sums of spherical units under a cap.
 
-    Returns a list of tuples of irrep indices (conjugate pairs appear with
-    both indices), each with total real dimension <= ``dim_cap``.  Requires a
-    Gelfand pair; the correspondence with probabilistic structures is
-    one-to-one exactly then.
+    ``units`` are a Gelfand pair's :func:`spherical_units`; the sums
+    correspond one-to-one with the pair's probabilistic structures.  Returns
+    a list of tuples of irrep indices (conjugate pairs appear with both
+    indices), each with total real dimension <= ``dim_cap``, sorted by
+    (total, indices).  A sum is extended only while its total stays within
+    the cap, so the work grows with the number of sums listed; more than
+    ``MAX_STRUCTURES`` of them raise :class:`ResourceError`.
     """
-    units = spherical_units(table, sub)
+    units = sorted(units, key=lambda u: u.real_dim)
     out = []
-    for r in range(1, len(units) + 1):
-        for combo in itertools.combinations(units, r):
-            total = sum(u.real_dim for u in combo)
-            if total <= dim_cap:
-                idxs = tuple(sorted(i for u in combo for i in u.irreps))
-                out.append((idxs, total))
-    out.sort(key=lambda t: (t[1], t[0]))
-    return [idxs for idxs, _ in out]
+
+    def extend(start, irreps, total):
+        for k in range(start, len(units)):
+            t = total + units[k].real_dim
+            if t > dim_cap:
+                break  # every later unit is at least as large
+            idxs = irreps + units[k].irreps
+            out.append((t, tuple(sorted(idxs))))
+            if len(out) > MAX_STRUCTURES:
+                raise ResourceError(
+                    f"more than {MAX_STRUCTURES} structures fit under "
+                    f"dim_cap = {dim_cap}")
+            extend(k + 1, idxs, t)
+
+    extend(0, (), 0)
+    out.sort()
+    return [idxs for _, idxs in out]

@@ -10,7 +10,7 @@ so everything is dense float64: eigendecompositions go through LAPACK
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -60,52 +60,20 @@ def symmetric_eigen(m):
     return w[order], v[:, order]
 
 
-def orthonormalize(columns):
-    """Orthonormalize the columns of a matrix, preserving their span.
-
-    Uses a QR factorization with the diagonal of R forced non-negative, so an
-    already-orthonormal input is returned unchanged up to column signs.
-
-    Raises
-    ------
-    DomainError
-        If the columns are linearly dependent (singular values at most
-        1e-10 times the larger side); the message reports the numerical rank.
-    """
-    a = as_real_matrix(m=columns, name="columns")
-    if a.shape[1] == 0:
-        return a.copy()
-    svals = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(svals > 1e-10 * max(a.shape)))
-    if rank < a.shape[1]:
-        raise DomainError(
-            f"columns are rank deficient: numerical rank {rank} < {a.shape[1]}"
-        )
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
-
-
 @dataclass
 class LinearProgram:
     """A maximization LP: max c.x subject to A_eq x = b_eq, A_ub x <= b_ub.
 
-    ``bounds`` holds one (lo, hi) pair per variable with ``None`` for an
-    unbounded side; variables are free by default (note: this differs from
-    scipy's default of x >= 0).
+    Every variable is free (note: this differs from scipy's default of
+    x >= 0); a box on a variable is written as ``ub`` rows.
     """
 
     objective: np.ndarray
     eq: tuple | None = None  # (matrix, rhs)
     ub: tuple | None = None  # (matrix, rhs)
-    bounds: list = field(default_factory=list)
-
-    def n_vars(self):
-        return len(np.atleast_1d(self.objective))
 
     def _validate(self):
-        n = self.n_vars()
+        n = len(np.atleast_1d(self.objective))
         for label, pair in (("eq", self.eq), ("ub", self.ub)):
             if pair is None:
                 continue
@@ -116,8 +84,6 @@ class LinearProgram:
                 )
             if a.shape[0] != len(np.atleast_1d(pair[1])):
                 raise DomainError(f"{label} rhs length mismatch")
-        if self.bounds and len(self.bounds) != n:
-            raise DomainError("bounds length must equal variable count")
 
 
 @dataclass
@@ -152,11 +118,10 @@ def lp_solve(p: LinearProgram):
     c = -np.atleast_1d(np.asarray(p.objective, dtype=float))
     a_eq, b_eq = (None, None) if p.eq is None else p.eq
     a_ub, b_ub = (None, None) if p.ub is None else p.ub
-    bounds = p.bounds if p.bounds else [(None, None)] * p.n_vars()
 
     def solve(scale=1.0, options=None):
         res = linprog(c / scale, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs", options=options)
+                      bounds=(None, None), method="highs", options=options)
         return _certify(p, res, scale)
 
     try:
@@ -208,7 +173,8 @@ def effect_lp(points, objective, eq=None):
 
 def check_feasible(p: LinearProgram, x):
     """Raise :class:`NumericalConsistencyError` unless ``x`` meets every
-    equality, inequality and bound of ``p`` within ``DEFAULT_TOL``."""
+    equality and inequality of ``p`` within ``DEFAULT_TOL``; every variable
+    is free, so there are no bounds to check."""
     if not np.all(np.isfinite(x)):
         raise NumericalConsistencyError("point has non-finite entries")
     if p.eq is not None:
@@ -223,11 +189,6 @@ def check_feasible(p: LinearProgram, x):
             raise NumericalConsistencyError(
                 f"optimal point violates inequalities by {excess:.3e}"
             )
-    for i, (lo, hi) in enumerate(p.bounds or []):
-        if lo is not None and x[i] < lo - DEFAULT_TOL:
-            raise NumericalConsistencyError(f"variable {i} below lower bound")
-        if hi is not None and x[i] > hi + DEFAULT_TOL:
-            raise NumericalConsistencyError(f"variable {i} above upper bound")
 
 
 def round_to_int(x, soft_tol=DEFAULT_TOL, what="value"):

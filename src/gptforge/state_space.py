@@ -193,15 +193,6 @@ def witness_effect(s, anchor=0):
     return Effect.affine(0.5, a / (2.0 * na * na), f"witness[{s.label}@{anchor}]")
 
 
-def sample_csv(s):
-    """Orbit export: one row per point, block boundaries in the header."""
-    lines = [f"# blocks trivial=0:1 {s.label}=1:{s.ambient_dim}",
-             ",".join(f"c{i}" for i in range(s.ambient_dim))]
-    for row in s.points:
-        lines.append(",".join(f"{v:.12g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # stock structures
 

@@ -1,10 +1,17 @@
 import copy
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gptforge
 from gptforge import deformation as dm
+from gptforge import finite_rep as fr
 from gptforge.cli import _t_grid, main
 from gptforge.errors import DomainError
 
@@ -27,6 +34,16 @@ def s3_files(tmp_path):
     trivial = tmp_path / "trivial.json"
     trivial.write_text(json.dumps({"generators": []}))
     return group, swap, trivial
+
+
+def cyclic_files(tmp_path, n):
+    """Group file of Z_n and the file of its trivial subgroup."""
+    group = tmp_path / f"z{n}.json"
+    group.write_text(json.dumps(
+        {"degree": n, "generators": [[list(range(n))]]}))
+    trivial = tmp_path / "trivial.json"
+    trivial.write_text(json.dumps({"generators": []}))
+    return group, trivial
 
 
 class TestGelfandCommand:
@@ -82,6 +99,63 @@ class TestGelfandCommand:
                                "--dim-cap", "0")
         assert code == 0
         assert json.loads(out)["structures"] == []
+
+    def test_pair_decided_once(self, capsys, monkeypatch, tmp_path):
+        group = tmp_path / "s4.json"
+        group.write_text(json.dumps(
+            {"degree": 4, "generators": [[[0, 1]], [[0, 1, 2, 3]]]}))
+        point_stabilizer = tmp_path / "s3.json"
+        point_stabilizer.write_text(json.dumps(
+            {"generators": [[[0, 1]], [[0, 1, 2]]]}))
+        decisions = []
+        is_gelfand_pair = fr.is_gelfand_pair
+
+        def counted(*args, **kwargs):
+            decisions.append(args)
+            return is_gelfand_pair(*args, **kwargs)
+
+        monkeypatch.setattr(fr, "is_gelfand_pair", counted)
+        code, out, _ = run_cli(capsys, "gelfand", str(group),
+                               str(point_stabilizer))
+        assert code == 0 and json.loads(out)["gelfand"] is True
+        assert len(decisions) == 1
+
+    def test_structure_cap_exit_3(self, capsys, tmp_path):
+        # 17 units under the default cap of 32: 131,071 structures
+        code, _, err = run_cli(capsys, "gelfand",
+                               *map(str, cyclic_files(tmp_path, 32)))
+        assert code == 3
+        assert str(fr.MAX_STRUCTURES) in err
+
+    def test_every_subset_below_structure_cap(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "gelfand",
+                               *map(str, cyclic_files(tmp_path, 24)))
+        assert code == 0
+        data = json.loads(out)
+        # reference: every subset of units, filtered by the cap and sorted
+        units = [(tuple(u["irreps"]), u["real_dim"])
+                 for u in data["spherical_irreps"]]
+        want = []
+        for r in range(1, len(units) + 1):
+            for combo in itertools.combinations(units, r):
+                total = sum(dim for _, dim in combo)
+                if total <= data["dim_cap"]:
+                    want.append((total, sorted(i for u, _ in combo for i in u)))
+        want.sort()
+        assert len(want) == 8191
+        assert data["structures"] == [idxs for _, idxs in want]
+
+    def test_enumeration_grows_with_output(self, tmp_path):
+        # 31 units, 90 of whose sums fit under the cap; a walk over all
+        # 2^31 subsets would not finish, so the child runs under a timeout
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(gptforge.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gptforge.cli", "gelfand",
+             *map(str, cyclic_files(tmp_path, 60)), "--dim-cap", "3"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["structures"]) == 90
 
 
 class TestHexagonCommand:

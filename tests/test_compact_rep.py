@@ -194,17 +194,6 @@ class TestInvariantProjector:
             cr.invariant_projector(cr.su_adjoint(3), cr.block_subgroup(2, 1),
                                    cr.MonteCarlo(2, 5))
 
-    def test_finite_list_exact(self):
-        # the four diagonal sign matrices with det 1 form a finite subgroup
-        mats = [np.diag(v).astype(complex)
-                for v in ([1, 1, 1, 1], [1, 1, -1, -1],
-                          [1, -1, 1, -1], [1, -1, -1, 1])]
-        p = cr.invariant_projector(cr.su_adjoint(4),
-                                   cr.finite_subgroup(mats),
-                                   cr.MonteCarlo(64, 0))
-        # fixed space: matrices commuting with all four signs = diagonal ones
-        assert p.rank == 3
-
     def test_spin2_torus_rank_1(self):
         p = cr.invariant_projector(cr.so_traceless_symmetric(3),
                                    cr.full_torus())

@@ -8,28 +8,6 @@ from gptforge import state_space as ss
 from gptforge.errors import DomainError
 
 
-class TestOpfDistance:
-    def test_identical_effects(self, bloch_2000):
-        e = ss.witness_effect(bloch_2000, anchor=0)
-        assert dm.opf_distance(e, e, bloch_2000) == 0.0
-
-    def test_bloch_pole_effects(self, bloch_2000):
-        up = ss.Effect(np.array([0.5, 0.0, 0.0, 0.5]))
-        down = ss.Effect(np.array([0.5, 0.0, 0.0, -0.5]))
-        d = dm.opf_distance(up, down, bloch_2000)
-        assert 0.995 < d <= 1.0 + 1e-12
-
-    def test_unit_vs_zero(self, bloch_2000):
-        d = dm.opf_distance(ss.unit_effect(bloch_2000),
-                            ss.Effect(np.zeros(4)), bloch_2000)
-        assert d == 1.0
-
-    def test_dimension_mismatch(self, bloch_2000):
-        with pytest.raises(DomainError):
-            dm.opf_distance(ss.Effect(np.zeros(5)),
-                            ss.unit_effect(bloch_2000), bloch_2000)
-
-
 class TestRigidityBound:
     def test_values(self):
         assert dm.rigidity_bound(4) == pytest.approx(1 / 12)

@@ -16,6 +16,7 @@ from gptforge.errors import (
     NumericalConsistencyError,
 )
 from gptforge.numerics import (
+    COINCIDENCE_TOL,
     DEFAULT_TOL,
     check_feasible,
     effect_program,
@@ -163,6 +164,25 @@ class TestEncodingGame:
             if previous is not None:
                 assert abs(g.bit2_success - previous) < 0.02
             previous = g.bit2_success
+
+    # None: an independent coefficient; else the gap to the previous one
+    GAPS = (st.sampled_from([None, 0.0])
+            | st.floats(-10.0, -8.0).map(lambda e: 10.0 ** e))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.05, 0.6), st.floats(0.05, 0.6), GAPS, GAPS,
+           st.permutations(range(3)))
+    @example(0.3, 0.3, 0.0, 0.0, [0, 1, 2])
+    def test_coincidence_rule_matches_pairwise(self, a, b, gap1, gap2, order):
+        v = [a, b if gap1 is None else a + gap1]
+        v.append(0.6 - b if gap2 is None else v[1] + gap2)
+        alpha = dc.AlphaTriple.of(np.array(v)[list(order)])
+        # the pairwise rule the label rule replaced
+        h = dc.hexagon_vertices(alpha)
+        y = h.vertices[list(h.label_to_vertex)]
+        pairwise = any(np.max(np.abs(y[i] - y[j])) <= COINCIDENCE_TOL
+                       for i, j in itertools.combinations((0, 1, 3, 4), 2))
+        assert dc.encoding_game_value(alpha).degenerate == pairwise
 
 
 class TestNearEqual:

@@ -207,22 +207,28 @@ class TestFrobeniusSchur:
 class TestStructureEnumeration:
     def test_s3_cap3(self, s3, s3_table):
         h = fr.subgroup_from_generators(s3, [(1, 0, 2)])
-        out = fr.count_probabilistic_structures(s3_table, h, 3)
+        units = fr.spherical_units(s3_table, fr.is_gelfand_pair(s3_table, h))
+        out = fr.count_probabilistic_structures(units, 3)
         assert out == [(0,), (2,), (0, 2)]
 
     def test_cap_zero(self, s3, s3_table):
         h = fr.subgroup_from_generators(s3, [(1, 0, 2)])
-        assert fr.count_probabilistic_structures(s3_table, h, 0) == []
+        units = fr.spherical_units(s3_table, fr.is_gelfand_pair(s3_table, h))
+        assert fr.count_probabilistic_structures(units, 0) == []
 
     def test_full_subgroup_only_trivial(self, s4):
-        out = fr.count_probabilistic_structures(fr.character_table(s4),
-                                                fr.full_subgroup(s4), 10)
+        t = fr.character_table(s4)
+        units = fr.spherical_units(
+            t, fr.is_gelfand_pair(t, fr.full_subgroup(s4)))
+        out = fr.count_probabilistic_structures(units, 10)
         assert out == [(0,)]
 
     def test_complex_pairs_merged(self):
         g = fr.cyclic_group(4)
         h = fr.trivial_subgroup(g)
-        out = fr.count_probabilistic_structures(fr.character_table(g), h, 2)
+        t = fr.character_table(g)
+        out = fr.count_probabilistic_structures(
+            fr.spherical_units(t, fr.is_gelfand_pair(t, h)), 2)
         # units: trivial (dim 1), the other real character (dim 1),
         # and the conjugate pair (real dim 2)
         flat = set(out)
@@ -232,8 +238,9 @@ class TestStructureEnumeration:
 
     def test_non_gelfand_rejected(self, s3, s3_table):
         with pytest.raises(DomainError, match="not a Gelfand pair"):
-            fr.count_probabilistic_structures(s3_table,
-                                              fr.trivial_subgroup(s3), 5)
+            decision = fr.is_gelfand_pair(s3_table, fr.trivial_subgroup(s3))
+            fr.count_probabilistic_structures(
+                fr.spherical_units(s3_table, decision), 5)
 
 
 class TestSubgroups:

@@ -14,7 +14,6 @@ from gptforge.numerics import (
     check_feasible,
     effect_lp,
     lp_solve,
-    orthonormalize,
     round_to_int,
     symmetric_eigen,
 )
@@ -67,42 +66,18 @@ class TestSymmetricEigen:
         assert np.max(np.abs(v @ np.diag(w) @ v.T - m)) < 1e-8
 
 
-class TestOrthonormalize:
-    def test_orthonormal_unchanged_up_to_sign(self):
-        q = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 3)))[0]
-        out = orthonormalize(q)
-        assert np.allclose(np.abs(out.T @ q), np.eye(3), atol=1e-12)
-
-    def test_gram_schmidt_by_hand(self):
-        out = orthonormalize(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert np.allclose(out, np.eye(2), atol=1e-12)
-
-    def test_random_8x2(self):
-        a = np.random.default_rng(1).standard_normal((8, 2))
-        q = orthonormalize(a)
-        assert np.max(np.abs(q.T @ q - np.eye(2))) < 1e-12
-        # same span: projections agree
-        p1 = q @ q.T
-        u = np.linalg.qr(a)[0]
-        assert np.allclose(p1, u @ u.T, atol=1e-10)
-
-    def test_rank_deficient_reports_rank(self):
-        a = np.ones((4, 2))
-        with pytest.raises(DomainError, match="rank 1"):
-            orthonormalize(a)
-
-
 class TestLpSolve:
     def test_single_variable(self):
-        res = lp_solve(LinearProgram(np.array([1.0]), bounds=[(0.0, 1.0)]))
+        box = (np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))  # 0 <= x <= 1
+        res = lp_solve(LinearProgram(np.array([1.0]), ub=box))
         assert res.optimal and abs(res.value - 1.0) < 1e-8
         assert abs(res.x[0] - 1.0) < 1e-8
 
     def test_two_variables(self):
         lp = LinearProgram(
-            np.array([1.0, 1.0]),
-            ub=(np.array([[1.0, 1.0]]), np.array([1.0])),
-            bounds=[(0.0, None), (0.0, None)],
+            np.array([1.0, 1.0]),  # x + y <= 1 with x, y >= 0
+            ub=(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                np.array([1.0, 0.0, 0.0])),
         )
         res = lp_solve(lp)
         assert res.optimal and abs(res.value - 1.0) < 1e-8
@@ -143,8 +118,11 @@ class TestLpSolve:
             lo = [-5.0] * n
             hi = [5.0] * n
             status, value = lp_vertex_oracle(c, a, b, lo, hi)
-            res = lp_solve(LinearProgram(c, ub=(a, b),
-                                         bounds=list(zip(lo, hi))))
+            # the oracle's box lo <= x <= hi, given to the LP as ub rows
+            eye = np.eye(n)
+            rows = np.concatenate([a, eye, -eye])
+            rhs = np.concatenate([b, hi, np.negative(lo)])
+            res = lp_solve(LinearProgram(c, ub=(rows, rhs)))
             assert res.status == status
             if status == "optimal":
                 assert abs(res.value - value) < 1e-8

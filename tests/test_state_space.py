@@ -202,14 +202,3 @@ class TestStockStructures:
     def test_fully_degenerate_alpha_rejected(self):
         with pytest.raises(DomainError):
             ss.deformable_reference([1 / 3, 1 / 3, 1 / 3])
-
-
-class TestSampleExport:
-    def test_csv_header_and_rows(self):
-        s = ss.bloch_structure(5, 0)
-        out = ss.sample_csv(s)
-        lines = out.strip().split("\n")
-        assert lines[0] == "# blocks trivial=0:1 su2:spin1=1:4"
-        assert lines[1] == "c0,c1,c2,c3"
-        assert len(lines) == 7
-        assert lines[2].startswith("1,")
