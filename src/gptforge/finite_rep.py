@@ -1,10 +1,12 @@
 """Finite permutation groups, character tables, and the Gelfand-pair decision.
 
-Groups are stored as fully enumerated lists of permutations (orders here stay
-small, so indexing beats abstraction).  Character tables come from Burnside's
-class-algebra method: the class-sum matrices commute, and a random real linear
-combination of them separates the common eigenvectors, which after
-normalization are exactly the columns of the table.
+Groups are stored fully enumerated, as one (|G|, degree) array of permutation
+rows with an exact row -> index lookup, so closing generators, conjugating and
+multiplying all of G are array gathers, not loops over compositions.
+Character tables come from Burnside's class-algebra method: the class-sum
+matrices commute, and a random real linear combination of them separates the
+common eigenvectors, which after normalization are exactly the columns of the
+table.
 
 The key derived quantities are the multiplicity of the trivial representation
 in a restriction to a subgroup (a plain character average over the subgroup),
@@ -15,8 +17,8 @@ dimension cap.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,13 +35,6 @@ MAX_STRUCTURES = 10_000  # listed sums; Z_32 over its trivial subgroup has 131,0
 def compose(p, q):
     """(p o q)(i) = p(q(i)); both are tuples of images."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def inverse(p):
-    inv = [0] * len(p)
-    for i, pi in enumerate(p):
-        inv[pi] = i
-    return tuple(inv)
 
 
 def cycles_to_perm(degree, cycles):
@@ -67,45 +62,73 @@ def _check_perm(p, degree):
 # groups
 
 
-def _closure(seeds, steps):
-    """Yield the seeds, then each new point the maps in ``steps`` reach:
-    breadth-first, each point once, lazily so that a caller can stop early."""
-    queue = list(dict.fromkeys(seeds))
-    seen = set(queue)
-    yield from queue
-    for p in queue:  # the queue grows while it is read
-        for step in steps:
-            q = step(p)
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-                yield q
+def _row_keys(rows):
+    """One exact sort key per permutation row: the row's bytes, read as one
+    uint64 when they fit in 8 bytes and as a fixed-width byte string else."""
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1] * rows.itemsize
+    if width > 8:
+        return rows.view(np.dtype((np.void, width))).ravel()
+    padded = np.zeros((len(rows), 8), dtype=np.uint8)
+    padded[:, :width] = rows.view(np.uint8)
+    return padded.view(np.uint64).ravel()
+
+
+class _RowIndex:
+    """Element indices of permutation rows, by binary search over row keys."""
+
+    def __init__(self, perms):
+        self.dtype, self.degree = perms.dtype, perms.shape[1]
+        keys = _row_keys(perms)
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
+
+    def __getitem__(self, rows):
+        """Index of one permutation, or indices of an (m, degree) array."""
+        rows = np.asarray(rows)
+        keys = _row_keys(rows.reshape(-1, self.degree).astype(self.dtype))
+        pos = np.searchsorted(self.keys, keys) % len(self.keys)  # past the end: 0
+        if np.any(self.keys[pos] != keys):
+            raise KeyError("permutation is not a group element")
+        return int(self.order[pos[0]]) if rows.ndim == 1 else self.order[pos]
+
+    def __contains__(self, perm):
+        try:
+            return sorted(perm) == list(range(self.degree)) and self[perm] >= 0
+        except KeyError:
+            return False
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A fully enumerated permutation group.
 
-    ``elements[0]`` is the identity.  ``index`` maps a permutation tuple back
-    to its position, which makes composition and inversion table lookups.
+    Row ``perms[i]`` holds the images of element i, in the smallest unsigned
+    dtype that holds ``degree - 1``; ``perms[0]`` is the identity.  ``index``
+    maps a permutation, or an (m, degree) array of them, to element indices.
     ``generators`` holds the element indices of the generating set.
     """
 
     degree: int
-    elements: tuple
-    index: dict = field(repr=False)
-    inverses: tuple = field(repr=False)
+    perms: np.ndarray = field(repr=False)
+    index: _RowIndex = field(repr=False)
+    inverses: np.ndarray = field(repr=False)
     generators: tuple = field(repr=False)
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.perms)
+
+    @cached_property
+    def elements(self):
+        """The elements as tuples of images."""
+        return tuple(map(tuple, self.perms.tolist()))
 
     def compose(self, i, j):
-        return self.index[compose(self.elements[i], self.elements[j])]
+        return self.index[self.perms[i][self.perms[j]]]
 
     def inverse(self, i):
-        return self.inverses[i]
+        return int(self.inverses[i])
 
     def __iter__(self):
         return iter(range(self.order))
@@ -114,9 +137,11 @@ class FiniteGroup:
 def generate_group(generators, degree=None, max_order=DEFAULT_ORDER_CAP):
     """Close a generator list under composition (breadth-first, deterministic).
 
-    ``degree`` is only needed when ``generators`` is empty (the trivial
-    group).  Raises :class:`ResourceError` once the closure exceeds
-    ``max_order``.
+    Each level is the previous one composed with every generator, each row's
+    images kept together and only first occurrences of new rows kept, so an
+    element's index is its place in breadth-first order.  ``degree`` is only
+    needed when ``generators`` is empty (the trivial group).  Raises
+    :class:`ResourceError` once the closure exceeds ``max_order``.
     """
     gens = [tuple(g) for g in generators]
     if gens:
@@ -131,14 +156,25 @@ def generate_group(generators, degree=None, max_order=DEFAULT_ORDER_CAP):
     if max_order < 1:
         raise DomainError("max_order must be at least 1")
 
-    steps = [lambda p, g=g: compose(p, g) for g in gens]
-    elems = tuple(itertools.islice(_closure([tuple(range(degree))], steps),
-                                   max_order + 1))  # stop before a huge group
-    if len(elems) > max_order:
-        raise ResourceError(f"group order exceeds max_order = {max_order}")
-    index = {p: i for i, p in enumerate(elems)}
-    inv = tuple(index[inverse(p)] for p in elems)
-    return FiniteGroup(degree, elems, index, inv, tuple(index[g] for g in gens))
+    steps = np.array(gens, dtype=np.min_scalar_type(degree - 1)).reshape(-1, degree)
+    frontier = np.arange(degree, dtype=steps.dtype)[None]
+    levels, seen = [frontier], _row_keys(frontier)
+    while len(frontier):
+        rows = frontier[:, steps].reshape(-1, degree)  # p o g for each p, g
+        keys = _row_keys(rows)
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        pos = np.searchsorted(seen, keys[first]) % len(seen)
+        fresh = first[seen[pos] != keys[first]]
+        if len(seen) + len(fresh) > max_order:  # stop before a huge group
+            raise ResourceError(f"group order exceeds max_order = {max_order}")
+        frontier = rows[fresh]
+        levels.append(frontier)
+        seen = np.sort(np.concatenate([seen, keys[fresh]]))
+    perms = np.concatenate(levels)
+    perms.flags.writeable = False
+    index = _RowIndex(perms)
+    return FiniteGroup(degree, perms, index, index[np.argsort(perms, axis=1)],
+                       tuple(index[steps].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,13 +198,14 @@ class Subgroup:
         span, steps = {0}, []  # the span at least doubles with each step
         for i in self.members:
             if i not in span:
-                steps.append(lambda x, i=i: g.compose(x, i))
-                grown = set()
-                for x in _closure(span, steps):
-                    if x not in mem:
-                        raise DomainError("subgroup not closed under composition")
-                    grown.add(x)
-                span = grown
+                steps.append(i)
+                try:  # a span larger than the members cannot lie among them
+                    grown = generate_group(g.perms[steps], max_order=len(mem))
+                except ResourceError:
+                    grown = None
+                if grown is None or not (
+                        span := set(g.index[grown.perms].tolist())) <= mem:
+                    raise DomainError("subgroup not closed under composition")
 
 
 def subgroup_from_generators(group, generators):
@@ -185,8 +222,8 @@ def subgroup_from_generators(group, generators):
             if p not in group.index:
                 raise DomainError(f"generator {p} is not an element of the group")
             idxs.append(group.index[p])
-    steps = [lambda i, j=j: group.compose(i, j) for j in idxs]
-    return Subgroup(group, tuple(sorted(_closure([0], steps))))
+    sub = generate_group(group.perms[idxs], group.degree, max_order=group.order)
+    return Subgroup(group, tuple(np.sort(group.index[sub.perms]).tolist()))
 
 
 def trivial_subgroup(group):
@@ -260,21 +297,26 @@ def quaternion_group():
 def conjugacy_classes(group):
     """Classes in deterministic order (identity class first).
 
-    Returns (classes, class_of) where classes is a tuple of index tuples and
-    class_of maps an element index to its class index.  A class is closed
-    under conjugation by the generators alone.
+    Returns (classes, class_of) where classes is a tuple of sorted index
+    tuples, ordered by their smallest element, and class_of maps an element
+    index to its class index.  A class is closed under conjugation by the
+    generators alone: each gives one index map x -> g x g^-1, and every
+    element takes the smallest label of its orbit under them.
     """
-    n = group.order
-    class_of = np.full(n, -1, dtype=int)
-    classes = []
-    c, inv = group.compose, group.inverse
-    steps = [lambda x, g=g: c(c(g, x), inv(g)) for g in group.generators]
-    for i in range(n):
-        if class_of[i] < 0:
-            orbit = sorted(_closure([i], steps))
-            class_of[orbit] = len(classes)
-            classes.append(tuple(orbit))
-    return tuple(classes), class_of
+    perms = group.perms
+    maps = [group.index[perms[g][perms[:, perms[group.inverses[g]]]]]
+            for g in group.generators]
+    label, last = np.arange(group.order), None
+    while not np.array_equal(label, last):
+        last = label
+        for m in maps:  # pull labels from images, push them to images
+            label = np.minimum(label, label[m])
+            label[m] = np.minimum(label[m], label)
+        label = label[label]
+    _, class_of = np.unique(label, return_inverse=True)
+    members = np.argsort(class_of, kind="stable")
+    bounds = np.cumsum(np.bincount(class_of))[:-1]
+    return tuple(tuple(c.tolist()) for c in np.split(members, bounds)), class_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,6 +325,7 @@ class CharacterTable:
     classes: tuple
     class_of: np.ndarray = field(repr=False)
     chars: np.ndarray = field(repr=False)  # (n_irreps, n_classes) complex
+    retries: int = field(default=0, repr=False)  # random combinations discarded
 
     @property
     def n_irreps(self):
@@ -305,14 +348,11 @@ class CharacterTable:
 
 def _class_constant_matrices(group, classes, class_of):
     """a[i][j, l] = #{x in class i : x^-1 z_l in class j} for representatives z_l."""
-    k = len(classes)
-    mats = np.zeros((k, k, k))
-    reps = [c[0] for c in classes]
-    for l, z in enumerate(reps):
-        for x in group:
-            y = group.compose(group.inverse(x), z)
-            mats[class_of[x], class_of[y], l] += 1.0
-    return mats
+    k, perms = len(classes), group.perms
+    reps = perms[[c[0] for c in classes]]
+    y = group.index[perms[group.inverses][:, reps].reshape(-1, group.degree)]
+    cells = (class_of[:, None] * k + class_of[y].reshape(-1, k)) * k + np.arange(k)
+    return np.bincount(cells.ravel(), minlength=k ** 3).reshape(k, k, k).astype(float)
 
 
 def character_table(group):
@@ -335,7 +375,7 @@ def character_table(group):
     mats = _class_constant_matrices(group, classes, class_of)
     rng = np.random.default_rng(0x5EED ^ group.order)
     last_err = None
-    for _ in range(40):
+    for retries in range(40):
         coeff = rng.standard_normal(k)
         m = np.tensordot(coeff, mats, axes=(0, 0))
         evals, evecs = np.linalg.eig(m)
@@ -349,15 +389,11 @@ def character_table(group):
         except NumericalConsistencyError as err:
             last_err = err
             continue
-        order = sorted(
-            range(k),
-            key=lambda i: (np.round(chars[i, 0].real, 8),)
-            + tuple(
-                (-np.round(chars[i, l].real, 8), -np.round(chars[i, l].imag, 8))
-                for l in range(k)
-            ),
-        )
-        return CharacterTable(group, classes, class_of, chars[order])
+        # stable: by dimension, then (-re, -im) class by class, to 8 digits
+        re, im = np.round(chars.real, 8), np.round(chars.imag, 8)
+        keys = [re[:, 0], *np.stack([-re, -im], axis=2).reshape(k, -1).T]
+        order = np.lexsort(keys[::-1])  # the last key sorts first
+        return CharacterTable(group, classes, class_of, chars[order], retries)
     raise NumericalConsistencyError(
         f"character table failed to converge: {last_err}"
     )
@@ -401,7 +437,7 @@ def trivial_restriction_multiplicity(table, irrep, sub):
     """
     if sub.parent is not table.group:
         raise DomainError("subgroup does not belong to the table's group")
-    total = sum(table.value(irrep, h) for h in sub.members)
+    total = table.chars[irrep, table.class_of[list(sub.members)]].sum()
     return round_to_int(total / sub.order, what="restriction multiplicity")
 
 
@@ -434,8 +470,10 @@ def frobenius_schur(table, irrep):
     """Indicator (1/|G|) sum_g chi(g^2) = (1/|G|) sum_C |C| chi(c^2) over the
     classes C, c in C: +1 real, 0 complex, -1 quaternionic."""
     g = table.group
-    total = sum(len(c) * table.value(irrep, g.compose(c[0], c[0]))
-                for c in table.classes)
+    reps = g.perms[[c[0] for c in table.classes]]
+    squares = g.index[np.take_along_axis(reps, reps, axis=1)]  # c o c
+    total = sum(len(c) * table.value(irrep, s)
+                for c, s in zip(table.classes, squares))
     val = total / g.order
     ind = round_to_int(val, what="Frobenius-Schur indicator")
     if ind not in (-1, 0, 1):

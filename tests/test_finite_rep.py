@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,144 @@ class TestConjugacyClasses:
         assert all(class_of[x] == k for k, c in enumerate(classes) for x in c)
 
 
+# ---------------------------------------------------------------------------
+# the array route against the tuple route it replaced: breadth-first closure
+# over tuples, classes closed under conjugation by the generators, and
+# class-constant matrices counted one composition at a time
+
+
+def _tuple_closure(seeds, steps):
+    queue = list(dict.fromkeys(seeds))
+    seen = set(queue)
+    yield from queue
+    for p in queue:  # the queue grows while it is read
+        for step in steps:
+            q = step(p)
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+                yield q
+
+
+def _tuple_inverse(p):
+    inv = [0] * len(p)
+    for i, pi in enumerate(p):
+        inv[pi] = i
+    return tuple(inv)
+
+
+def _tuple_group(gens, degree, max_order):
+    """(elements, index, inverses, generators), or None above ``max_order``."""
+    steps = [lambda p, g=g: fr.compose(p, g) for g in gens]
+    elems = tuple(itertools.islice(
+        _tuple_closure([tuple(range(degree))], steps), max_order + 1))
+    if len(elems) > max_order:
+        return None
+    index = {p: i for i, p in enumerate(elems)}
+    inverses = tuple(index[_tuple_inverse(p)] for p in elems)
+    return elems, index, inverses, tuple(index[g] for g in gens)
+
+
+def _tuple_classes(ref):
+    elems, index, inverses, generators = ref
+
+    def c(i, j):
+        return index[fr.compose(elems[i], elems[j])]
+
+    class_of = np.full(len(elems), -1, dtype=int)
+    classes = []
+    steps = [lambda x, g=g: c(c(g, x), inverses[g]) for g in generators]
+    for i in range(len(elems)):
+        if class_of[i] < 0:
+            orbit = sorted(_tuple_closure([i], steps))
+            class_of[orbit] = len(classes)
+            classes.append(tuple(orbit))
+    return tuple(classes), class_of
+
+
+def _tuple_class_constants(ref, classes, class_of):
+    elems, index, inverses, _ = ref
+    k = len(classes)
+    mats = np.zeros((k, k, k))
+    for l, z in enumerate(c[0] for c in classes):
+        for x in range(len(elems)):
+            y = index[fr.compose(elems[inverses[x]], elems[z])]
+            mats[class_of[x], class_of[y], l] += 1.0
+    return mats
+
+
+def _assert_same_as_tuple_route(gens, degree, max_order, constants=True):
+    ref = _tuple_group(gens, degree, max_order)
+    if ref is None:
+        with pytest.raises(ResourceError):
+            fr.generate_group(gens, degree=degree, max_order=max_order)
+        return
+    g = fr.generate_group(gens, degree=degree, max_order=max_order)
+    elems, index, inverses, generators = ref
+    assert g.elements == elems
+    assert all(g.index[p] == i for p, i in index.items())
+    assert np.array_equal(g.index[g.perms], np.arange(g.order))
+    assert tuple(g.inverses.tolist()) == inverses
+    assert g.generators == generators
+    classes, class_of = fr.conjugacy_classes(g)
+    want_classes, want_class_of = _tuple_classes(ref)
+    assert classes == want_classes
+    assert np.array_equal(class_of, want_class_of)
+    if constants:
+        assert np.array_equal(
+            fr._class_constant_matrices(g, classes, class_of),
+            _tuple_class_constants(ref, want_classes, want_class_of))
+    # the subgroup of the first generator, closed one composition at a time
+    first = elems[generators[0]]
+    want = sorted(_tuple_closure(
+        [0], [lambda i: index[fr.compose(elems[i], first)]]))
+    assert fr.subgroup_from_generators(g, [first]).members == tuple(want)
+    # the cap: the order itself passes, one less refuses
+    assert fr.generate_group(gens, degree=degree, max_order=g.order).order \
+        == g.order
+    if g.order > 1:
+        with pytest.raises(ResourceError):
+            fr.generate_group(gens, degree=degree, max_order=g.order - 1)
+
+
+@st.composite
+def _generator_lists(draw):
+    degree = draw(st.integers(1, 8))
+    return degree, draw(st.lists(st.permutations(range(degree)),
+                                 min_size=1, max_size=3))
+
+
+class TestArrayRouteMatchesTupleRoute:
+    @settings(max_examples=60, deadline=None)
+    @given(_generator_lists())
+    def test_random_groups(self, case):
+        degree, gens = case
+        _assert_same_as_tuple_route([tuple(g) for g in gens], degree, 720)
+
+    def test_cyclic_on_30_points(self):
+        # 30 points: an int64 positional code of a row would overflow
+        _assert_same_as_tuple_route([tuple(range(1, 30)) + (0,)], 30, 100)
+
+    def test_klein_four_on_64_points(self):
+        a = tuple(i ^ 1 for i in range(64))
+        b = tuple(i ^ 2 for i in range(64))
+        _assert_same_as_tuple_route([a, b], 64, 100)
+
+    def test_cyclic_on_300_points(self):
+        # rows wider than one byte per point
+        _assert_same_as_tuple_route([tuple(range(1, 300)) + (0,)], 300, 300,
+                                    constants=False)
+
+    def test_index_refuses_non_elements(self, s3):
+        assert (1, 0, 2) in s3.index
+        for p in [(1, 0, 3, 2), (0, 1), (0, 1, 3), (0, 1, -1)]:
+            assert p not in s3.index
+        klein = fr.generate_group([(1, 0, 3, 2), (2, 3, 0, 1)])
+        assert (1, 0, 2, 3) not in klein.index
+        with pytest.raises(KeyError):
+            klein.index[(1, 0, 2, 3)]
+
+
 class TestCharacterTable:
     def test_s3_dimensions(self, s3_table):
         assert s3_table.dims == (1, 1, 2)
@@ -95,6 +235,22 @@ class TestCharacterTable:
     def test_q8_has_one_2dim(self, q8):
         t = fr.character_table(q8)
         assert t.dims == (1, 1, 1, 1, 2)
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_irreps_in_rounded_key_order(self, name):
+        # the order a sort of each row's rounded key gives, written inline
+        chars = fr.character_table(GROUPS[name]()).chars
+        k = chars.shape[0]
+        order = sorted(range(k), key=lambda i: (np.round(chars[i, 0].real, 8),)
+                       + tuple((-np.round(chars[i, l].real, 8),
+                                -np.round(chars[i, l].imag, 8))
+                               for l in range(k)))
+        assert order == list(range(k))
+
+    @pytest.mark.parametrize("name", ["S3", "S4", "D5"])
+    def test_no_retries_on_small_groups(self, name):
+        g = {"S3": lambda: fr.symmetric_group(3), **GROUPS}[name]()
+        assert fr.character_table(g).retries == 0
 
 
 class TestRestrictionMultiplicity:
