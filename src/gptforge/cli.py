@@ -3,8 +3,11 @@
 Subcommands: gelfand, hexagon, deform, grassmann, distance, sphere-check,
 schur-average, catalog, quartic.  JSON is the canonical output (keys sorted,
 defaults echoed in a meta header); CSV is emitted only for sweep and figure
-data.  Every command is deterministic given its inputs and --seed; the
-environment variable GPTFORGE_SEED overrides the default seed of 0.
+data.  Every command is deterministic given its inputs.  The four commands
+that sample (deform, distance, sphere-check, schur-average) also take --seed
+and --samples; their seed defaults to the non-negative integer in the
+environment variable GPTFORGE_SEED, read on each call, or 0.  The parser
+holds no environment state and is built once per process.
 
 Exit codes: 0 success, 2 input error, 3 resource cap exceeded, 4 internal
 numerical-consistency failure.
@@ -35,16 +38,19 @@ MAX_T_GRID_ROWS = 1001  # a 0:1:0.001 grid; each row is a full distance estimate
 MAX_GRASSMANN_ROWS = 10_000  # candidate partitions, comb(b1_max + m, m)
 MAX_GRASSMANN_RANK = 64  # m + n; each row is an O((m + n)^2) Weyl product
 MAX_FUNDAMENTAL_DIM = 16  # d of a structure's group, quartic k = 4 at most
+MAX_FAMILY_SIZE = 1_000  # witness effects per direction of a distance estimate
+MAX_TRIALS = 10_000  # random effects of schur-average, built one by one
 
 
 def _default_seed():
+    """The seed when --seed is not given: GPTFORGE_SEED, else 0."""
     env = os.environ.get("GPTFORGE_SEED")
     if env is None:
         return 0
     try:
-        return int(env)
-    except ValueError as err:
-        raise DomainError(f"GPTFORGE_SEED must be an integer, got {env!r}") from err
+        return _nonnegative_int(env)
+    except argparse.ArgumentTypeError as err:
+        raise DomainError(f"GPTFORGE_SEED: {err}") from None
 
 
 def _meta(args, command):
@@ -502,8 +508,9 @@ def cmd_quartic(args):
 # parser
 
 
-def _int_at_least(low, kind):
-    """An argparse type: integers >= ``low``, called ``kind`` in errors."""
+def _int_at_least(low, kind, cap=None):
+    """An argparse type: integers >= ``low``, called ``kind`` in errors, and
+    at most ``cap`` when one is given."""
     def parse(text):
         try:
             value = int(text)
@@ -512,6 +519,8 @@ def _int_at_least(low, kind):
         if value is None or value < low:
             raise argparse.ArgumentTypeError(
                 f"expected a {kind} integer, got {text!r}")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(f"{value} exceeds the cap {cap}")
         return value
     return parse
 
@@ -521,6 +530,8 @@ _nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def build_parser():
+    """The argument parser; it reads no environment, so one serves every
+    call (``main`` uses the module's ``_PARSER``)."""
     parser = argparse.ArgumentParser(
         prog="gptforge",
         description=(
@@ -530,14 +541,22 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = _default_seed()
 
-    def common(p, samples=DEFAULT_SAMPLES):
-        p.add_argument("--seed", type=int, default=seed_default,
-                       help="rng seed (default from GPTFORGE_SEED or 0)")
-        p.add_argument("--samples", type=_positive_int, default=samples,
-                       help=f"Monte-Carlo sample count (default {samples})")
+    def common(p, sampled=False):
+        if sampled:
+            p.add_argument("--seed", type=_nonnegative_int, default=None,
+                           help="rng seed (default GPTFORGE_SEED, else 0)")
+            p.add_argument("--samples", type=_positive_int,
+                           default=DEFAULT_SAMPLES,
+                           help="Monte-Carlo sample count "
+                                f"(default {DEFAULT_SAMPLES})")
         p.add_argument("-o", "--output", help="write output to a file")
+
+    def family_size(p):
+        p.add_argument("--family-size", default=8,
+                       type=_int_at_least(1, "positive", MAX_FAMILY_SIZE),
+                       help="witness effects per direction "
+                            f"(default 8, at most {MAX_FAMILY_SIZE})")
 
     p = sub.add_parser("gelfand", help="decide a Gelfand pair from group files")
     p.add_argument("group_file")
@@ -564,26 +583,28 @@ def build_parser():
                    help="start:stop:step, inclusive (default 0:0.1:0.02)")
     p.add_argument("--alpha", type=lambda s: tuple(float(x) for x in s.split(",")),
                    default=(0.5, 0.3, 0.2))
-    p.add_argument("--family-size", type=_positive_int, default=8)
-    common(p)
+    family_size(p)
+    common(p, sampled=True)
     p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("distance", help="distance estimate between structures")
     p.add_argument("spec0")
     p.add_argument("spec1")
-    p.add_argument("--family-size", type=_positive_int, default=8)
-    common(p)
+    family_size(p)
+    common(p, sampled=True)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("sphere-check", help="hypersphere consistency of an orbit")
     p.add_argument("spec")
-    common(p)
+    common(p, sampled=True)
     p.set_defaults(func=cmd_sphere_check)
 
     p = sub.add_parser("schur-average", help="block-average identity checks")
     p.add_argument("spec")
-    p.add_argument("--trials", type=_positive_int, default=5)
-    common(p)
+    p.add_argument("--trials", type=_int_at_least(1, "positive", MAX_TRIALS),
+                   default=5,
+                   help=f"random effects (default 5, at most {MAX_TRIALS})")
+    common(p, sampled=True)
     p.set_defaults(func=cmd_schur_average)
 
     p = sub.add_parser("grassmann", help="spherical partition enumeration")
@@ -605,10 +626,14 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
+        if getattr(args, "seed", 0) is None:  # a sampling command, no --seed
+            args.seed = _default_seed()
         return args.func(args)
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -93,10 +93,11 @@ class LowerBoundReport:
 def structure_distance_lower_bound(s0, s1):
     """Lower bound 1 / (4 d0) when s0's irrep is absent from s1, verified.
 
-    Requires point-aligned samples (built from one element stream, see
-    ``paired_structures``): the verification minimizes the sampled average of
-    (f0(g x0) - f1(g x0))^2 over all linear effects f1 of s1 by least squares
-    and checks that it stays above the bound within 3 sigma.
+    Requires at least two point-aligned samples (built from one element
+    stream, see ``paired_structures``): the verification minimizes the
+    sampled average of (f0(g x0) - f1(g x0))^2 over all linear effects f1 of
+    s1 by least squares and checks that it stays above the bound within
+    3 sigma.
     """
     if s0.label == s1.label:
         raise DomainError(
@@ -105,6 +106,9 @@ def structure_distance_lower_bound(s0, s1):
         )
     if s0.n_points != s1.n_points:
         raise DomainError("samples must be point-aligned (equal lengths)")
+    if s0.n_points < 2:
+        raise DomainError(f"the verification needs at least 2 samples for "
+                          f"its sigma, got {s0.n_points}")
     d0 = s0.rep.real_dimension
     bound = 1.0 / (4.0 * d0)
 

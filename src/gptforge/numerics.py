@@ -5,7 +5,8 @@ tolerance policy lives here: each tolerance shared by several checks is one
 named constant below.  Problems are tiny (at most a few hundred variables),
 so everything is dense float64: eigendecompositions go through LAPACK
 (``numpy.linalg.eigh``) and linear programs through HiGHS
-(``scipy.optimize.linprog``).
+(``scipy.optimize.linprog``, imported by the first solve: loading it takes
+longer than most commands that solve no LP).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DomainError, LpSolverFailure, NumericalConsistencyError
 
@@ -114,6 +114,8 @@ def lp_solve(p: LinearProgram):
     NumericalConsistencyError
         If the re-solved optimal point also fails the check.
     """
+    from scipy.optimize import linprog
+
     p._validate()
     c = -np.atleast_1d(np.asarray(p.objective, dtype=float))
     a_eq, b_eq = (None, None) if p.eq is None else p.eq

@@ -12,7 +12,8 @@ import pytest
 import gptforge
 from gptforge import deformation as dm
 from gptforge import finite_rep as fr
-from gptforge.cli import _t_grid, main
+from gptforge import cli
+from gptforge.cli import MAX_FAMILY_SIZE, MAX_TRIALS, _t_grid, main
 from gptforge.errors import DomainError
 
 REF8 = [0, 0, 0, 0, 0, 0, 0.6, 0.8]  # a torus-fixed su(3)-adjoint reference
@@ -22,6 +23,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env(seed=None):
+    """Environment of a fresh interpreter that imports this gptforge, with
+    GPTFORGE_SEED set to ``seed`` or unset."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gptforge.__file__).parents[1]))
+    env.pop("GPTFORGE_SEED", None)
+    if seed is not None:
+        env["GPTFORGE_SEED"] = seed
+    return env
 
 
 @pytest.fixture()
@@ -148,12 +159,10 @@ class TestGelfandCommand:
     def test_enumeration_grows_with_output(self, tmp_path):
         # 31 units, 90 of whose sums fit under the cap; a walk over all
         # 2^31 subsets would not finish, so the child runs under a timeout
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(gptforge.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "gptforge.cli", "gelfand",
              *map(str, cyclic_files(tmp_path, 60)), "--dim-cap", "3"],
-            capture_output=True, text=True, timeout=60, env=env)
+            capture_output=True, text=True, timeout=60, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert len(json.loads(proc.stdout)["structures"]) == 90
 
@@ -377,6 +386,16 @@ class TestMalformedInput:
         ("sphere-check", "quartic:3000"),
         ("quartic", "5"),
         ("quartic", "3000"),
+        ("distance", "bloch", "spin2", "--family-size",
+         str(MAX_FAMILY_SIZE + 1)),
+        ("deform", "--family-size", "1000000000"),
+        ("schur-average", "bloch", "--trials", str(MAX_TRIALS + 1)),
+        ("schur-average", "bloch", "--trials", "1000000000"),
+        ("distance", "bloch", "spin2", "--samples", "1"),
+        ("sphere-check", "bloch", "--seed", "-1"),
+        ("sphere-check", "bloch", "--seed", "x"),
+        ("hexagon", "0.5", "0.3", "0.2", "--seed", "1"),
+        ("catalog", "--samples", "10"),
     ])
     def test_exit_2(self, capsys, argv):
         try:
@@ -439,6 +458,17 @@ class TestInputCaps:
         code, out, _ = run_cli(capsys, "grassmann", "1", "63", "1")
         assert code == 0 and json.loads(out)["all_real"] is True
 
+    @pytest.mark.parametrize("argv,dest,cap", [
+        (("distance", "bloch", "spin2"), "family_size", MAX_FAMILY_SIZE),
+        (("deform",), "family_size", MAX_FAMILY_SIZE),
+        (("schur-average", "bloch"), "trials", MAX_TRIALS),
+    ])
+    def test_size_flag_at_cap_parses(self, argv, dest, cap):
+        # parsed only: a sweep or check at the cap is not run
+        flag = "--" + dest.replace("_", "-")
+        args = cli._PARSER.parse_args([*argv, flag, str(cap)])
+        assert getattr(args, dest) == cap
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -455,6 +485,98 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+
+class TestStaticParser:
+    """One parser serves every call; the environment seed is read per call."""
+
+    def test_in_process_sequence_matches_fresh_processes(
+            self, capsys, monkeypatch, s3_files):
+        group, swap, _ = s3_files
+        sequence = [
+            (None, ("hexagon", "0.5", "0.3", "0.2", "--game")),
+            (None, ("hexagon", "0.5", "0.3", "0.2")),
+            ("7", ("sphere-check", "bloch", "--samples", "50")),
+            ("8", ("sphere-check", "bloch", "--samples", "50")),
+            (None, ("gelfand", str(group), str(swap))),
+        ]
+        outputs = []
+        for seed, argv in sequence:
+            if seed is None:
+                monkeypatch.delenv("GPTFORGE_SEED", raising=False)
+            else:
+                monkeypatch.setenv("GPTFORGE_SEED", seed)
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            proc = subprocess.run(
+                [sys.executable, "-m", "gptforge.cli", *argv],
+                capture_output=True, timeout=60, env=child_env(seed))
+            assert proc.returncode == 0, proc.stderr
+            assert out.encode() == proc.stdout, argv
+            outputs.append(json.loads(out))
+        assert [o["meta"]["seed"] for o in outputs[2:4]] == [7, 8]
+        assert "game_conventions" not in outputs[1]
+
+    def test_parser_built_at_most_once(self, capsys, monkeypatch):
+        builds = []
+        build_parser = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for argv in (("catalog",), ("quartic", "2"), ("catalog",)):
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+        assert len(builds) <= 1
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_malformed_env_seed_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GPTFORGE_SEED", value)
+        code, _, err = run_cli(capsys, "sphere-check", "bloch",
+                               "--samples", "50")
+        assert code == 2
+        assert "error:" in err and "GPTFORGE_SEED" in err
+
+    def test_env_seed_unread_by_seedless_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("GPTFORGE_SEED", "abc")
+        code, out, _ = run_cli(capsys, "catalog")
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert meta["seed"] is None and meta["samples"] is None
+
+
+class TestLazyLpImport:
+    def test_scipy_optimize_loaded_only_by_an_lp(self, s3_files):
+        group, swap, _ = s3_files
+        commands = [
+            ["gelfand", str(group), str(swap)],
+            ["catalog"],
+            ["grassmann", "1", "2", "1"],
+            ["quartic", "2"],
+            ["sphere-check", "bloch", "--samples", "50"],
+            ["schur-average", "bloch", "--samples", "50", "--trials", "1"],
+            ["deform", "--t-grid", "0:0:0.1", "--samples", "50"],
+            ["distance", "bloch", "spin2", "--samples", "50"],
+            ["hexagon", "0.5", "0.3", "0.2", "--game"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from gptforge.cli import main\n"
+            "seen = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    seen.append([code, 'scipy.optimize' in sys.modules])\n"
+            "print(json.dumps(seen))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True, text=True, timeout=120, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen == [[0, False]] * (len(commands) - 1) + [[0, True]]
 
 
 class TestStructureSpecFiles:

@@ -68,6 +68,12 @@ class TestLowerBound:
         with pytest.raises(DomainError, match="present in both"):
             dm.structure_distance_lower_bound(bloch_2000, bloch_2000)
 
+    def test_one_sample_rejected(self):
+        # a sigma from one squared residual would be NaN
+        s0, s1 = ss.bloch_spin2_pair(1, 0)
+        with pytest.raises(DomainError, match="at least 2 samples"):
+            dm.structure_distance_lower_bound(s0, s1)
+
 
 class TestSymmetrizedDistance:
     def test_identical_structures_near_zero(self, deformable_2000):
