@@ -17,14 +17,18 @@ back as 1/2 Re tr(B_a X) (:meth:`CompactRepSpec.coordinates`); the two
 fundamental carriers multiply v by g.  An orbit point Gamma(g) v therefore
 costs O(d^3) per element, without forming the D x D matrix Gamma(g).
 :func:`rep_matrices` is the same kernel applied to the identity, for the
-few callers that need Gamma(g) itself (Monte-Carlo and grid averages).
+few callers that need Gamma(g) itself (the projectors' drift check on 8
+fresh samples).
 
 Haar sampling is Ginibre + QR with the R-diagonal phase fixed, then
 det-normalized into SU(d) / SO(d).  Invariant projectors onto the
 H-fixed subspace come either from the exact common kernel of the subgroup's
 Lie-algebra action (every subgroup here is connected: tori and unitary block
 subgroups), from an exact grid average (tori), or from a Monte-Carlo average
-that is symmetrized, powered, and spectrally rounded.
+that is symmetrized, powered, and spectrally rounded.  Each route works on
+the fundamental side first: the averages through the d^2 x d^2 operator
+mean g (x) conj(g), the kernel through sum a (x) a over the generators, and
+then contracts that operator with the carrier basis once.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .numerics import INVARIANCE_TOL, symmetric_eigen
+from .numerics import (IDEMPOTENCE_TOL, INVARIANCE_TOL, NULL_SPACE_RTOL,
+                       UNITARY_TOL, symmetric_eigen)
 
 # ---------------------------------------------------------------------------
 # rng plumbing
@@ -235,7 +240,7 @@ def act(spec, elements, vectors):
     if v.ndim == 2:
         g = g[..., None, :, :]
     if spec.kind in _CONJUGATION:
-        _check_unitary(g, 1e-10)
+        _check_unitary(g, UNITARY_TOL)
         gh = np.swapaxes(g.conj(), -1, -2)
         return spec.coordinates(g @ spec.matrix(v) @ gh)
     if spec.kind == "so_fundamental":
@@ -374,16 +379,35 @@ def subgroup_lie_generators(spec, sub):
     return gens
 
 
-def _generator_action(spec, a):
-    """Matrix of the rep's Lie-algebra action for fundamental generator a.
+def _lie_gram(spec, gens):
+    """sum_a A_a^T A_a over the carrier actions A_a of the generators a.
 
-    Conjugation carriers differentiate g X g^H into the commutator a X - X a;
-    the fundamental carriers are linear in g, so ``act`` applies a as is.
+    Its null space is the common kernel of the actions.  On the conjugation
+    carriers A_a B_b = [a, B_b], and for anti-Hermitian a
+
+        Gram_bc = sum_a 1/2 tr([a, B_b] [a, B_c])
+                = sum_a tr(a B_b a B_c) - 1/2 tr(C (B_b B_c + B_c B_b)),
+
+    with T = sum_a a (x) a carrying the first sum and C = sum_a a^2: O(k d^4 +
+    D d^4 + D^2 d^2) time and O(d^4 + D d^2) memory, with no D x D matrix per
+    generator.  The fundamental carriers are linear in g, so ``act`` applies
+    each a as is.
     """
-    if spec.kind in _CONJUGATION:
-        b = spec.basis()
-        return spec.coordinates(a @ b - b @ a).T
-    return act(spec, a, np.eye(spec.real_dimension)).T
+    a = np.array(gens)
+    if spec.kind not in _CONJUGATION:
+        cols = act(spec, a, np.eye(spec.real_dimension))  # [k, b] = A_k e_b
+        return np.einsum("kbi,kci->bc", cols, cols)
+    d, b = spec.d, spec.basis()
+    flat = a.reshape(len(a), d * d)
+    # t[(s, p), (q, r)] = sum_a a_pq a_rs, so vec(B_c)^T t vec(B_b) is the
+    # first sum
+    t = (flat.T @ flat).reshape(d, d, d, d).transpose(3, 0, 1, 2)
+    b_flat = b.reshape(len(b), d * d)
+    first = b_flat @ t.reshape(d * d, d * d) @ b_flat.T
+    # x[b, c] = tr(C B_b B_c)
+    cb = ((a @ a).sum(axis=0) @ b).reshape(len(b), d * d)
+    x = cb @ np.swapaxes(b, 1, 2).reshape(len(b), d * d).T
+    return np.real(first - 0.5 * (x + x.T))
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +436,30 @@ class InvariantProjector:
     eigenvalues: np.ndarray  # of the averaged operator, descending
 
 
+def _averaged_operator(spec, elements):
+    """mean_g Gamma(g) over fundamental-picture elements, without an
+    (n, D, D) stack.
+
+    The fundamental carriers are linear in g, so this is Gamma(mean g).  On
+    the conjugation carriers Gamma(g)_ab = 1/2 Re tr(B_a g B_b g^H), so the
+    mean is 1/2 Re tr(B_a S(B_b)) with S = mean g (x) conj(g): a d^2 x d^2
+    operator built in O(n d^4) and contracted with the basis once, in
+    O(D d^4 + D^2 d^2).
+    """
+    g = np.asarray(elements)
+    if spec.kind not in _CONJUGATION:
+        return rep_matrices(spec, g.mean(axis=0))
+    _check_unitary(g, UNITARY_TOL)
+    n, d, b = len(g), spec.d, spec.basis()
+    flat = g.reshape(n, d * d)
+    # s[(i, j), (k, l)] = mean g_ik conj(g_jl), and
+    # tr(B_a g B_b g^H) = sum (B_a)_ji g_ik (B_b)_kl conj(g_jl)
+    s = (flat.T @ flat.conj() / n).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    left = np.swapaxes(b, 1, 2).reshape(len(b), d * d)
+    right = b.reshape(len(b), d * d)
+    return 0.5 * np.real(left @ s.reshape(d * d, d * d) @ right.T)
+
+
 def _round_average_to_projector(avg, n_power=5):
     """Power an averaged rep operator toward its eigenvalue-1 projector.
 
@@ -424,10 +472,11 @@ def _round_average_to_projector(avg, n_power=5):
         a = a @ a
     a = (a + a.T) / 2.0
     idem = np.max(np.abs(a @ a - a))
-    if idem > 1e-4:
+    if idem > IDEMPOTENCE_TOL:
         raise AccuracyError(
             f"quadrature too coarse: powered average has idempotence error "
-            f"{idem:.3e} > 1e-4; use a finer grid or more samples"
+            f"{idem:.3e} > {IDEMPOTENCE_TOL:g}; use a finer grid or more "
+            "samples"
         )
     evals, evecs = symmetric_eigen(a)
     rank = int(np.sum(evals > 0.5))
@@ -444,9 +493,9 @@ def invariant_projector(spec, sub, quadrature=None):
     the number of averaged eigenvalues above 1/2.
 
     Raises :class:`AccuracyError` when the requested quadrature is too coarse:
-    the powered average is off idempotent by more than 1e-4, or the rounded
-    projector drifts by more than ``INVARIANCE_TOL`` under fresh subgroup
-    samples.
+    the powered average is off idempotent by more than ``IDEMPOTENCE_TOL``,
+    or the rounded projector drifts by more than ``INVARIANCE_TOL`` under
+    fresh subgroup samples.
     """
     dim = spec.real_dimension
 
@@ -454,10 +503,9 @@ def invariant_projector(spec, sub, quadrature=None):
         gens = subgroup_lie_generators(spec, sub)
         if not gens:  # trivial connected subgroup: everything is fixed
             return InvariantProjector(np.eye(dim), dim, np.ones(dim))
-        # the common kernel is the null space of sum A^T A, built in O(D^2)
-        gram = sum(m.T @ m for m in (_generator_action(spec, a) for a in gens))
-        w, v = np.linalg.eigh(gram)
-        null = v[:, w <= 1e-9 * max(w[-1], 1.0)]
+        # the common kernel is the null space of sum A^T A
+        w, v = np.linalg.eigh(_lie_gram(spec, gens))
+        null = v[:, w <= NULL_SPACE_RTOL * max(w[-1], 1.0)]
         proj = null @ null.T
         evals = np.concatenate([np.ones(null.shape[1]),
                                 np.zeros(dim - null.shape[1])])
@@ -477,8 +525,7 @@ def invariant_projector(spec, sub, quadrature=None):
     else:
         raise DomainError(f"unknown quadrature {quadrature!r}")
 
-    gammas = rep_matrices(spec, elements)
-    avg = gammas.mean(axis=0)
+    avg = _averaged_operator(spec, elements)
     # averaging h and h^-1 together keeps the operator symmetric
     avg = (avg + avg.T) / 2.0
     proj, rank, evals = _round_average_to_projector(avg)

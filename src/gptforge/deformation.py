@@ -282,12 +282,13 @@ def make_deformation_path(base):
             f"fixed space has rank {proj.rank}; the structure is rigid and "
             "admits no deformation plane"
         )
+    # w2: the largest column of P - w1 w1^T P, a function of P alone (an
+    # SVD basis of the degenerate P could flip with its last bits)
     w1 = base.reference
-    basis = np.linalg.svd(proj.projector)[0][:, :proj.rank]
-    resid = basis - np.outer(w1, w1 @ basis)
+    resid = proj.projector - np.outer(w1, w1 @ proj.projector)
     norms = np.linalg.norm(resid, axis=0)
-    w2 = resid[:, int(np.argmax(norms))]
-    w2 /= np.linalg.norm(w2)
+    j = int(np.argmax(norms))
+    w2 = resid[:, j] / norms[j]
     path = DeformationPath(base, w1, w2)
     for t in (0.25, 0.5, 0.75, 1.0):
         v = path.rotation(t)(w1)

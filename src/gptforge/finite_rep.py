@@ -207,6 +207,15 @@ class Subgroup:
                         span := set(g.index[grown.perms].tolist())) <= mem:
                     raise DomainError("subgroup not closed under composition")
 
+    @classmethod
+    def _closed(cls, parent, members):
+        """A subgroup whose members are closed by construction: skips the
+        checks of ``__post_init__``, which are for member lists from users."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "parent", parent)
+        object.__setattr__(sub, "members", members)
+        return sub
+
 
 def subgroup_from_generators(group, generators):
     """Subgroup of ``group`` generated by permutations (or element indices)."""
@@ -223,15 +232,16 @@ def subgroup_from_generators(group, generators):
                 raise DomainError(f"generator {p} is not an element of the group")
             idxs.append(group.index[p])
     sub = generate_group(group.perms[idxs], group.degree, max_order=group.order)
-    return Subgroup(group, tuple(np.sort(group.index[sub.perms]).tolist()))
+    return Subgroup._closed(group,
+                            tuple(np.sort(group.index[sub.perms]).tolist()))
 
 
 def trivial_subgroup(group):
-    return Subgroup(group, (0,))
+    return Subgroup._closed(group, (0,))
 
 
 def full_subgroup(group):
-    return Subgroup(group, tuple(range(group.order)))
+    return Subgroup._closed(group, tuple(range(group.order)))
 
 
 # common concrete groups ----------------------------------------------------

@@ -23,6 +23,12 @@ DEFAULT_TOL = 1e-8
 COINCIDENCE_TOL = 1e-9
 # A unit vector within this norm of its projection is subgroup-invariant.
 INVARIANCE_TOL = 1e-6
+# A group element is unitary when |g^H g - 1| stays below this, entrywise.
+UNITARY_TOL = 1e-10
+# A powered quadrature average is a projector within this, entrywise.
+IDEMPOTENCE_TOL = 1e-4
+# Gram eigenvalues below this, relative to the largest (or 1), span a kernel.
+NULL_SPACE_RTOL = 1e-9
 # A vector (or coefficient sum) below this norm counts as zero.
 ZERO_NORM = 1e-12
 

@@ -206,6 +206,96 @@ class TestInvariantProjector:
                                    cr.block_subgroup(2, 1), quadrature)
 
 
+_CONJUGATION_KINDS = ("su_adjoint", "so_traceless_symmetric")
+
+
+def _generator_action_gram(spec, gens):
+    """sum A_a^T A_a with each generator's D x D action built explicitly:
+    the commutator a X - X a on the matrix carriers, ``act`` on the rest."""
+    eye = np.eye(spec.real_dimension)
+    total = np.zeros_like(eye)
+    for a in gens:
+        if spec.kind in _CONJUGATION_KINDS:
+            b = spec.basis()
+            m = spec.coordinates(a @ b - b @ a).T
+        else:
+            m = cr.act(spec, a, eye).T
+        total += m.T @ m
+    return total
+
+
+def _blocks(d, cuts):
+    """Block sizes of d cut after the positions whose bit is set in cuts."""
+    edges = [0] + [i for i in range(1, d) if cuts >> (i - 1) & 1] + [d]
+    return tuple(b - a for a, b in zip(edges, edges[1:]))
+
+
+_SU_KINDS = [cr.su_adjoint, cr.su_fundamental]
+_ALL_KINDS = _SU_KINDS + [cr.so_traceless_symmetric, cr.so_fundamental]
+# (carrier, element source); block subgroups live in SU(d) only
+_SOURCES = ([(make, src) for make in _ALL_KINDS for src in ("haar", "torus")]
+            + [(make, "block") for make in _SU_KINDS])
+
+
+class TestFundamentalSideOperators:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(_SOURCES), st.integers(2, 5), st.integers(1, 40),
+           st.integers(0, 15), st.integers(0, 2**32 - 1))
+    def test_averaged_operator_is_matrix_mean(self, source, d, n, cuts, seed):
+        make, kind = source
+        spec = make(d)
+        rng = np.random.default_rng(seed)
+        if kind == "haar":
+            elements = cr.haar_samples(spec, n, rng)
+        else:
+            sub = (cr.full_torus() if kind == "torus"
+                   else cr.block_subgroup(*_blocks(d, cuts)))
+            elements = cr.subgroup_samples(spec, sub, n, rng)
+        avg = cr._averaged_operator(spec, elements)
+        mean = cr.rep_matrices(spec, elements).mean(axis=0)
+        assert np.max(np.abs(avg - mean)) < 1e-13
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(_SOURCES), st.integers(2, 7), st.integers(0, 63))
+    def test_gram_is_sum_of_generator_actions(self, source, d, cuts):
+        make, kind = source
+        spec = make(d)
+        sub = (cr.block_subgroup(*_blocks(d, cuts)) if kind == "block"
+               else cr.full_torus())
+        gens = cr.subgroup_lie_generators(spec, sub)
+        want = _generator_action_gram(spec, gens)
+        got = cr._lie_gram(spec, gens)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec, sub, quadrature", [
+        (cr.su_adjoint(4), cr.full_torus(), cr.TorusGrid(16)),
+        (cr.su_adjoint(3), cr.block_subgroup(2, 1), cr.MonteCarlo(2000, 0)),
+    ])
+    def test_quadrature_builds_no_matrix_stack(self, monkeypatch, spec, sub,
+                                               quadrature):
+        # only the 8-sample drift check turns elements into D x D matrices
+        built = []
+        rep_matrices = cr.rep_matrices
+
+        def counting(spec, elements):
+            built.append(1 if np.ndim(elements) == 2 else len(elements))
+            return rep_matrices(spec, elements)
+
+        monkeypatch.setattr(cr, "rep_matrices", counting)
+        p = cr.invariant_projector(spec, sub, quadrature)
+        assert p.rank == cr.invariant_projector(spec, sub).rank
+        assert sum(built) <= 8
+
+    @pytest.mark.parametrize("spec, rank", [(cr.so_fundamental(3), 1),
+                                            (cr.so_fundamental(4), 0),
+                                            (cr.su_fundamental(3), 0)])
+    def test_fundamental_grid_matches_structural(self, spec, rank):
+        p = cr.invariant_projector(spec, cr.full_torus(), cr.TorusGrid(8))
+        q = cr.invariant_projector(spec, cr.full_torus())
+        assert p.rank == q.rank == rank
+        assert np.max(np.abs(p.projector - q.projector)) < 1e-10
+
+
 class TestWitness:
     def test_su3_torus_witnesses_non_gelfand(self):
         w = cr.is_gelfand_witness(cr.su_adjoint(3), cr.full_torus())

@@ -151,6 +151,29 @@ class TestDeformationPath:
         a1 = dc.recover_alpha(s1).values
         assert np.max(np.abs(np.sort(a0) - np.sort(a1))) > 1e-3
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_plane_is_a_function_of_the_projector(self, deformable_2000,
+                                                  monkeypatch, rank):
+        base = deformable_2000
+        if rank == 3:  # SU(4) torus, a generic diagonal reference
+            rep = cr.su_adjoint(4)
+            ref = rep.coordinates(np.diag([0.25, 0.05, -0.1, -0.2]))
+            base = ss.build_structure(rep, cr.full_torus(),
+                                      ref / np.linalg.norm(ref), 50, 0)
+        path = dm.make_deformation_path(base)
+        proj = cr.invariant_projector(base.rep, base.subgroup)
+        p, w1, w2 = proj.projector, path.w1, path.w2
+        assert proj.rank == rank
+        assert abs(w1 @ w2) < 1e-12 and abs(np.linalg.norm(w2) - 1.0) < 1e-12
+        assert np.linalg.norm(p @ w2 - w2) < 1e-12
+        noise = np.random.default_rng(3).standard_normal(p.shape)
+        noisy = p + 1e-15 * (noise + noise.T) / 2.0
+        monkeypatch.setattr(dm, "invariant_projector", lambda rep, sub:
+                            cr.InvariantProjector(noisy, proj.rank,
+                                                  proj.eigenvalues))
+        again = dm.make_deformation_path(base)
+        assert np.max(np.abs(again.w2 - w2)) < 1e-13
+
     def test_rigidity_guard(self):
         s = ss.quartic_structure(2, 50, 0)
         with pytest.raises(DomainError, match="rigid"):

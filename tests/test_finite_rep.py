@@ -436,6 +436,20 @@ class TestSubgroups:
             with pytest.raises(DomainError):
                 fr.Subgroup(s4, members)
 
+    def test_generated_subgroup_closed_once(self, s4, monkeypatch):
+        # the closure that builds the subgroup is its only generate_group call
+        calls = []
+        generate_group = fr.generate_group
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate_group(*args, **kwargs)
+
+        monkeypatch.setattr(fr, "generate_group", counting)
+        sub = fr.subgroup_from_generators(s4, [(1, 0, 2, 3), (0, 1, 3, 2)])
+        assert len(calls) == 1 and sub.order == 4
+        assert closed_under_composition(s4, sub.members)
+
     def test_foreign_generator(self, s3):
         with pytest.raises(DomainError):
             fr.subgroup_from_generators(s3, [(1, 0, 3, 2)])
