@@ -25,7 +25,6 @@ from .compact_rep import (
     full_torus,
     haar_samples,
     invariant_projector,
-    is_gelfand_witness,
     so_fundamental,
     so_traceless_symmetric,
     su_adjoint,

@@ -538,19 +538,3 @@ def invariant_projector(spec, sub, quadrature=None):
             f"(drift {drift:.3e} > {INVARIANCE_TOL:g}); refine the quadrature"
         )
     return InvariantProjector(proj, rank, evals)
-
-
-@dataclass(frozen=True)
-class WitnessResult:
-    consistent: bool
-    rank: int
-
-
-def is_gelfand_witness(spec, sub, quadrature=None):
-    """Check an irreducible rep for a >= 2-dimensional H-fixed subspace.
-
-    The caller asserts irreducibility (true for SU(d) adjoint, d >= 2).  A
-    fixed subspace of rank >= 2 witnesses that (G, H) is not a Gelfand pair.
-    """
-    result = invariant_projector(spec, sub, quadrature=quadrature)
-    return WitnessResult(result.rank < 2, result.rank)

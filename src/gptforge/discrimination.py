@@ -2,11 +2,18 @@
 
 All exact work happens on the projection of the state space onto the diagonal,
 which is the convex hull of the six permutations of the coefficient vector
-(alpha_1, alpha_2, alpha_3).  Perfect discrimination of one or two states
-and the two-bit encoding game are linear programs over effects on that
-polygon; three states, which fix their effects uniquely, take one linear
-solve.  An LP on the full sampled eight-dimensional orbit serves as a
-consistency check.
+(alpha_1, alpha_2, alpha_3).  An effect there is a 3-vector and validity is
+at most 12 rows, so no question on the polygon needs an LP solver:
+
+- three states fix their effects uniquely, so all anchor triples take one
+  batched linear solve;
+- a pair is decided by intersecting intervals on a line of effects, in exact
+  integers;
+- each bit of the two-bit encoding game is a 3-variable LP, solved by
+  enumerating its bases and certified in exact integers.
+
+An LP on the full sampled eight-dimensional orbit serves as a consistency
+check.
 
 Vertex labels follow the fixed convention
 
@@ -27,11 +34,10 @@ import numpy as np
 from .errors import DomainError, NumericalConsistencyError
 from .numerics import (
     COINCIDENCE_TOL,
+    DEFAULT_TOL,
+    TIE_TOL,
     ZERO_NORM,
-    check_feasible,
     effect_lp,
-    effect_program,
-    lp_solve,
 )
 from .state_space import StructureSample, orbit_points, unit_effect
 
@@ -137,6 +143,46 @@ def hexagon_csv(h):
 
 
 # ---------------------------------------------------------------------------
+# exact arithmetic on the hexagon
+#
+# Every float is a dyadic rational, so a hexagon's coordinates, scaled by one
+# power of two, are exact Python integers.  Decisions on those integers cannot
+# be flipped by roundoff.
+
+
+def _dyadic_rows(points):
+    """The rows of ``points`` as tuples of integers over one power of two
+    ``scale``, so that points == rows / scale exactly."""
+    ratios = [float(v).as_integer_ratio() for v in np.ravel(points)]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    return [tuple(ints[i:i + 3]) for i in range(0, len(ints), 3)], scale
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _triple_inverses(anchors):
+    """inv(Y) for each 3 x 3 matrix Y of the stack, NaN where Y is singular."""
+    try:
+        return np.linalg.inv(anchors)
+    except np.linalg.LinAlgError:  # one singular Y fails the whole stack
+        out = np.full(np.shape(anchors), np.nan)
+        for i, y in enumerate(anchors):
+            try:
+                out[i] = np.linalg.inv(y)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+# ---------------------------------------------------------------------------
 # perfect discrimination on the hexagon
 
 
@@ -147,14 +193,87 @@ class Distinguishability:
     effects: np.ndarray  # (n, 3) dual vectors, rows sum to the unit effect
 
 
+def _triangle_measurements(points, anchors):
+    """Barycentric effects of a stack of anchor triples, and which of them
+    measure perfectly.
+
+    For each (3, 3) matrix Y of ``anchors`` (one anchor per row) the only
+    effects with e_i . y_j = delta_ij are the rows of inv(Y)^T.  They
+    discriminate the anchors when they are finite, meet those equalities
+    and sum to the unit effect (1, 1, 1) within ``DEFAULT_TOL``, and are valid
+    (0 <= e . x <= 1) on every point within ``DEFAULT_TOL``: the rule
+    ``numerics.check_feasible`` applies to an LP point.  Returns the (m, 3, 3)
+    effects and an (m,) boolean mask.
+    """
+    anchors = np.asarray(anchors, dtype=float)
+    effects = np.swapaxes(_triple_inverses(anchors), 1, 2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        delta = np.abs(effects @ np.swapaxes(anchors, 1, 2) - np.eye(3))
+        unit = np.abs(effects.sum(axis=1) - 1.0)
+        vals = effects @ np.asarray(points, dtype=float).T
+        worst = np.maximum.reduce([
+            delta.max(axis=(1, 2)), unit.max(axis=1),
+            (vals - 1.0).max(axis=(1, 2)), (-vals).max(axis=(1, 2))])
+    ok = np.all(np.isfinite(effects), axis=(1, 2)) & (worst <= DEFAULT_TOL)
+    return effects, ok
+
+
+def _pair_measurement(rows, scale, i, j):
+    """Effects (e, unit - e) that discriminate points i and j of a hexagon,
+    as a (2, 3) array; None when there are none.
+
+    ``rows`` and ``scale`` are the hexagon's vertices as exact integers
+    (:func:`_dyadic_rows`).  The effects with e . a = 1 and e . b = 0, for
+    a, b = points i, j, form the line e0 + w (a x b).  Each point x cuts it
+    to an interval in w through -tol <= e . x <= 1 + tol and
+    -tol <= (unit - e) . x <= 1 + tol, with tol = ``DEFAULT_TOL``: the rule
+    ``numerics.check_feasible`` applies to an LP point.  The intervals are
+    intersected in exact rationals, so roundoff cannot flip the answer; the
+    returned e is the middle of the feasible segment, rounded once.
+    """
+    a, b = rows[i], rows[j]
+    d = _cross(a, b)
+    norm2 = _dot(d, d)
+    if norm2 == 0:  # parallel anchors: no effect is 1 on one, 0 on the other
+        return None
+    base = _cross(b, d)  # e(w) = scale (base + w d / s) / norm2, s below
+    tol_num, tol_den = DEFAULT_TOL.as_integer_ratio()
+    s = scale * tol_den
+    lower = upper = None  # (num, den > 0) bounds on w
+    for x in rows:
+        total = sum(x)
+        lo = max(0, total - scale) * tol_den - tol_num * scale
+        hi = min(scale, total) * tol_den + tol_num * scale
+        p, q = _dot(base, x) * s, _dot(d, x)
+        # lo norm2 <= (p + w q) <= hi norm2, all over scale * tol_den
+        lo, hi = lo * norm2 - p, hi * norm2 - p
+        if q == 0:
+            if lo > 0 or hi < 0:
+                return None
+            continue
+        if q < 0:
+            lo, hi, q = -hi, -lo, -q
+        if lower is None or lo * lower[1] > lower[0] * q:
+            lower = (lo, q)
+        if upper is None or hi * upper[1] < upper[0] * q:
+            upper = (hi, q)
+    if lower is None:
+        w_num, w_den = 0, 1
+    elif lower[0] * upper[1] > upper[0] * lower[1]:
+        return None
+    else:
+        w_num = lower[0] * upper[1] + upper[0] * lower[1]
+        w_den = 2 * lower[1] * upper[1]
+    den = norm2 * tol_den * w_den
+    e = np.array([(base[k] * s * w_den + w_num * d[k]) / den
+                  for k in range(3)])
+    return np.stack([e, 1.0 - e])
+
+
 def _perfect_measurement(points, anchors, unit):
     """Effects e_i with e_i . a_j = delta_ij that sum to ``unit`` and are
-    valid on every point, as a (k, dim) array; None when there are none.
-
-    Fewer anchors than dimensions leave a feasibility LP.  One anchor per
-    dimension fixes the effects as the rows of inv(A)^T, which are checked
-    by the rule every LP point passes; a singular A admits none.
-    """
+    valid on every point, as a (k, dim) array; None when the feasibility LP
+    has none."""
     anchors = np.asarray(anchors, dtype=float)
     k, dim = anchors.shape
     a_eq = np.zeros((k * k + dim, k * dim))
@@ -162,16 +281,8 @@ def _perfect_measurement(points, anchors, unit):
         a_eq[i * k:(i + 1) * k, i * dim:(i + 1) * dim] = anchors
         a_eq[k * k:, i * dim:(i + 1) * dim] = np.eye(dim)
     b_eq = np.concatenate([np.eye(k).ravel(), unit])
-    program = effect_program(points, np.zeros((k, dim)), eq=(a_eq, b_eq))
-    if k != dim:
-        res = lp_solve(program)
-        return res.x.reshape(k, dim) if res.optimal else None
-    try:
-        effects = np.linalg.inv(anchors).T
-        check_feasible(program, effects.ravel())
-    except (np.linalg.LinAlgError, NumericalConsistencyError):
-        return None
-    return effects
+    res = effect_lp(points, np.zeros((k, dim)), eq=(a_eq, b_eq))
+    return res.x.reshape(k, dim) if res.optimal else None
 
 
 def max_distinguishable(h):
@@ -179,28 +290,44 @@ def max_distinguishable(h):
 
     Tries vertex subsets from three states down to one, each size in
     ``itertools.combinations`` order, and returns the first one that a
-    measurement discriminates.  Perfectly distinguishable states are
-    linearly independent 3-vectors, so no more than three fit.  Three, the
-    plane's dimension plus one, need no LP: dim + 1 perfectly
-    distinguishable states force the state space to be their simplex.  The
-    only candidate effects are then the barycentric coordinates of that
-    triangle, the rows of inv(Y)^T for the matrix Y of the three states, and
-    they are valid on every vertex exactly when the polygon is the triangle.
-    That is checked within ``DEFAULT_TOL``, the rule every LP point passes.
-    Pairs and single states are found by LP.
+    measurement discriminates; no LP is solved.
+
+    - Perfectly distinguishable states are linearly independent 3-vectors,
+      so no more than three fit.  Three, the plane's dimension plus one,
+      force the state space to be their triangle, and the only candidate
+      effects are its barycentric coordinates, the rows of inv(Y)^T.  All
+      triples are checked at once (:func:`_triangle_measurements`).
+    - A pair is decided exactly on the line of effects that are 1 on one
+      state and 0 on the other (:func:`_pair_measurement`).
+    - One state is always discriminated, by the unit effect.
     """
     nv = len(h.vertices)
-    for k in range(min(3, nv), 0, -1):
-        for chosen in itertools.combinations(range(nv), k):
-            effects = _perfect_measurement(
-                h.vertices, h.vertices[list(chosen)], np.ones(3))
-            if effects is not None:
-                return Distinguishability(k, chosen, effects)
-    raise DomainError("hexagon has no vertices")
+    if nv == 0:
+        raise DomainError("hexagon has no vertices")
+    if nv >= 3:
+        triples = list(itertools.combinations(range(nv), 3))
+        effects, ok = _triangle_measurements(h.vertices,
+                                             h.vertices[triples])
+        if ok.any():
+            first = int(np.argmax(ok))
+            return Distinguishability(3, triples[first], effects[first])
+    rows, scale = _dyadic_rows(h.vertices)
+    for pair in itertools.combinations(range(nv), 2):
+        effects = _pair_measurement(rows, scale, *pair)
+        if effects is not None:
+            return Distinguishability(2, pair, effects)
+    return Distinguishability(1, (0,), np.ones((1, 3)))
 
 
 # ---------------------------------------------------------------------------
 # the two-bit encoding game
+#
+# The game LP is max c . e over 0 <= y . e <= 1 for each vertex y: three
+# variables and at most 12 rows [Y; -Y] <= [1; 0].  A basis is three rows;
+# rows r < nv are y_r . e <= 1 and rows nv + r are -y_r . e <= 0.  It is
+# solved by brute-force fixed-dimension LP (Megiddo, J. ACM 31, 1984; Seidel,
+# Discrete Comput. Geom. 6, 1991): every basis is solved in floats at once,
+# and the best one is certified in exact integers.
 
 
 @dataclass(frozen=True)
@@ -211,13 +338,83 @@ class EncodingGame:
     note: str
 
 
+def _game_bases(vertices, objective):
+    """The game LP's nonsingular bases, best first by their float solutions.
+
+    A basis with rows y_r and -y_r is singular, so the others are a triple of
+    distinct vertices with a bound (0 or 1) on each; their vertex solutions
+    are t @ inv(Y)^T for t in {0, 1}^3.  Primal-feasible ones within
+    ``DEFAULT_TOL`` come first, by descending objective value.  The order only
+    decides which basis is certified first.
+    """
+    nv = len(vertices)
+    triples = np.array(list(itertools.combinations(range(nv), 3)))
+    bary = np.swapaxes(_triple_inverses(vertices[triples]), 1, 2)
+    bounds = np.array(list(itertools.product((0, 1), repeat=3)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        points = bounds @ bary  # (triple, bounds, 3)
+        feasible = (np.abs(points @ vertices.T - 0.5).max(axis=2)
+                    <= 0.5 + DEFAULT_TOL)
+        values = points @ objective
+    order = np.lexsort((-values.ravel(), ~feasible.ravel()))
+    for flat in order.tolist():
+        t, b = divmod(flat, len(bounds))
+        yield tuple(int(v) if up else nv + int(v)
+                    for v, up in zip(triples[t], bounds[b]))
+
+
+def _certify_game_basis(rows, objective, basis):
+    """The game LP's exact optimum as (numerator, denominator) when ``basis``
+    is optimal; None when it is not.
+
+    ``rows`` (the vertices) and ``objective`` are exact integers over one
+    scale (:func:`_dyadic_rows`).  With M the basis rows, b their bounds and
+    adj(M) = det(M) inv(M), the basis point is e* = adj(M) b / det(M).  The
+    basis is optimal when e* is primal feasible, 0 <= y . e* <= 1 for every
+    vertex y, and its dual multipliers inv(M)^T c are all >= 0; the optimum
+    is then c . e*.
+    """
+    nv = len(rows)
+    m = [rows[r] if r < nv else tuple(-v for v in rows[r - nv]) for r in basis]
+    adj = [_cross(m[1], m[2]), _cross(m[2], m[0]), _cross(m[0], m[1])]
+    det = _dot(m[0], adj[0])
+    if det == 0:
+        return None
+    sign = 1 if det > 0 else -1
+    if any(sign * _dot(objective, col) < 0 for col in adj):
+        return None
+    z = [sum(col[k] for col, r in zip(adj, basis) if r < nv) for k in range(3)]
+    if not all(0 <= sign * _dot(y, z) <= abs(det) for y in rows):
+        return None
+    return sign * _dot(objective, z), abs(det)
+
+
 def _best_two_class_guess(vertices, plus, minus):
-    """max over valid effects B of mean success guessing class(plus) vs class(minus)."""
-    objective = 0.25 * (np.sum(plus, axis=0) - np.sum(minus, axis=0))
-    res = effect_lp(vertices, [objective])
-    if not res.optimal:
-        raise DomainError(f"encoding-game LP came back {res.status}")
-    return 0.5 + float(res.value)
+    """max over valid effects B of mean success guessing class(plus) vs
+    class(minus), for two lists of vertex indices.
+
+    That is 1/2 plus the optimum of the game LP with the objective
+    c = (sum of plus vertices - sum of minus vertices) / 4, taken exactly:
+    the optimum is certified in integers and rounded to float once.  Fewer
+    than three distinct hexagon vertices are linearly independent (their
+    coordinates sum to 1), so e . y takes any values in [0, 1] on them and
+    the optimum is the sum of the positive coefficients of c over them.
+    """
+    nv = len(vertices)
+    weights = (np.bincount(plus, minlength=nv)
+               - np.bincount(minus, minlength=nv)).tolist()  # 4 c over Y
+    if nv < 3:
+        return 0.5 + 0.25 * sum(max(w, 0) for w in weights)
+    rows, _ = _dyadic_rows(vertices)
+    objective = [sum(w * y[k] for w, y in zip(weights, rows))
+                 for k in range(3)]
+    for basis in _game_bases(vertices, 0.25 * (weights @ vertices)):
+        optimum = _certify_game_basis(rows, objective, basis)
+        if optimum is not None:
+            num, den = optimum  # of the LP with objective 4 c
+            return (2 * den + num) / (4 * den)
+    raise NumericalConsistencyError(
+        "no basis of the encoding-game LP certifies")
 
 
 def encoding_game_value(alpha):
@@ -225,25 +422,25 @@ def encoding_game_value(alpha):
 
     Bit 1 splits {y1, y2} against {y4, y5}; bit 2 splits {y1, y5} against
     {y2, y4}.  Both answers are optimal two-outcome measurement values under
-    a uniform prior over the four states.  When any of the four game states
-    coincide the encoding is not injective; the second bit is then reported
-    as uninformative (1/2) with the degeneracy flagged.
+    a uniform prior over the four states, taken as the merged vertices that
+    the validity rows see.  When any of the four game states coincide the
+    encoding is not injective; the second bit is then reported as
+    uninformative (1/2) with the degeneracy flagged.
     """
     if not isinstance(alpha, AlphaTriple):
         alpha = AlphaTriple.of(alpha)
     h = hexagon_vertices(alpha)
-    y = h.vertices[list(h.label_to_vertex)]  # merged, as in the validity rows
-    y1, y2, y4, y5 = y[0], y[1], y[3], y[4]
-    bit1 = _best_two_class_guess(h.vertices, [y1, y2], [y4, y5])
+    v1, v2, _, v4, v5, _ = h.label_to_vertex
+    bit1 = _best_two_class_guess(h.vertices, [v1, v2], [v4, v5])
 
     # distinct hexagon vertices lie more than COINCIDENCE_TOL apart, so game
     # states coincide exactly when two labels share a vertex
-    if len({h.label_to_vertex[i] for i in (0, 1, 3, 4)}) < 4:
+    if len({v1, v2, v4, v5}) < 4:
         return EncodingGame(
             bit1, 0.5, True,
             "game states coincide; the second bit carries no information",
         )
-    bit2 = _best_two_class_guess(h.vertices, [y1, y5], [y2, y4])
+    bit2 = _best_two_class_guess(h.vertices, [v1, v5], [v2, v4])
     return EncodingGame(bit1, bit2, False, "")
 
 
@@ -255,9 +452,9 @@ def recover_alpha(s):
     """Diagonal coefficients encoded by a deformable-family sample.
 
     The reference was normalized when the structure was built, which rescales
-    the hexagon about its center; all LP answers are invariant under that
-    affine change, so the recovered triple is interchangeable with the
-    original for discrimination purposes.
+    the hexagon about its center; all discrimination answers are invariant
+    under that affine change, so the recovered triple is interchangeable with
+    the original for discrimination purposes.
     """
     if s.rep.kind != "su_adjoint" or s.rep.d != 3:
         raise DomainError("expected an SU(3)-adjoint structure sample")
@@ -278,11 +475,11 @@ def max_distinguishable_sampled(s: StructureSample, k):
     """Feasibility of perfect k-state discrimination on the sampled orbit.
 
     Target states are the exact orbit points over the diagonal states that
-    the hexagon LP singles out; they are appended to the sample (they are
-    genuine orbit members), so the sampled LP is a true relaxation of the
-    continuum problem: any continuum-feasible measurement stays feasible
-    here, and infeasibility here certifies infeasibility of the exact
-    problem.
+    the exact hexagon answer singles out; they are appended to the sample
+    (they are genuine orbit members), so the sampled LP is a true relaxation
+    of the continuum problem: any continuum-feasible measurement stays
+    feasible here, and infeasibility here certifies infeasibility of the
+    exact problem.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -304,7 +501,7 @@ def max_distinguishable_sampled(s: StructureSample, k):
                 np.linalg.norm(a - b)
                 for a, b in itertools.combinations(pts, 2)
             )
-            if spread > best_spread + 1e-15:
+            if spread > best_spread + TIE_TOL:
                 best, best_spread = combo, spread
         vertex_ids = best
     labels = [h.label_to_vertex.index(v) for v in vertex_ids]

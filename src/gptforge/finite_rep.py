@@ -459,16 +459,52 @@ class GelfandDecision:
     witness_multiplicity: int | None = None
 
 
+def _double_coset_count(table, sub):
+    """(r, |G:H|) with r = |H\\G/H| = <pi, pi> for the permutation character
+    pi = Ind_H^G 1, in exact integers from the class data: on a class c,
+    pi(c) = |G:H| |c meet H| / |c|, and r = sum_c |c| pi(c)^2 / |G|."""
+    def exact(num, den):
+        q, rem = divmod(num, den)
+        if rem:
+            raise NumericalConsistencyError(
+                f"permutation character: {num} / {den} is not an integer")
+        return q
+
+    order = table.group.order
+    index = exact(order, sub.order)
+    meets = np.bincount(table.class_of[list(sub.members)],
+                        minlength=len(table.classes)).tolist()
+    pis = [exact(index * m, size) for m, size in zip(meets, table.class_sizes)]
+    return exact(sum(size * pi * pi for size, pi in zip(table.class_sizes, pis)),
+                 order), index
+
+
 def is_gelfand_pair(table, sub):
     """Decide whether (G, H) is a Gelfand pair, G being the table's group.
 
     Every irrep may contain the trivial representation of H at most once; the
-    first violation is reported as a witness.
+    first violation is reported as a witness.  The rounded multiplicities m_i
+    are checked in exact integers against the class data: sum m_i^2 must be
+    the double-coset count |H\\G/H| and sum m_i d_i the index |G:H|.
+
+    Raises
+    ------
+    NumericalConsistencyError
+        If either identity fails.
     """
     mults = tuple(
         trivial_restriction_multiplicity(table, i, sub)
         for i in range(table.n_irreps)
     )
+    double_cosets, index = _double_coset_count(table, sub)
+    if sum(m * m for m in mults) != double_cosets:
+        raise NumericalConsistencyError(
+            f"restriction multiplicities {mults} have squares summing to "
+            f"{sum(m * m for m in mults)}, not |H\\G/H| = {double_cosets}")
+    if sum(m * d for m, d in zip(mults, table.dims)) != index:
+        raise NumericalConsistencyError(
+            f"restriction multiplicities {mults} give a permutation "
+            f"representation of dimension other than |G:H| = {index}")
     for i, m in enumerate(mults):
         if m > 1:
             return GelfandDecision(False, mults, witness_irrep=i,

@@ -6,7 +6,10 @@ named constant below.  Problems are tiny (at most a few hundred variables),
 so everything is dense float64: eigendecompositions go through LAPACK
 (``numpy.linalg.eigh``) and linear programs through HiGHS
 (``scipy.optimize.linprog``, imported by the first solve: loading it takes
-longer than most commands that solve no LP).
+longer than most commands that solve no LP).  The LPs are those over sampled
+orbit points, the pure-state metric and sampled discrimination; the
+hexagon's small problems are solved exactly in ``discrimination`` and never
+load HiGHS.
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ IDEMPOTENCE_TOL = 1e-4
 NULL_SPACE_RTOL = 1e-9
 # A vector (or coefficient sum) below this norm counts as zero.
 ZERO_NORM = 1e-12
+# A matrix is symmetric when |a - a^T| stays below this, entrywise.
+SYMMETRY_TOL = 1e-10
+# A value further than this from the nearest integer is not integral.
+INTEGRALITY_TOL = 1e-4
+# Two float scores within this of each other tie: the first one found stays.
+TIE_TOL = 1e-15
 
 
 def as_real_matrix(m, name="matrix"):
@@ -53,13 +62,13 @@ def symmetric_eigen(m):
     Raises
     ------
     DomainError
-        If ``m`` is not square or not symmetric within 1e-10.
+        If ``m`` is not square or not symmetric within ``SYMMETRY_TOL``.
     """
     a = as_real_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix is not square: shape {a.shape}")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if asym > 1e-10:
+    if asym > SYMMETRY_TOL:
         raise DomainError(f"matrix is not symmetric: max |a - a.T| = {asym:.3e}")
     w, v = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(w)[::-1]
@@ -203,15 +212,15 @@ def round_to_int(x, soft_tol=DEFAULT_TOL, what="value"):
     """Round to the nearest integer, failing loudly when the value is not
     structurally integral.
 
-    Deviation <= ``soft_tol`` rounds silently; deviation beyond 1e-4 raises
-    :class:`NumericalConsistencyError` (solver drift caught early).  The band
-    in between rounds with a warning.
+    Deviation <= ``soft_tol`` rounds silently; deviation beyond
+    ``INTEGRALITY_TOL`` raises :class:`NumericalConsistencyError` (solver
+    drift caught early).  The band in between rounds with a warning.
     """
     import warnings
 
     n = round(float(np.real(x)))
     dev = abs(complex(x) - n)
-    if dev > 1e-4:
+    if dev > INTEGRALITY_TOL:
         raise NumericalConsistencyError(
             f"{what} = {x} deviates from integer {n} by {dev:.3e}"
         )

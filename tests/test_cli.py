@@ -561,14 +561,19 @@ class TestLazyLpImport:
             ["distance", "bloch", "spin2", "--samples", "50"],
             ["hexagon", "0.5", "0.3", "0.2", "--game"],
         ]
+        # no command solves an LP; sampled discrimination, after them, does
         script = (
             "import contextlib, io, json, sys\n"
+            "from gptforge import discrimination, state_space\n"
             "from gptforge.cli import main\n"
             "seen = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = main(argv)\n"
             "    seen.append([code, 'scipy.optimize' in sys.modules])\n"
+            "s = state_space.deformable_structure([0.5, 0.3, 0.2], 200, 0)\n"
+            "seen.append([discrimination.max_distinguishable_sampled(s, 2),\n"
+            "             'scipy.optimize' in sys.modules])\n"
             "print(json.dumps(seen))\n"
         )
         proc = subprocess.run(
@@ -576,7 +581,7 @@ class TestLazyLpImport:
             capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout)
-        assert seen == [[0, False]] * (len(commands) - 1) + [[0, True]]
+        assert seen == [[0, False]] * len(commands) + [[True, True]]
 
 
 class TestStructureSpecFiles:

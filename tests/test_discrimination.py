@@ -19,6 +19,7 @@ from gptforge.numerics import (
     COINCIDENCE_TOL,
     DEFAULT_TOL,
     check_feasible,
+    effect_lp,
     effect_program,
     lp_solve,
 )
@@ -271,7 +272,8 @@ def _assert_three_states_match_lp(a):
     h = dc.hexagon_vertices(np.asarray(a) / np.sum(a))
     for chosen in itertools.combinations(range(6), 3):
         anchors = h.labeled[list(chosen)]
-        effects = dc._perfect_measurement(h.vertices, anchors, np.ones(3))
+        effects, ok = dc._triangle_measurements(h.vertices, anchors[None])
+        effects = effects[0] if ok[0] else None
         program = _three_state_program(h.vertices, anchors)
         violation = _barycentric_violation(program, anchors)
         assert (effects is not None) == (violation <= DEFAULT_TOL)
@@ -338,6 +340,168 @@ class TestThreeStatesByLinearSolve:
         _assert_certified(r.effects, h.vertices, h.vertices[list(states)])
 
 
+def _lp_states(h):
+    """The (n, states) of the route the exact kernels replaced, inline: three
+    states by inv(Y)^T checked at DEFAULT_TOL, pairs and single states by
+    feasibility LP."""
+    nv = len(h.vertices)
+    for k in range(min(3, nv), 0, -1):
+        for chosen in itertools.combinations(range(nv), k):
+            anchors = h.vertices[list(chosen)]
+            # the same program for any number of anchors
+            program = _three_state_program(h.vertices, anchors)
+            if k == 3:
+                violation = _barycentric_violation(program, anchors)
+                if violation <= DEFAULT_TOL:
+                    return k, chosen
+            elif lp_solve(program).optimal:
+                return k, chosen
+
+
+def _lp_game(h):
+    """(bit1, bit2) of the replaced route: one LP over the valid effects per
+    bit, with the objective over the merged game states."""
+    y = h.vertices[list(h.label_to_vertex)]
+
+    def guess(plus, minus):
+        objective = 0.25 * (np.sum(plus, axis=0) - np.sum(minus, axis=0))
+        return 0.5 + effect_lp(h.vertices, [objective]).value
+
+    bit1 = guess([y[0], y[1]], [y[3], y[4]])
+    if len({h.label_to_vertex[i] for i in (0, 1, 3, 4)}) < 4:
+        return bit1, 0.5
+    return bit1, guess([y[0], y[4]], [y[1], y[3]])
+
+
+def _assert_matches_lp_route(a, same_states):
+    h = dc.hexagon_vertices(np.asarray(a) / np.sum(a))
+    n, states = _lp_states(h)
+    r = dc.max_distinguishable(h)
+    assert r.n == n
+    if same_states:
+        assert r.states == states
+    _assert_certified(r.effects, h.vertices, h.vertices[list(r.states)])
+    g = dc.encoding_game_value(h.alpha)
+    bit1, bit2 = _lp_game(h)
+    assert abs(g.bit1_success - bit1) <= 1e-8
+    assert abs(g.bit2_success - bit2) <= 1e-8
+
+
+def _certified_basis(h, plus, minus):
+    """The game LP of ``_best_two_class_guess`` for two lists of labels, as
+    exact integer vertex rows and objective (4 c), with the first basis whose
+    integer certificate passes and its exact optimum."""
+    nv = len(h.vertices)
+    weights = (np.bincount([h.label_to_vertex[i] for i in plus], minlength=nv)
+               - np.bincount([h.label_to_vertex[i] for i in minus],
+                             minlength=nv))
+    rows, _ = dc._dyadic_rows(h.vertices)
+    objective = [sum(int(w) * y[k] for w, y in zip(weights, rows))
+                 for k in range(3)]
+    for basis in dc._game_bases(h.vertices, 0.25 * (weights @ h.vertices)):
+        optimum = dc._certify_game_basis(rows, objective, basis)
+        if optimum is not None:
+            return rows, objective, basis, optimum
+    raise AssertionError("no basis certifies")
+
+
+class TestExactKernels:
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.0, 0.3), st.floats(0.02, 0.5), st.floats(0.02, 0.5))
+    def test_generic_matches_lp_route(self, low, gap1, gap2):
+        _assert_matches_lp_route([low + gap1 + gap2, low + gap2, low], True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.0, 0.3), st.floats(0.02, 0.5), st.floats(0.02, 0.5),
+           st.integers(0, 1), st.floats(-9.0, -6.0))
+    def test_near_equal_matches_lp_route(self, low, gap1, gap2, j, log_gap):
+        a = np.array([low + gap1 + gap2, low + gap2, low])
+        a[j + 1] = a[j] - 10.0 ** log_gap
+        # the chosen pair may move: see test_pair_where_lp_route_differed
+        _assert_matches_lp_route(a, False)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(0.0, 0.5), st.integers(0, 2))
+    def test_triangle_matches_lp_route(self, t, odd):
+        a = np.full(3, t)
+        a[odd] = 1.0 - 2.0 * t
+        _assert_matches_lp_route(a, True)
+
+    @pytest.mark.parametrize("a, states", [
+        ([0.4642953150413933, 0.464295311083312, 0.07140937387529463],
+         (0, 1)),
+        ([0.6816554574364346, 0.1591722746483285, 0.1591722679152368],
+         (0, 2)),
+    ])
+    def test_pair_where_lp_route_differed(self, a, states):
+        # the LP route chose (0, 3); the exact rule at DEFAULT_TOL finds an
+        # earlier pair in combinations order, which certifies
+        h = dc.hexagon_vertices(a)
+        r = dc.max_distinguishable(h)
+        assert r.states == states
+        _assert_certified(r.effects, h.vertices, h.vertices[list(states)])
+        g = dc.encoding_game_value(h.alpha)
+        for bit, plus, minus in ((g.bit1_success, (0, 1), (3, 4)),
+                                 (g.bit2_success, (0, 4), (1, 3))):
+            num, den = _certified_basis(h, plus, minus)[3]
+            assert (2 * den + num) / (4 * den) == bit
+
+    def test_pair_effects_are_segment_middle(self):
+        # the first bit's pair: the feasible segment's middle, exactly
+        h = dc.hexagon_vertices([0.5, 0.3, 0.2])
+        r = dc.max_distinguishable(h)
+        assert r.states == (0, 3)
+        lo, hi = _pair_segment(h, 0, 3)
+        assert np.allclose(r.effects[0], (lo + hi) / 2, atol=1e-12)
+
+    def test_mutated_basis_refused(self):
+        h = dc.hexagon_vertices([0.5, 0.3, 0.2])
+        rows, c, basis, (num, den) = _certified_basis(h, (0, 4), (1, 3))
+        assert abs(num / (4 * den) - 0.25) < 1e-12
+        refused = 0
+        for pos in range(3):
+            for row in sorted(set(range(2 * len(rows))) - set(basis)):
+                mutated = basis[:pos] + (row,) + basis[pos + 1:]
+                optimum = dc._certify_game_basis(rows, c, mutated)
+                # the optimum is an edge, so a few other bases are optimal
+                # too; they certify only the same exact value
+                if optimum is None:
+                    refused += 1
+                else:
+                    assert optimum[0] * den == num * optimum[1]
+        assert refused == 24  # of the 27 mutations
+
+    def test_fewer_than_three_vertices(self):
+        # one vertex: every game objective is zero
+        g = dc.encoding_game_value([1 / 3, 1 / 3, 1 / 3])
+        assert (g.bit1_success, g.bit2_success) == (0.5, 0.5)
+        # two vertices 1.07e-9 apart, each merging three labels: they are
+        # perfectly distinguishable, and so is the first bit
+        a = 0.0625 + np.array([0.0, 1e-10, 2e-10])
+        h = dc.hexagon_vertices(a)
+        assert h.label_to_vertex == (0, 0, 0, 1, 1, 1)
+        assert dc.max_distinguishable(h).n == 2
+        g = dc.encoding_game_value(a)
+        assert g.bit1_success == 1.0 and g.degenerate
+
+
+def _pair_segment(h, i, j):
+    """End points of the segment of effects e with e . y_i = 1, e . y_j = 0
+    and -DEFAULT_TOL <= e . x, (1 - e) . x <= 1 + DEFAULT_TOL on every vertex,
+    by two LPs along the line's direction."""
+    a, b = h.vertices[i], h.vertices[j]
+    d = np.cross(a, b)
+    ends = []
+    for sign in (1.0, -1.0):
+        program = _three_state_program(h.vertices, np.stack([a, b]))
+        res = linprog(-sign * np.concatenate([d, -d]), A_ub=program.ub[0],
+                      b_ub=program.ub[1] + DEFAULT_TOL, A_eq=program.eq[0],
+                      b_eq=program.eq[1], bounds=(None, None), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10})
+        ends.append(res.x[:3])
+    return ends
+
+
 @pytest.fixture()
 def lp_calls(monkeypatch):
     """Every lp_solve call, wherever the package binds it."""
@@ -354,11 +518,11 @@ def lp_calls(monkeypatch):
 
 
 class TestLpCount:
-    def test_generic_game_five_lps(self, capsys, lp_calls):
-        # three pair LPs to the first feasible pair, two game LPs
+    def test_generic_game_no_lp(self, capsys, lp_calls):
+        # pairs and the game are decided by the exact kernels
         assert main(["hexagon", "0.5", "0.3", "0.2", "--game"]) == 0
         capsys.readouterr()
-        assert len(lp_calls) == 5
+        assert lp_calls == []
 
     def test_triangle_no_lp(self, lp_calls):
         r = dc.max_distinguishable(dc.hexagon_vertices([0.5, 0.5, 0.0]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptforge import finite_rep as fr
-from gptforge.errors import DomainError, ResourceError
+from gptforge.errors import DomainError, NumericalConsistencyError, ResourceError
 from oracles import (
     closed_under_composition,
     conjugacy_classes_oracle,
@@ -310,6 +310,33 @@ class TestGelfand:
         for h in subs:
             assert fr.is_gelfand_pair(t, h).gelfand == \
                 gelfand_oracle(s4, t, h)
+
+    def test_double_coset_count_by_enumeration(self, s4):
+        t = fr.character_table(s4)
+        perms = [tuple(p) for p in s4.perms.tolist()]
+        for gens in ([], [(1, 0, 2, 3)], [(1, 0, 3, 2), (2, 3, 0, 1)],
+                     [(1, 0, 2, 3), (1, 2, 0, 3)], [(1, 2, 3, 0)]):
+            h = fr.subgroup_from_generators(s4, gens)
+            members = [perms[i] for i in h.members]
+            cosets = {frozenset(fr.compose(fr.compose(a, g), b)
+                                for a in members for b in members)
+                      for g in perms}
+            count, index = fr._double_coset_count(t, h)
+            assert (count, index) == (len(cosets), 24 // h.order)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m[:1] + (m[1] + 1,) + m[2:],  # sum m_i^2 != |H\G/H|
+        lambda m: (m[2], m[1], m[0]),  # sum m_i^2 kept, sum m_i d_i not
+    ])
+    def test_corrupted_multiplicity_refused(self, s3, s3_table, monkeypatch,
+                                            corrupt):
+        h = fr.trivial_subgroup(s3)  # multiplicities (1, 1, 2) = dims
+        mults = corrupt(tuple(fr.trivial_restriction_multiplicity(s3_table, i, h)
+                              for i in range(3)))
+        monkeypatch.setattr(fr, "trivial_restriction_multiplicity",
+                            lambda table, i, sub: mults[i])
+        with pytest.raises(NumericalConsistencyError):
+            fr.is_gelfand_pair(s3_table, h)
 
     def test_multiplicities_match_oracle(self, s3, s3_table):
         h = fr.subgroup_from_generators(s3, [(1, 0, 2)])
