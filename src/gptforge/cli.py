@@ -31,7 +31,7 @@ from .errors import (
     NumericalConsistencyError,
     ResourceError,
 )
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, NORMALIZATION_TOL, ZERO_NORM
 
 DEFAULT_SAMPLES = 2000
 MAX_T_GRID_ROWS = 1001  # a 0:1:0.001 grid; each row is a full distance estimate
@@ -178,7 +178,7 @@ def cmd_gelfand(args):
 
 def cmd_hexagon(args):
     total = args.a1 + args.a2 + args.a3
-    if abs(total - 1.0) > 1e-6:
+    if abs(total - 1.0) > NORMALIZATION_TOL:
         print(
             f"warning: coefficients sum to {total:.6g}; renormalizing",
             file=sys.stderr,
@@ -424,7 +424,7 @@ def cmd_schur_average(args):
             "mc_average": r.mc_average,
             "exact": r.exact,
             "sigma": r.sigma,
-            "ok": bool(r.deviation <= 4.0 * r.sigma + 1e-12),
+            "ok": bool(r.deviation <= 4.0 * r.sigma + ZERO_NORM),
         })
     payload = {
         "meta": _meta(args, "schur-average"),

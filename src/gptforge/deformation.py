@@ -205,13 +205,18 @@ def _best_match_distance(y, sb, sweeps=3, probes=12):
 def _coordinate_polish(y, x, beta, sweeps, probes):
     resid = y - x @ beta
     best = np.max(np.abs(resid))
+    # one buffer for every step: fresh (probes, n) temporaries page-fault
+    buf = np.empty((probes, len(resid)))
     for _ in range(sweeps):
         improved = False
         for c in range(len(beta)):
             col = x[:, c]
             scale = max(best, 1e-12)
             deltas = np.linspace(-scale, scale, probes)
-            vals = np.max(np.abs(resid[None, :] - np.outer(deltas, col)), axis=1)
+            np.multiply.outer(deltas, col, out=buf)
+            np.subtract(resid, buf, out=buf)
+            np.abs(buf, out=buf)
+            vals = buf.max(axis=1)
             k = int(np.argmin(vals))
             if vals[k] < best - 1e-12:
                 beta = beta.copy()

@@ -10,6 +10,14 @@ longer than most commands that solve no LP).  The LPs are those over sampled
 orbit points, the pure-state metric and sampled discrimination; the
 hexagon's small problems are solved exactly in ``discrimination`` and never
 load HiGHS.
+
+An effect LP over n sampled points has 2kn validity rows, of which only a
+few bind, so :func:`effect_lp` solves it by row generation (Kelley, J. SIAM
+8, 1960): it starts from the extreme points along the objective rows and the
+coordinate axes, and each round adds the inactive points whose rows the
+round's optimum violates most.  An optimum valid on every row within
+``DEFAULT_TOL`` is the full optimum; an infeasible subset certifies that the
+full LP is infeasible; an unbounded subset sends the next round to every row.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ IDEMPOTENCE_TOL = 1e-4
 NULL_SPACE_RTOL = 1e-9
 # A vector (or coefficient sum) below this norm counts as zero.
 ZERO_NORM = 1e-12
+# Coefficients meant to sum to 1 that miss by more are renormalized loudly.
+NORMALIZATION_TOL = 1e-6
 # A matrix is symmetric when |a - a^T| stays below this, entrywise.
 SYMMETRY_TOL = 1e-10
 # A value further than this from the nearest integer is not integral.
@@ -184,8 +194,50 @@ def effect_program(points, objective, eq=None):
 
 
 def effect_lp(points, objective, eq=None):
-    """Solve :func:`effect_program` with :func:`lp_solve`."""
-    return lp_solve(effect_program(points, objective, eq))
+    """Solve :func:`effect_program` with :func:`lp_solve`, by row generation.
+
+    Each round solves the program on the points of an active set.  It
+    starts as the lowest and highest point along each objective row and
+    each coordinate axis; after each round, up to ``2 * dim`` inactive
+    points join it, those whose validity rows the round's optimum violates
+    most.  The answer is
+
+    - the round's optimum, once it meets every validity row within
+      ``DEFAULT_TOL`` (the rule of :func:`check_feasible`, read off
+      ``points @ effects.T``): a relaxation optimum feasible on all rows is
+      the full optimum;
+    - "infeasible" as soon as a round is: an infeasible subset certifies
+      that the full program is infeasible;
+    - the answer of a round on every point.  An unbounded round, or one
+      whose optimum only active rows violate (by roundoff), sends the next
+      round to every point.
+    """
+    pts = as_real_matrix(points, "points")  # every row, read by a round or not
+    obj = np.asarray(objective, dtype=float)
+    k, dim = obj.shape
+    n = len(pts)
+    active = np.zeros(n, dtype=bool)
+    if n:
+        proj = pts @ np.concatenate([obj, np.eye(dim)]).T
+        active[proj.argmin(axis=0)] = active[proj.argmax(axis=0)] = True
+    while True:
+        res = lp_solve(effect_program(pts[active], obj, eq))
+        if active.all() or res.status == "infeasible":
+            return res
+        if res.status == "unbounded":
+            active[:] = True
+            continue
+        vals = pts @ res.x.reshape(k, dim).T
+        excess = np.maximum(vals - 1.0, -vals).max(axis=1)
+        if excess.max() <= DEFAULT_TOL:
+            return res
+        excess[active] = 0.0
+        violated = np.flatnonzero(excess > DEFAULT_TOL)
+        if violated.size == 0:
+            active[:] = True
+            continue
+        worst = np.argsort(-excess[violated], kind="stable")[:2 * dim]
+        active[violated[worst]] = True
 
 
 def check_feasible(p: LinearProgram, x):

@@ -124,6 +124,39 @@ class TestSymmetrizedDistance:
         with pytest.raises(DomainError, match="aligned"):
             dm.symmetrized_distance_estimate(deformable_2000, other)
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_polish_matches_fresh_temporaries(self, seed):
+        # the in-place probe buffer does the same arithmetic as fresh arrays
+        def reference(y, x, beta, sweeps, probes):
+            resid = y - x @ beta
+            best = np.max(np.abs(resid))
+            for _ in range(sweeps):
+                improved = False
+                for c in range(len(beta)):
+                    col = x[:, c]
+                    deltas = np.linspace(-max(best, 1e-12), max(best, 1e-12),
+                                         probes)
+                    vals = np.max(np.abs(resid[None, :]
+                                         - np.outer(deltas, col)), axis=1)
+                    k = int(np.argmin(vals))
+                    if vals[k] < best - 1e-12:
+                        beta = beta.copy()
+                        beta[c] += deltas[k]
+                        resid = resid - deltas[k] * col
+                        best = vals[k]
+                        improved = True
+                if not improved:
+                    break
+            return beta
+
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([np.ones((500, 1)),
+                            rng.standard_normal((500, 8))], axis=1)
+        y = rng.uniform(0.0, 1.0, 500)
+        beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+        got = dm._coordinate_polish(y, x, beta, 3, 12)
+        assert np.array_equal(got, reference(y, x, beta, 3, 12))
+
 
 class TestDeformationPath:
     def test_t_zero_identical(self, deformable_2000):

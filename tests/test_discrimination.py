@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from gptforge import deformation
 from gptforge import discrimination as dc
 from gptforge import numerics
 from gptforge import state_space as ss
@@ -528,6 +529,30 @@ class TestLpCount:
         r = dc.max_distinguishable(dc.hexagon_vertices([0.5, 0.5, 0.0]))
         assert r.n == 3
         assert lp_calls == []
+
+
+class TestRowGeneration:
+    @pytest.mark.parametrize("i, j", [(3, 7), (100, 1500), (42, 1999)])
+    def test_pure_state_distance_solves_small_subsets(self, deformable_2000,
+                                                      lp_calls, i, j):
+        d = deformation.pure_state_distance(deformable_2000, i, j)
+        assert 0.0 <= d <= 1.0 + DEFAULT_TOL
+        full = 2 * deformable_2000.n_points
+        assert lp_calls and max(len(p.ub[1]) for p in lp_calls) <= full / 10
+
+    @pytest.mark.parametrize("k, feasible", [(2, True), (3, False)])
+    def test_sampled_discrimination_solves_small_subsets(
+            self, deformable_2000, lp_calls, k, feasible):
+        assert dc.max_distinguishable_sampled(deformable_2000, k) == feasible
+        # the k target states join the sample
+        full = 2 * k * (deformable_2000.n_points + k)
+        assert lp_calls and max(len(p.ub[1]) for p in lp_calls) <= full / 10
+
+    def test_reruns_are_bit_identical(self, deformable_2000):
+        p = deformable_2000.points
+        first, second = (effect_lp(p, [p[3] - p[7]]) for _ in range(2))
+        assert first.optimal and first.value == second.value
+        assert np.array_equal(first.x, second.x)
 
 
 @pytest.fixture(scope="module")

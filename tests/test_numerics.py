@@ -13,6 +13,7 @@ from gptforge.numerics import (
     LinearProgram,
     check_feasible,
     effect_lp,
+    effect_program,
     lp_solve,
     round_to_int,
     symmetric_eigen,
@@ -163,6 +164,55 @@ class TestEffectLp:
                         eq=(a_eq, np.array([1.0, 0.0])))
         assert res.optimal and abs(res.value - 1.0) < 1e-8
         assert np.allclose(res.x, [0.5, 0.5, 0.5, -0.5], atol=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6),
+           st.sampled_from(["general", "flat", "flat-in-span",
+                            "contradictory", "zero"]),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=2, max_value=5),
+           st.integers(min_value=0, max_value=2))
+    def test_row_generation_matches_all_rows(self, seed, kind, k, dim, n_eq):
+        # augmented points (column 0 is 1) so that e = (1/2, 0, ...) is valid
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 300))
+        rank = dim - 1 if kind.startswith("flat") else dim
+        carrier = rng.standard_normal((n, rank - 1)) @ rng.standard_normal(
+            (rank - 1, dim - 1))
+        points = np.concatenate([np.ones((n, 1)), carrier], axis=1)
+        objective = rng.standard_normal((k, dim))
+        if kind == "zero":
+            objective[:] = 0.0
+        elif kind == "flat-in-span":
+            objective = rng.standard_normal((k, n)) @ points / n
+        a_eq = rng.standard_normal((n_eq, k * dim))
+        x0 = np.tile(np.eye(dim)[0] / 2.0, k)
+        b_eq = a_eq @ x0
+        if kind == "contradictory":
+            # the first effect must take 3/2 on one sampled point
+            row = np.zeros(k * dim)
+            row[:dim] = points[int(rng.integers(n))]
+            a_eq, b_eq = np.vstack([a_eq, row]), np.append(b_eq, 1.5)
+        eq = (a_eq, b_eq) if len(b_eq) else None
+
+        full = effect_program(points, objective, eq)
+        expected = lp_solve(full)
+        res = effect_lp(points, objective, eq)
+        assert res.status == expected.status
+        assert kind not in ("general", "zero") or res.optimal
+        # an equality row may close the direction the points leave open
+        assert kind != "flat" or n_eq or res.status == "unbounded"
+        assert kind != "contradictory" or res.status == "infeasible"
+        if res.optimal:
+            assert abs(res.value - expected.value) <= 1e-7
+            check_feasible(full, res.x)
+
+    def test_non_finite_point_refused(self):
+        # refused as when the full program was validated
+        points = np.concatenate([np.eye(2), np.full((1, 2), np.nan),
+                                 np.eye(2)])
+        with pytest.raises(DomainError):
+            effect_lp(points, [[1.0, 1.0]])
 
 
 class TestRoundToInt:
