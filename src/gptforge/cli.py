@@ -9,6 +9,11 @@ and --samples; their seed defaults to the non-negative integer in the
 environment variable GPTFORGE_SEED, read on each call, or 0.  The parser
 holds no environment state and is built once per process.
 
+Each ``cmd_*`` returns a payload dict (the sweep CSV text for deform) and
+prints nothing; ``main`` alone adds the meta header, serialises, and writes
+to stdout or ``-o``.  Files are read by ``_load_json`` and written by
+``_write_file``; a path either of them cannot use exits 2.
+
 Exit codes: 0 success, 2 input error, 3 resource cap exceeded, 4 internal
 numerical-consistency failure.
 """
@@ -23,7 +28,8 @@ import sys
 
 import numpy as np
 
-from . import classification, deformation, discrimination, finite_rep, state_space
+from . import (classification, compact_rep, deformation, discrimination,
+               finite_rep, state_space)
 from .errors import (
     AccuracyError,
     DomainError,
@@ -53,24 +59,6 @@ def _default_seed():
         raise DomainError(f"GPTFORGE_SEED: {err}") from None
 
 
-def _meta(args, command):
-    return {
-        "command": command,
-        "seed": getattr(args, "seed", None),
-        "samples": getattr(args, "samples", None),
-        "tol": DEFAULT_TOL,
-    }
-
-
-def _emit(args, text):
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_default(x):
     """numpy values json cannot encode: arrays as lists, scalars as Python
     scalars (np.float64 is a float already and never gets here)."""
@@ -81,23 +69,30 @@ def _json_default(x):
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _emit_json(args, payload):
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2,
-                           default=_json_default) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# group files
-
-
 def _load_json(path):
+    """The JSON document in ``path``, or a DomainError saying why not."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError as err:
         raise DomainError(f"no such file: {path}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # bad JSON, bytes or nesting
         raise DomainError(f"malformed JSON in {path}: {err}") from err
+    except OSError as err:
+        raise DomainError(f"cannot read {path}: {err.strerror}") from err
+
+
+def _write_file(path, text):
+    """Write ``text`` to ``path``, or raise a DomainError saying why not."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise DomainError(f"cannot write {path}: {err.strerror}") from err
+
+
+# ---------------------------------------------------------------------------
+# group files
 
 
 def _is_int(x):
@@ -137,7 +132,6 @@ def cmd_gelfand(args):
     table = finite_rep.character_table(group)
     decision = finite_rep.is_gelfand_pair(table, sub)
     payload = {
-        "meta": _meta(args, "gelfand"),
         "group_order": group.order,
         "subgroup_order": sub.order,
         "gelfand": decision.gelfand,
@@ -168,8 +162,7 @@ def cmd_gelfand(args):
             "multiplicity": decision.witness_multiplicity,
             "dim": table.dims[decision.witness_irrep],
         }
-    _emit_json(args, payload)
-    return 0
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +180,6 @@ def cmd_hexagon(args):
     h = discrimination.hexagon_vertices(alpha)
     result = discrimination.max_distinguishable(h)
     payload = {
-        "meta": _meta(args, "hexagon"),
         "alpha": list(alpha.values),
         "vertices": h.vertices,
         "labels": {f"y{i + 1}": h.label_to_vertex[i] for i in range(6)},
@@ -207,10 +199,8 @@ def cmd_hexagon(args):
             "measurement per bit"
         )
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(discrimination.hexagon_csv(h))
-    _emit_json(args, payload)
-    return 0
+        _write_file(args.csv, discrimination.hexagon_csv(h))
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -231,30 +221,24 @@ def _check_dim(d, where):
 
 
 def _parse_structure_spec(text):
-    """bloch | spin2 | deformable:a1,a2,a3[:t] | quartic[:k] | file.json"""
-    if text == "bloch":
-        return {"name": "bloch"}
-    if text == "spin2":
-        return {"name": "spin2"}
-    if text.startswith("deformable"):
-        parts = text.split(":")
+    """bloch | spin2 | deformable[:a1,a2,a3[:t]] | quartic[:k] | file.json"""
+    if text.endswith(".json"):
+        return {"name": "file", "data": _load_json(text)}
+    name, *params = text.split(":")
+    if name in ("bloch", "spin2") and not params:
+        return {"name": name}
+    if name == "deformable" and len(params) <= 2:
         alpha = (0.5, 0.3, 0.2)
-        t = 0.0
-        if len(parts) >= 2 and parts[1]:
-            alpha = tuple(_number(float, x, text) for x in parts[1].split(","))
+        if params and params[0]:
+            alpha = tuple(_number(float, x, text) for x in params[0].split(","))
             if len(alpha) != 3:
                 raise DomainError("deformable spec needs three coefficients")
-        if len(parts) >= 3:
-            t = _number(float, parts[2], text)
+        t = _number(float, params[1], text) if len(params) == 2 else 0.0
         return {"name": "deformable", "alpha": alpha, "t": t}
-    if text.startswith("quartic"):
-        parts = text.split(":")
-        k = _number(int, parts[1], text) if len(parts) > 1 else 2
+    if name == "quartic" and len(params) <= 1:
+        k = _number(int, params[0], text) if params else 2
         _check_dim(k * k, text)
         return {"name": "quartic", "k": k}
-    if text.endswith(".json"):
-        data = _load_json(text)
-        return {"name": "file", "data": data}
     raise DomainError(
         f"unknown structure spec {text!r}; expected bloch, spin2, "
         "deformable:a1,a2,a3[:t], quartic[:k], or a .json file"
@@ -262,8 +246,6 @@ def _parse_structure_spec(text):
 
 
 def _structure_from_file(data, n, seed):
-    from . import compact_rep
-
     if not (isinstance(data, dict) and _is_int(data.get("d"))):
         raise DomainError("structure file needs a JSON object with integer 'd'")
     _check_dim(data["d"], "structure file 'd'")
@@ -339,7 +321,6 @@ def cmd_distance(args):
         s0, s1, effect_family_size=args.family_size, rng=args.seed
     )
     payload = {
-        "meta": _meta(args, "distance"),
         "spec0": args.spec0,
         "spec1": args.spec1,
         "estimate": report.estimate,
@@ -359,8 +340,7 @@ def cmd_distance(args):
             "sigma": verify.sigma,
             "verified": verify.verified,
         }
-    _emit_json(args, payload)
-    return 0
+    return payload
 
 
 def _t_grid(text):
@@ -388,21 +368,17 @@ def cmd_deform(args):
     rows = deformation.deformation_sweep(base, ts,
                                          effect_family_size=args.family_size,
                                          rng=args.seed)
-    _emit(args, deformation.sweep_csv(rows))
-    return 0
+    return deformation.sweep_csv(rows)
 
 
 def cmd_sphere_check(args):
     spec = _parse_structure_spec(args.spec)
     s = _build_single(spec, args.samples, args.seed)
-    payload = {
-        "meta": _meta(args, "sphere-check"),
+    return {
         "spec": args.spec,
         "n": s.n_points,
         "max_radial_deviation": state_space.sphere_check(s),
     }
-    _emit_json(args, payload)
-    return 0
 
 
 def cmd_schur_average(args):
@@ -426,14 +402,11 @@ def cmd_schur_average(args):
             "sigma": r.sigma,
             "ok": bool(r.deviation <= 4.0 * r.sigma + ZERO_NORM),
         })
-    payload = {
-        "meta": _meta(args, "schur-average"),
+    return {
         "spec": args.spec,
         "checks": checks,
         "all_ok": all(c["ok"] for c in checks),
     }
-    _emit_json(args, payload)
-    return 0
 
 
 def cmd_grassmann(args):
@@ -450,8 +423,7 @@ def cmd_grassmann(args):
         raise DomainError(f"m = {m}, b1_max = {b} gives more than "
                           f"{MAX_GRASSMANN_ROWS} candidate partitions")
     audit = classification.spherical_reality_audit(args.m, args.n, args.b1_max)
-    payload = {
-        "meta": _meta(args, "grassmann"),
+    return {
         "m": args.m,
         "n": args.n,
         "b1_max": args.b1_max,
@@ -467,13 +439,10 @@ def cmd_grassmann(args):
         ],
         "spaces": classification.grassmann_spaces(args.m, args.n),
     }
-    _emit_json(args, payload)
-    return 0
 
 
 def cmd_catalog(args):
-    payload = {
-        "meta": _meta(args, "catalog"),
+    return {
         "entries": [
             {
                 "space": e.space,
@@ -485,23 +454,18 @@ def cmd_catalog(args):
             for e in classification.two_point_catalog()
         ],
     }
-    _emit_json(args, payload)
-    return 0
 
 
 def cmd_quartic(args):
     _check_dim(args.k * args.k, "quartic k")
     rho = classification.quartic_reference(args.k)
-    payload = {
-        "meta": _meta(args, "quartic"),
+    return {
         "k": args.k,
         "size": rho.shape[0],
         "rank": args.k,
         "trace": float(np.trace(rho)),
         "matrix": rho,
     }
-    _emit_json(args, payload)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +598,18 @@ def main(argv=None):
         args = _PARSER.parse_args(argv)
         if getattr(args, "seed", 0) is None:  # a sampling command, no --seed
             args.seed = _default_seed()
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, dict):
+            result["meta"] = {"command": args.command, "tol": DEFAULT_TOL,
+                              "seed": getattr(args, "seed", None),
+                              "samples": getattr(args, "samples", None)}
+            result = json.dumps(result, sort_keys=True, indent=2,
+                                default=_json_default) + "\n"
+        if args.output:
+            _write_file(args.output, result)
+        else:
+            sys.stdout.write(result)
+        return 0
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

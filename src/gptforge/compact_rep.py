@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .numerics import (IDEMPOTENCE_TOL, INVARIANCE_TOL, NULL_SPACE_RTOL,
-                       UNITARY_TOL, symmetric_eigen)
+                       PROJECTOR_SQUARINGS, UNITARY_TOL, symmetric_eigen)
 
 # ---------------------------------------------------------------------------
 # rng plumbing
@@ -460,7 +460,7 @@ def _averaged_operator(spec, elements):
     return 0.5 * np.real(left @ s.reshape(d * d, d * d) @ right.T)
 
 
-def _round_average_to_projector(avg, n_power=5):
+def _round_average_to_projector(avg):
     """Power an averaged rep operator toward its eigenvalue-1 projector.
 
     Subgroup-invariant vectors are exact fixed points of the average, so
@@ -468,7 +468,7 @@ def _round_average_to_projector(avg, n_power=5):
     eigen-split at 1/2, and rounded to an exact orthogonal projector.
     """
     a = avg
-    for _ in range(n_power):
+    for _ in range(PROJECTOR_SQUARINGS):
         a = a @ a
     a = (a + a.T) / 2.0
     idem = np.max(np.abs(a @ a - a))

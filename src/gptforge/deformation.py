@@ -22,7 +22,8 @@ import numpy as np
 
 from .compact_rep import ensure_rng, haar_samples, invariant_projector
 from .errors import DomainError
-from .numerics import INVARIANCE_TOL, effect_lp
+from .numerics import (EFFECT_RANGE_TOL, INVARIANCE_TOL, POLISH_PROBES,
+                       POLISH_SWEEPS, ZERO_NORM, effect_lp)
 from .state_space import Effect, build_structure, orbit_points, witness_effect
 
 # ---------------------------------------------------------------------------
@@ -193,11 +194,11 @@ def _directed_estimate(sa, sb, family_size, seed):
     return worst
 
 
-def _best_match_distance(y, sb, sweeps=3, probes=12):
+def _best_match_distance(y, sb):
     """min over valid effects f1 of max_x |y(x) - f1(x)| (approximate)."""
     x = sb.points
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-    beta = _coordinate_polish(y, x, beta, sweeps, probes)
+    beta = _coordinate_polish(y, x, beta, POLISH_SWEEPS, POLISH_PROBES)
     beta = _force_valid(x, beta)
     return float(np.max(np.abs(y - x @ beta)))
 
@@ -211,14 +212,14 @@ def _coordinate_polish(y, x, beta, sweeps, probes):
         improved = False
         for c in range(len(beta)):
             col = x[:, c]
-            scale = max(best, 1e-12)
+            scale = max(best, ZERO_NORM)
             deltas = np.linspace(-scale, scale, probes)
             np.multiply.outer(deltas, col, out=buf)
             np.subtract(resid, buf, out=buf)
             np.abs(buf, out=buf)
             vals = buf.max(axis=1)
             k = int(np.argmin(vals))
-            if vals[k] < best - 1e-12:
+            if vals[k] < best - ZERO_NORM:
                 beta = beta.copy()
                 beta[c] += deltas[k]
                 resid = resid - deltas[k] * col
@@ -229,11 +230,11 @@ def _coordinate_polish(y, x, beta, sweeps, probes):
     return beta
 
 
-def _force_valid(x, beta, tol=1e-9):
+def _force_valid(x, beta):
     """Shrink an effect toward the coin-flip effect until valid on x."""
     vals = x @ beta
     lo, hi = vals.min(), vals.max()
-    if lo >= -tol and hi <= 1.0 + tol:
+    if lo >= -EFFECT_RANGE_TOL and hi <= 1.0 + EFFECT_RANGE_TOL:
         return beta
     nu = 1.0
     if hi > 1.0:

@@ -74,19 +74,6 @@ class AlphaTriple:
     def values(self):
         return np.array([self.a1, self.a2, self.a3])
 
-    def equal_pairs(self):
-        """Index pairs (i, j) with alpha_i == alpha_j (degeneracy flags)."""
-        v = self.values
-        return tuple(
-            (i, j)
-            for i, j in ((0, 1), (0, 2), (1, 2))
-            if abs(v[i] - v[j]) <= COINCIDENCE_TOL
-        )
-
-    @property
-    def generic(self):
-        return not self.equal_pairs()
-
 
 @dataclass(frozen=True, eq=False)
 class HexagonProjection:

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalConsistencyError, ResourceError
-from .numerics import DEFAULT_TOL, round_to_int
+from .numerics import CHARACTER_TOL, DEFAULT_TOL, PIVOT_TOL, round_to_int
 
 DEFAULT_ORDER_CAP = 10_000
 MAX_STRUCTURES = 10_000  # listed sums; Z_32 over its trivial subgroup has 131,071
@@ -391,7 +391,7 @@ def character_table(group):
         evals, evecs = np.linalg.eig(m)
         gaps = np.abs(evals[:, None] - evals[None, :])
         np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < 1e-6 * (1 + np.abs(evals).max()):
+        if gaps.min() < CHARACTER_TOL * (1 + np.abs(evals).max()):
             continue  # degenerate draw; resample the combination
         try:
             chars = _eigenvectors_to_characters(evecs, sizes, group.order)
@@ -414,12 +414,12 @@ def _eigenvectors_to_characters(evecs, sizes, order):
     chars = np.zeros((k, k), dtype=complex)
     for i in range(k):
         v = evecs[:, i]
-        if abs(v[0]) < 1e-10:
+        if abs(v[0]) < PIVOT_TOL:
             raise NumericalConsistencyError("eigenvector vanishes at identity class")
         omega = v / v[0]
         norm = np.sum(np.abs(omega) ** 2 / sizes)
         dim = np.sqrt(order / norm)
-        round_to_int(dim, soft_tol=1e-6, what="irrep dimension")
+        round_to_int(dim, soft_tol=CHARACTER_TOL, what="irrep dimension")
         chars[i] = dim * omega / sizes
     return chars
 
@@ -429,7 +429,8 @@ def _verify_table(chars, sizes, order):
     gram = (chars * sizes) @ chars.conj().T / order
     if np.max(np.abs(gram - np.eye(k))) > DEFAULT_TOL:
         raise NumericalConsistencyError("row orthogonality violated")
-    dims = [round_to_int(chars[i, 0], soft_tol=1e-6, what="irrep dimension")
+    dims = [round_to_int(chars[i, 0], soft_tol=CHARACTER_TOL,
+                         what="irrep dimension")
             for i in range(k)]
     if sum(d * d for d in dims) != order:
         raise NumericalConsistencyError("sum of squared dimensions != |G|")
@@ -531,10 +532,10 @@ def frobenius_schur(table, irrep):
 
 def conjugate_irrep(table, irrep):
     """Index of the irrep whose character is the complex conjugate (within
-    1e-6 entrywise)."""
+    ``CHARACTER_TOL`` entrywise)."""
     target = np.conj(table.chars[irrep])
     for j in range(table.n_irreps):
-        if np.max(np.abs(table.chars[j] - target)) < 1e-6:
+        if np.max(np.abs(table.chars[j] - target)) < CHARACTER_TOL:
             return j
     raise NumericalConsistencyError("conjugate character not found in table")
 

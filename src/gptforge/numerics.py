@@ -50,6 +50,19 @@ SYMMETRY_TOL = 1e-10
 INTEGRALITY_TOL = 1e-4
 # Two float scores within this of each other tie: the first one found stays.
 TIE_TOL = 1e-15
+# Character tables: class-sum eigenvalues closer than this (relative) are
+# degenerate; irrep dimensions and conjugate characters match within it.
+CHARACTER_TOL = 1e-6
+# An eigenvector entry below this modulus is too small to normalise by.
+PIVOT_TOL = 1e-10
+# A fitted effect may leave [0, 1] by this on a sample before it is shrunk.
+EFFECT_RANGE_TOL = 1e-9
+
+# Fixed iteration counts: coordinate sweeps and probes per step of the
+# best-match polish, and squarings of an averaged rep operator.
+POLISH_SWEEPS = 3
+POLISH_PROBES = 12
+PROJECTOR_SQUARINGS = 5
 
 
 def as_real_matrix(m, name="matrix"):

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import itertools
 import json
@@ -396,6 +397,12 @@ class TestMalformedInput:
         ("sphere-check", "bloch", "--seed", "x"),
         ("hexagon", "0.5", "0.3", "0.2", "--seed", "1"),
         ("catalog", "--samples", "10"),
+        ("sphere-check", "deformableXYZ"),
+        ("sphere-check", "quarticXYZ"),
+        ("sphere-check", "bloch:1"),
+        ("sphere-check", "spin2:"),
+        ("sphere-check", "deformable:0.5,0.3,0.2:0.1:0"),
+        ("sphere-check", "quartic:2:1"),
     ])
     def test_exit_2(self, capsys, argv):
         try:
@@ -606,3 +613,118 @@ class TestStructureSpecFiles:
         code, _, err = run_cli(capsys, "sphere-check", str(spec))
         assert code == 2
         assert "reference" in err
+
+    @pytest.mark.parametrize("name", ["quartic_missing.json",
+                                      "deformable_missing.json"])
+    def test_spec_like_missing_file(self, capsys, tmp_path, monkeypatch,
+                                    name):
+        monkeypatch.chdir(tmp_path)  # a bare name, as a user types it
+        code, _, err = run_cli(capsys, "sphere-check", name)
+        assert code == 2
+        assert "error: no such file" in err
+
+    def test_spec_like_file_name_is_a_file(self, capsys, tmp_path,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        content = {"kind": "su_adjoint", "d": 3,
+                   "subgroup": {"kind": "torus"}, "reference": REF8}
+        Path("quartic_x.json").write_text(json.dumps(content))
+        read = []
+        from_file = cli._structure_from_file
+
+        def spy(data, n, seed):
+            read.append(data)
+            return from_file(data, n, seed)
+
+        monkeypatch.setattr(cli, "_structure_from_file", spy)
+        code, out, _ = run_cli(capsys, "sphere-check", "quartic_x.json",
+                               "--samples", "50")
+        assert code == 0 and read == [content]
+        assert json.loads(out)["n"] == 50
+
+
+class TestUnusablePaths:
+    """A file the CLI cannot read or write is an input error (exit 2)."""
+
+    @pytest.fixture()
+    def bad_files(self, tmp_path):
+        binary = tmp_path / "bin.json"
+        binary.write_bytes(b"\x80" + np.random.default_rng(0).bytes(255))
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        trivial = tmp_path / "trivial.json"
+        trivial.write_text(json.dumps({"generators": []}))
+        return binary, deep, trivial
+
+    def check_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 2 and out == ""
+        assert "error:" in err and message in err
+        assert "Traceback" not in err
+
+    def test_directory_read(self, capsys, tmp_path):
+        self.check_exit_2(capsys, ("gelfand", tmp_path, tmp_path),
+                          "cannot read")
+
+    @pytest.mark.parametrize("command", ["gelfand", "sphere-check"])
+    def test_undecodable_bytes(self, capsys, bad_files, command):
+        binary, _, trivial = bad_files
+        argv = [command, binary] + ([trivial] if command == "gelfand" else [])
+        self.check_exit_2(capsys, argv, "malformed")
+
+    def test_nesting_too_deep(self, capsys, bad_files):
+        _, deep, trivial = bad_files
+        self.check_exit_2(capsys, ("gelfand", deep, trivial), "malformed")
+
+    def test_output_in_missing_directory(self, capsys, tmp_path):
+        self.check_exit_2(capsys, ("catalog", "-o", tmp_path / "no" / "x.json"),
+                          "cannot write")
+
+    def test_output_is_a_directory(self, capsys, tmp_path):
+        self.check_exit_2(capsys, ("catalog", "-o", tmp_path), "cannot write")
+
+    def test_csv_in_missing_directory(self, capsys, tmp_path):
+        self.check_exit_2(capsys, ("hexagon", "0.5", "0.3", "0.2", "--csv",
+                                   tmp_path / "no" / "f.csv"), "cannot write")
+
+
+class TestSingleWriter:
+    """Commands return their results; ``main`` alone writes them."""
+
+    @pytest.mark.parametrize("argv", [
+        ("hexagon", "0.5", "0.3", "0.2", "--game"),
+        ("deform", "--samples", "200"),
+    ])
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        code, printed, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "out"
+        code, out, _ = run_cli(capsys, *argv, "-o", str(path))
+        assert code == 0 and out == ""
+        assert path.read_bytes() == printed.encode()
+
+    def test_commands_return_and_print_nothing(self, capsys, s3_files):
+        group, swap, _ = s3_files
+        argvs = [
+            ("gelfand", str(group), str(swap)),
+            ("hexagon", "0.5", "0.3", "0.2"),
+            ("deform", "--t-grid", "0:0:0.1", "--samples", "50", "--seed", "0"),
+            ("distance", "bloch", "spin2", "--samples", "50", "--seed", "0"),
+            ("sphere-check", "bloch", "--samples", "50", "--seed", "0"),
+            ("schur-average", "bloch", "--samples", "50", "--trials", "1",
+             "--seed", "0"),
+            ("grassmann", "1", "2", "1"),
+            ("catalog",),
+            ("quartic", "2"),
+        ]
+        commands = next(a for a in cli._PARSER._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert sorted(a[0] for a in argvs) == sorted(commands)
+        for argv in argvs:
+            args = cli._PARSER.parse_args(list(argv))
+            result = args.func(args)
+            if argv[0] == "deform":
+                assert isinstance(result, str)
+            else:
+                assert isinstance(result, dict) and "meta" not in result
+            assert capsys.readouterr().out == ""

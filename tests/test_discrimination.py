@@ -34,10 +34,6 @@ class TestAlphaTriple:
         a = dc.AlphaTriple.of([1.0, 0.6, 0.4])
         assert abs(sum(a.values) - 1.0) < 1e-15
 
-    def test_degeneracy_flags(self):
-        assert dc.AlphaTriple.of([0.4, 0.4, 0.2]).equal_pairs() == ((0, 1),)
-        assert dc.AlphaTriple.of([0.5, 0.3, 0.2]).generic
-
     def test_zero_sum_rejected(self):
         with pytest.raises(DomainError):
             dc.AlphaTriple.of([1.0, -1.0, 0.0])
