@@ -154,13 +154,13 @@ class CatalogEntry:
 
 
 _CATALOG = (
-    CatalogEntry("S^d", "SO(d)/SO(d-1)", "SO(d)", "SO(d-1)", True),
+    CatalogEntry("S^(d-1)", "SO(d)/SO(d-1)", "SO(d)", "SO(d-1)", True),
     CatalogEntry("PR^d", "O(d)/(O(d-1) x O(1))", "O(d)", "O(d-1) x O(1)", True),
     CatalogEntry("PC^d", "SU(d)/S(U(d-1) x U(1))", "SU(d)",
                  "S(U(d-1) x U(1))", True),
     CatalogEntry("PH^d", "Sp(d)/(Sp(d-1) x Sp(1))", "Sp(d)",
                  "Sp(d-1) x Sp(1)", True),
-    CatalogEntry("PO^3", "F(4)/Sp(9)", "F(4)", "Sp(9)", True),
+    CatalogEntry("PO^3", "F(4)/Spin(9)", "F(4)", "Spin(9)", True),
 )
 
 

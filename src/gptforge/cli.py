@@ -214,6 +214,17 @@ def _number(cast, text, where):
         raise DomainError(f"malformed number {text!r} in {where!r}") from None
 
 
+def _alpha_triple(text):
+    """The three coefficients of ``a1,a2,a3``, shared by ``deform --alpha``
+    and the ``deformable:`` spec."""
+    try:  # a wrong count fails the unpacking, a non-number float()
+        a1, a2, a3 = map(float, text.split(","))
+    except ValueError:
+        raise DomainError(
+            f"alpha must be three numbers a1,a2,a3, got {text!r}") from None
+    return a1, a2, a3
+
+
 def _check_dim(d, where):
     if d > MAX_FUNDAMENTAL_DIM:
         raise DomainError(f"{where}: fundamental dimension d = {d} exceeds "
@@ -228,11 +239,8 @@ def _parse_structure_spec(text):
     if name in ("bloch", "spin2") and not params:
         return {"name": name}
     if name == "deformable" and len(params) <= 2:
-        alpha = (0.5, 0.3, 0.2)
-        if params and params[0]:
-            alpha = tuple(_number(float, x, text) for x in params[0].split(","))
-            if len(alpha) != 3:
-                raise DomainError("deformable spec needs three coefficients")
+        alpha = _alpha_triple(params[0] if params and params[0]
+                              else "0.5,0.3,0.2")
         t = _number(float, params[1], text) if len(params) == 2 else 0.0
         return {"name": "deformable", "alpha": alpha, "t": t}
     if name == "quartic" and len(params) <= 1:
@@ -364,7 +372,8 @@ def _t_grid(text):
 
 def cmd_deform(args):
     ts = _t_grid(args.t_grid)
-    base = state_space.deformable_structure(args.alpha, args.samples, args.seed)
+    alpha = _alpha_triple(args.alpha)
+    base = state_space.deformable_structure(alpha, args.samples, args.seed)
     rows = deformation.deformation_sweep(base, ts,
                                          effect_family_size=args.family_size,
                                          rng=args.seed)
@@ -545,8 +554,8 @@ def build_parser():
     p = sub.add_parser("deform", help="distance sweep along a deformation path")
     p.add_argument("--t-grid", default="0:0.1:0.02",
                    help="start:stop:step, inclusive (default 0:0.1:0.02)")
-    p.add_argument("--alpha", type=lambda s: tuple(float(x) for x in s.split(",")),
-                   default=(0.5, 0.3, 0.2))
+    p.add_argument("--alpha", default="0.5,0.3,0.2",
+                   help="coefficients a1,a2,a3 (default 0.5,0.3,0.2)")
     family_size(p)
     common(p, sampled=True)
     p.set_defaults(func=cmd_deform)

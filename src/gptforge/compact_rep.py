@@ -43,17 +43,6 @@ from .numerics import (IDEMPOTENCE_TOL, INVARIANCE_TOL, NULL_SPACE_RTOL,
                        PROJECTOR_SQUARINGS, UNITARY_TOL, symmetric_eigen)
 
 # ---------------------------------------------------------------------------
-# rng plumbing
-
-
-def ensure_rng(rng):
-    """Accept an integer seed or a Generator; default stream is PCG64."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-# ---------------------------------------------------------------------------
 # carrier bases
 
 
@@ -199,7 +188,7 @@ def haar_samples(spec, n, rng):
     """n Haar samples from ``spec``'s group, SU(d) or SO(d), in the
     fundamental picture: Ginibre + QR, phases fixed, then the determinant
     brought to 1 by a phase (SU) or by flipping the last column (SO)."""
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     unitary = spec.is_unitary_group
     if spec.d == 1:
         return np.ones((n, 1, 1), dtype=complex if unitary else float)
@@ -324,7 +313,7 @@ def _torus_elements(spec, angles):
 
 def subgroup_samples(spec, sub, n, rng):
     """n elements of the subgroup, in the fundamental picture."""
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     d = spec.d
     if sub.kind == "full_torus":
         if spec.is_unitary_group:
@@ -520,8 +509,7 @@ def invariant_projector(spec, sub, quadrature=None):
         angles = np.stack([g.ravel() for g in grids], axis=1)
         elements = _torus_elements(spec, angles)
     elif isinstance(quadrature, MonteCarlo):
-        elements = subgroup_samples(spec, sub, quadrature.n,
-                                    ensure_rng(quadrature.seed))
+        elements = subgroup_samples(spec, sub, quadrature.n, quadrature.seed)
     else:
         raise DomainError(f"unknown quadrature {quadrature!r}")
 
@@ -530,7 +518,7 @@ def invariant_projector(spec, sub, quadrature=None):
     avg = (avg + avg.T) / 2.0
     proj, rank, evals = _round_average_to_projector(avg)
 
-    check = rep_matrices(spec, subgroup_samples(spec, sub, 8, ensure_rng(1)))
+    check = rep_matrices(spec, subgroup_samples(spec, sub, 8, 1))
     drift = np.max(np.abs(check @ proj - proj))
     if drift > INVARIANCE_TOL:
         raise AccuracyError(

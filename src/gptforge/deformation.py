@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compact_rep import ensure_rng, haar_samples, invariant_projector
+from .compact_rep import haar_samples, invariant_projector
 from .errors import DomainError
 from .numerics import (EFFECT_RANGE_TOL, INVARIANCE_TOL, POLISH_PROBES,
                        POLISH_SWEEPS, ZERO_NORM, effect_lp)
@@ -62,7 +62,7 @@ def schur_average_check(s, effects, n, rng):
     the reference v and the carrier dimension D.  All effects are averaged
     over one Haar draw and one orbit.
     """
-    fresh = haar_samples(s.rep, n, ensure_rng(rng))
+    fresh = haar_samples(s.rep, n, rng)
     points = orbit_points(s.rep, fresh, s.reference)
     r = np.linalg.norm(s.reference)
     results = []
@@ -161,7 +161,8 @@ def symmetrized_distance_estimate(s0, s1, effect_family_size=8, rng=0):
     if s0.n_points != s1.n_points:
         raise DomainError("samples must be point-aligned (equal lengths)")
     seed = rng if isinstance(rng, (int, np.integer)) else None
-    stream = seed if seed is not None else int(ensure_rng(rng).integers(2**63))
+    stream = seed if seed is not None else int(
+        np.random.default_rng(rng).integers(2**63))
     d01 = _directed_estimate(s0, s1, effect_family_size, stream)
     d10 = _directed_estimate(s1, s0, effect_family_size, stream)
 

@@ -9,8 +9,8 @@ at most 12 rows, so no question on the polygon needs an LP solver:
   batched linear solve;
 - a pair is decided by intersecting intervals on a line of effects, in exact
   integers;
-- each bit of the two-bit encoding game is a 3-variable LP, solved by
-  enumerating its bases and certified in exact integers.
+- each bit of the two-bit encoding game has a closed form, by the
+  rearrangement inequality, evaluated in exact integers.
 
 An LP on the full sampled eight-dimensional orbit serves as a consistency
 check.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalConsistencyError
+from .errors import DomainError
 from .numerics import (
     COINCIDENCE_TOL,
     DEFAULT_TOL,
@@ -309,12 +309,22 @@ def max_distinguishable(h):
 # ---------------------------------------------------------------------------
 # the two-bit encoding game
 #
-# The game LP is max c . e over 0 <= y . e <= 1 for each vertex y: three
-# variables and at most 12 rows [Y; -Y] <= [1; 0].  A basis is three rows;
-# rows r < nv are y_r . e <= 1 and rows nv + r are -y_r . e <= 0.  It is
-# solved by brute-force fixed-dimension LP (Megiddo, J. ACM 31, 1984; Seidel,
-# Discrete Comput. Geom. 6, 1991): every basis is solved in floats at once,
-# and the best one is certified in exact integers.
+# Each bit is max c . e over the valid effects, c = (sum of plus states - sum
+# of minus states) / 4, and has a closed form.  Write e = mu (1, 1, 1) + eps
+# with sum(eps) = 0; on a vertex y, a permutation of alpha, e . y =
+# mu sum(alpha) + eps . y.  By the rearrangement inequality (Hardy, Littlewood
+# & Polya, Inequalities, 1934, sec. 10.2) eps . y spans an interval of length
+# (max eps - min eps) D over the six vertices, D = max alpha - min alpha, so e
+# is valid for some mu exactly when max eps - min eps <= 1 / D.  As sum(c) = 0,
+# c . e = c . eps, whose maximum there is max_k |c_k| / D.  With six distinct
+# vertices the success is (2 D + m) / (4 D), m = max_k |4 c_k|, in exact
+# integers rounded once: 1/2 + |a1 - a3| / (2 D) for bit 1 and
+# 1/2 + |a1 - a3| / (4 D) for bit 2.  hexagon_vertices keeps 1, 2, 3 or 6
+# vertices: rows merge by which coefficient pairs lie within COINCIDENCE_TOL
+# (none: 6, one: 3, two: 2, three: 1).  Distinct permutohedron vertices are
+# never collinear and sum(alpha) != 0, so three or fewer are linearly
+# independent: e . y takes any values in [0, 1] on them, and with
+# 4 c = sum_v w_v y_v the optimum is 1/2 + sum_v max(w_v, 0) / 4.
 
 
 @dataclass(frozen=True)
@@ -325,83 +335,19 @@ class EncodingGame:
     note: str
 
 
-def _game_bases(vertices, objective):
-    """The game LP's nonsingular bases, best first by their float solutions.
-
-    A basis with rows y_r and -y_r is singular, so the others are a triple of
-    distinct vertices with a bound (0 or 1) on each; their vertex solutions
-    are t @ inv(Y)^T for t in {0, 1}^3.  Primal-feasible ones within
-    ``DEFAULT_TOL`` come first, by descending objective value.  The order only
-    decides which basis is certified first.
-    """
-    nv = len(vertices)
-    triples = np.array(list(itertools.combinations(range(nv), 3)))
-    bary = np.swapaxes(_triple_inverses(vertices[triples]), 1, 2)
-    bounds = np.array(list(itertools.product((0, 1), repeat=3)))
-    with np.errstate(invalid="ignore", over="ignore"):
-        points = bounds @ bary  # (triple, bounds, 3)
-        feasible = (np.abs(points @ vertices.T - 0.5).max(axis=2)
-                    <= 0.5 + DEFAULT_TOL)
-        values = points @ objective
-    order = np.lexsort((-values.ravel(), ~feasible.ravel()))
-    for flat in order.tolist():
-        t, b = divmod(flat, len(bounds))
-        yield tuple(int(v) if up else nv + int(v)
-                    for v, up in zip(triples[t], bounds[b]))
-
-
-def _certify_game_basis(rows, objective, basis):
-    """The game LP's exact optimum as (numerator, denominator) when ``basis``
-    is optimal; None when it is not.
-
-    ``rows`` (the vertices) and ``objective`` are exact integers over one
-    scale (:func:`_dyadic_rows`).  With M the basis rows, b their bounds and
-    adj(M) = det(M) inv(M), the basis point is e* = adj(M) b / det(M).  The
-    basis is optimal when e* is primal feasible, 0 <= y . e* <= 1 for every
-    vertex y, and its dual multipliers inv(M)^T c are all >= 0; the optimum
-    is then c . e*.
-    """
-    nv = len(rows)
-    m = [rows[r] if r < nv else tuple(-v for v in rows[r - nv]) for r in basis]
-    adj = [_cross(m[1], m[2]), _cross(m[2], m[0]), _cross(m[0], m[1])]
-    det = _dot(m[0], adj[0])
-    if det == 0:
-        return None
-    sign = 1 if det > 0 else -1
-    if any(sign * _dot(objective, col) < 0 for col in adj):
-        return None
-    z = [sum(col[k] for col, r in zip(adj, basis) if r < nv) for k in range(3)]
-    if not all(0 <= sign * _dot(y, z) <= abs(det) for y in rows):
-        return None
-    return sign * _dot(objective, z), abs(det)
-
-
 def _best_two_class_guess(vertices, plus, minus):
     """max over valid effects B of mean success guessing class(plus) vs
-    class(minus), for two lists of vertex indices.
-
-    That is 1/2 plus the optimum of the game LP with the objective
-    c = (sum of plus vertices - sum of minus vertices) / 4, taken exactly:
-    the optimum is certified in integers and rounded to float once.  Fewer
-    than three distinct hexagon vertices are linearly independent (their
-    coordinates sum to 1), so e . y takes any values in [0, 1] on them and
-    the optimum is the sum of the positive coefficients of c over them.
-    """
+    class(minus), for two lists of vertex indices, in closed form (above)."""
     nv = len(vertices)
     weights = (np.bincount(plus, minlength=nv)
                - np.bincount(minus, minlength=nv)).tolist()  # 4 c over Y
-    if nv < 3:
+    if nv <= 3:
         return 0.5 + 0.25 * sum(max(w, 0) for w in weights)
-    rows, _ = _dyadic_rows(vertices)
-    objective = [sum(w * y[k] for w, y in zip(weights, rows))
-                 for k in range(3)]
-    for basis in _game_bases(vertices, 0.25 * (weights @ vertices)):
-        optimum = _certify_game_basis(rows, objective, basis)
-        if optimum is not None:
-            num, den = optimum  # of the LP with objective 4 c
-            return (2 * den + num) / (4 * den)
-    raise NumericalConsistencyError(
-        "no basis of the encoding-game LP certifies")
+    rows, _ = _dyadic_rows(vertices)  # six permutations of alpha
+    m = max(abs(sum(w * y[k] for w, y in zip(weights, rows)))
+            for k in range(3))
+    spread = max(rows[0]) - min(rows[0])
+    return (2 * spread + m) / (4 * spread)
 
 
 def encoding_game_value(alpha):

@@ -21,7 +21,6 @@ from .compact_rep import (
     CompactRepSpec,
     act,
     block_subgroup,
-    ensure_rng,
     full_torus,
     haar_samples,
     invariant_projector,
@@ -119,7 +118,7 @@ def build_structure(rep, sub, reference, n_samples, rng, elements=None):
                 f"reference is not subgroup-invariant: violation norm {viol:.3e}"
             )
     if elements is None:
-        elements = haar_samples(rep, n_samples, ensure_rng(rng))
+        elements = haar_samples(rep, n_samples, rng)
     points = orbit_points(rep, elements, v)
     # the trivial group fixes its single orbit point; otherwise the carrier
     # part of the mixed state vanishes
@@ -139,7 +138,7 @@ def paired_structures(rep0, ref0, rep1, ref1, n_samples, rng, sub0=None,
             "paired structures need the same fundamental group: "
             f"{rep0.kind}(d={rep0.d}) vs {rep1.kind}(d={rep1.d})"
         )
-    elements = haar_samples(rep0, n_samples, ensure_rng(rng))
+    elements = haar_samples(rep0, n_samples, rng)
     return (build_structure(rep0, sub0, ref0, n_samples, rng, elements=elements),
             build_structure(rep1, sub1, ref1, n_samples, rng, elements=elements))
 

@@ -148,6 +148,68 @@ def lp_vertex_oracle(c, a_ub, b_ub, lo, hi, tol=1e-9):
     return "optimal", best
 
 
+def _solve_fractions(a, b):
+    """x with a x = b for a square matrix of Fractions; None when singular."""
+    n = len(a)
+    m = [list(row) + [v] for row, v in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def game_lp_oracle(vertices, plus, minus):
+    """Exact optimum of the game LP, max c . e over the effects e with
+    0 <= y . e <= 1 on every row y of ``vertices``, where
+    c = (sum of ``plus`` rows - sum of ``minus`` rows) / 4, as a Fraction.
+
+    Every basis is tried, with no presort and no early exit: r distinct
+    vertices, r = min(3, number of vertices), each held at the bound 0 or 1.
+    Its point is the e in the span of those r rows that meets the r
+    equalities (the whole space when r = 3); the objective lies in the span
+    of the vertices, so a component outside it changes nothing.  The best
+    objective over the feasible basis points is the optimum.  All arithmetic
+    is on the exact rationals of the input floats.
+    """
+    from fractions import Fraction
+    import itertools
+
+    exact = [[Fraction(float(v)) for v in row] for row in vertices]
+    rows = [[Fraction(float(v)) for v in row] for row in plus]
+    rows += [[-Fraction(float(v)) for v in row] for row in minus]
+    c = [sum(col) / 4 for col in zip(*rows)]
+    r = min(3, len(exact))
+    best = None
+    for combo in itertools.combinations(exact, r):
+        gram = [[sum(u * v for u, v in zip(a, b)) for b in combo]
+                for a in combo]
+        # the basis point is linear in the bounds: solve for each unit bound
+        units = [_solve_fractions(gram, [Fraction(int(i == j))
+                                         for j in range(r)])
+                 for i in range(r)]
+        if units[0] is None:
+            continue
+        points = [[sum(l * a[k] for l, a in zip(lam, combo)) for k in range(3)]
+                  for lam in units]
+        values = [[sum(u * v for u, v in zip(y, e)) for y in exact]
+                  for e in points]
+        objective = [sum(u * v for u, v in zip(c, e)) for e in points]
+        for bounds in itertools.product((0, 1), repeat=r):
+            held = [i for i in range(r) if bounds[i]]
+            at = [sum(values[i][v] for i in held) for v in range(len(exact))]
+            if all(0 <= x <= 1 for x in at):
+                value = sum(objective[i] for i in held)
+                if best is None or value > best:
+                    best = value
+    return best
+
+
 def gelfand_tsetlin_count(top):
     """Number of Gelfand-Tsetlin patterns with the given top row.
 

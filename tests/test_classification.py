@@ -139,6 +139,15 @@ class TestCatalog:
         assert e.group == "SU(d)"
         assert e.stabilizer == "S(U(d-1) x U(1))"
 
+    def test_sphere_row(self):
+        [e] = [e for e in cl.two_point_catalog() if e.coset == "SO(d)/SO(d-1)"]
+        assert e.space == "S^(d-1)"
+
+    def test_cayley_plane_row(self):
+        [e] = [e for e in cl.two_point_catalog() if e.space == "PO^3"]
+        assert e.coset == "F(4)/Spin(9)"
+        assert (e.group, e.stabilizer) == ("F(4)", "Spin(9)")
+
     def test_grassmann_descriptors(self):
         spaces = cl.grassmann_spaces(1, 2)
         assert [s["field"] for s in spaces] == ["C", "R", "H"]

@@ -238,6 +238,24 @@ class TestDeformCommand:
         code, _, err = run_cli(capsys, "deform", "--t-grid", "0:2:0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("deform", "--alpha", "x"),
+        ("deform", "--alpha", "1,2"),
+        ("deform", "--alpha", "1,2,3,4"),
+        ("sphere-check", "deformable:1,2"),
+        ("sphere-check", "deformable:1,2,3,4"),
+    ])
+    def test_alpha_names_its_format(self, capsys, argv):
+        # deform --alpha and the deformable: spec share one parser
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "a1,a2,a3" in err
+
+    def test_alpha_round_trips_repr(self):
+        # the benchmark's distances workload joins repr() of each float
+        values = (0.4987654321098765, 0.3100000000000001, 0.19123)
+        assert cli._alpha_triple(",".join(map(repr, values))) == values
+
 
 class TestGrassmannCommand:
     def test_qutrit_row(self, capsys):

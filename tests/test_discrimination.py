@@ -1,8 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -24,6 +25,8 @@ from gptforge.numerics import (
     effect_program,
     lp_solve,
 )
+
+from oracles import game_lp_oracle
 
 # HiGHS's default primal feasibility tolerance, at which the LP reference runs
 HIGHS_FEASIBILITY_TOL = 1e-7
@@ -181,6 +184,71 @@ class TestEncodingGame:
         pairwise = any(np.max(np.abs(y[i] - y[j])) <= COINCIDENCE_TOL
                        for i, j in itertools.combinations((0, 1, 3, 4), 2))
         assert dc.encoding_game_value(alpha).degenerate == pairwise
+
+
+def _oracle_game(h):
+    """(bit1, bit2) from the exact game-LP oracle, each rounded once; bit 2 is
+    1/2 when two game labels share a vertex."""
+    y = h.vertices[list(h.label_to_vertex)]
+
+    def guess(plus, minus):
+        return float(Fraction(1, 2)
+                     + game_lp_oracle(h.vertices, y[plus], y[minus]))
+
+    bit1 = guess([0, 1], [3, 4])
+    if len({h.label_to_vertex[i] for i in (0, 1, 3, 4)}) < 4:
+        return bit1, 0.5
+    return bit1, guess([0, 4], [1, 3])
+
+
+@st.composite
+def game_triples(draw):
+    """Generic triples (unsorted, some entries negative), near-equal pairs,
+    chains of two near-equal pairs, or three equal entries, at a random
+    scale and sign.  Gaps run from 1e-17 to 1e-5 and cluster around
+    COINCIDENCE_TOL, where labelled rows start to merge."""
+    gap = (st.floats(-17.0, -5.0).map(lambda e: 10.0 ** e)
+           | st.floats(0.4 * COINCIDENCE_TOL, 1.1 * COINCIDENCE_TOL))
+    signed_gap = st.tuples(gap, st.sampled_from([1.0, -1.0])).map(
+        lambda p: p[0] * p[1])
+    kind = draw(st.sampled_from(["generic", "generic", "pair", "chain",
+                                 "equal"]))
+    x = draw(st.floats(-2.0, 2.0))
+    if kind == "generic":
+        y = draw(st.floats(-2.0, 2.0))
+        a = [x, y, 1.0 - x - y]
+    elif kind == "pair":
+        g = draw(signed_gap)
+        a = [x, x + g, 1.0 - 2.0 * x - g]
+    elif kind == "chain":
+        g1, g2 = draw(signed_gap), draw(signed_gap)
+        x = (1.0 - 2.0 * g1 - g2) / 3.0
+        a = [x, x + g1, x + g1 + g2]
+    else:
+        a = [x, x, x]
+    scale = draw(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return [sign * scale * a[i] for i in draw(st.permutations(range(3)))]
+
+
+class TestGameClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(game_triples())
+    @example([0.5, 0.3, 0.2])
+    @example([1.0, 0.0, 0.0])
+    @example([1 / 3, 1 / 3, 1 / 3])
+    @example([0.5234375, 0.5, 0.5 - 1e-9])
+    @example(list(0.0625 + np.array([0.0, 1e-10, 2e-10])))
+    def test_matches_exact_lp_oracle(self, a):
+        try:
+            g = dc.encoding_game_value(a)
+        except DomainError:  # coefficients summing to zero
+            reject()
+        h = dc.hexagon_vertices(a)
+        assert len(h.vertices) in {1, 2, 3, 6}
+        assert (g.bit1_success, g.bit2_success) == _oracle_game(h)
+        merged = len({h.label_to_vertex[i] for i in (0, 1, 3, 4)}) < 4
+        assert g.degenerate == merged
 
 
 class TestNearEqual:
@@ -384,24 +452,6 @@ def _assert_matches_lp_route(a, same_states):
     assert abs(g.bit2_success - bit2) <= 1e-8
 
 
-def _certified_basis(h, plus, minus):
-    """The game LP of ``_best_two_class_guess`` for two lists of labels, as
-    exact integer vertex rows and objective (4 c), with the first basis whose
-    integer certificate passes and its exact optimum."""
-    nv = len(h.vertices)
-    weights = (np.bincount([h.label_to_vertex[i] for i in plus], minlength=nv)
-               - np.bincount([h.label_to_vertex[i] for i in minus],
-                             minlength=nv))
-    rows, _ = dc._dyadic_rows(h.vertices)
-    objective = [sum(int(w) * y[k] for w, y in zip(weights, rows))
-                 for k in range(3)]
-    for basis in dc._game_bases(h.vertices, 0.25 * (weights @ h.vertices)):
-        optimum = dc._certify_game_basis(rows, objective, basis)
-        if optimum is not None:
-            return rows, objective, basis, optimum
-    raise AssertionError("no basis certifies")
-
-
 class TestExactKernels:
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.0, 0.3), st.floats(0.02, 0.5), st.floats(0.02, 0.5))
@@ -438,10 +488,7 @@ class TestExactKernels:
         assert r.states == states
         _assert_certified(r.effects, h.vertices, h.vertices[list(states)])
         g = dc.encoding_game_value(h.alpha)
-        for bit, plus, minus in ((g.bit1_success, (0, 1), (3, 4)),
-                                 (g.bit2_success, (0, 4), (1, 3))):
-            num, den = _certified_basis(h, plus, minus)[3]
-            assert (2 * den + num) / (4 * den) == bit
+        assert (g.bit1_success, g.bit2_success) == _oracle_game(h)
 
     def test_pair_effects_are_segment_middle(self):
         # the first bit's pair: the feasible segment's middle, exactly
@@ -450,23 +497,6 @@ class TestExactKernels:
         assert r.states == (0, 3)
         lo, hi = _pair_segment(h, 0, 3)
         assert np.allclose(r.effects[0], (lo + hi) / 2, atol=1e-12)
-
-    def test_mutated_basis_refused(self):
-        h = dc.hexagon_vertices([0.5, 0.3, 0.2])
-        rows, c, basis, (num, den) = _certified_basis(h, (0, 4), (1, 3))
-        assert abs(num / (4 * den) - 0.25) < 1e-12
-        refused = 0
-        for pos in range(3):
-            for row in sorted(set(range(2 * len(rows))) - set(basis)):
-                mutated = basis[:pos] + (row,) + basis[pos + 1:]
-                optimum = dc._certify_game_basis(rows, c, mutated)
-                # the optimum is an edge, so a few other bases are optimal
-                # too; they certify only the same exact value
-                if optimum is None:
-                    refused += 1
-                else:
-                    assert optimum[0] * den == num * optimum[1]
-        assert refused == 24  # of the 27 mutations
 
     def test_fewer_than_three_vertices(self):
         # one vertex: every game objective is zero
