@@ -2,12 +2,12 @@
 
 The diagonal projection of each family member is the convex hull of the six
 permutations of (a1, a2, a3).  Exact computations over effects on that
-hexagon (a batched barycentric solve for three states, an interval test in
-exact integers for pairs, and for the game a closed form from the
-rearrangement inequality, 1/2 + max_k |c_k| / (max alpha - min alpha) for
-a bit's objective c) decide how many states are perfectly distinguishable
-(two, generically; three in the quantum limit) and how well a second bit
-can ride on top of a perfectly encoded first bit.
+hexagon (barycentric coordinates checked in exact integers for three
+states, an interval test in exact integers for pairs, and for the game a
+closed form from the rearrangement inequality, 1/2 + max_k |c_k| /
+(max alpha - min alpha) for a bit's objective c) decide how many states are
+perfectly distinguishable (two, generically; three in the quantum limit)
+and how well a second bit can ride on top of a perfectly encoded first bit.
 """
 
 import numpy as np

@@ -5,8 +5,8 @@ which is the convex hull of the six permutations of the coefficient vector
 (alpha_1, alpha_2, alpha_3).  An effect there is a 3-vector and validity is
 at most 12 rows, so no question on the polygon needs an LP solver:
 
-- three states fix their effects uniquely, so all anchor triples take one
-  batched linear solve;
+- three states fix their effects uniquely, as their barycentric
+  coordinates, which are checked on the other vertices in exact integers;
 - a pair is decided by intersecting intervals on a line of effects, in exact
   integers;
 - each bit of the two-bit encoding game has a closed form, by the
@@ -36,7 +36,6 @@ from .numerics import (
     COINCIDENCE_TOL,
     DEFAULT_TOL,
     TIE_TOL,
-    ZERO_NORM,
     effect_lp,
 )
 from .state_space import StructureSample, orbit_points, unit_effect
@@ -64,8 +63,13 @@ class AlphaTriple:
         v = np.asarray(values, dtype=float)
         if v.shape != (3,) or not np.all(np.isfinite(v)):
             raise DomainError("alpha needs exactly three finite components")
+        # a power of two puts max |a_i| in [2^1019, 2^1020): exact, as it
+        # scales subnormal components up, not down; the sum cannot overflow
+        # and v / total keeps its bits
+        v = np.ldexp(v, 1020 - np.frexp(np.max(np.abs(v)))[1])
         total = v.sum()
-        if abs(total) < ZERO_NORM:
+        # zero up to the sum's own rounding error, at most 3 eps max |a_i|
+        if abs(total) <= 4 * np.finfo(float).eps * np.max(np.abs(v)):
             raise DomainError("alpha components sum to zero")
         v = v / total
         return cls(float(v[0]), float(v[1]), float(v[2]))
@@ -155,20 +159,6 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _triple_inverses(anchors):
-    """inv(Y) for each 3 x 3 matrix Y of the stack, NaN where Y is singular."""
-    try:
-        return np.linalg.inv(anchors)
-    except np.linalg.LinAlgError:  # one singular Y fails the whole stack
-        out = np.full(np.shape(anchors), np.nan)
-        for i, y in enumerate(anchors):
-            try:
-                out[i] = np.linalg.inv(y)
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 # ---------------------------------------------------------------------------
 # perfect discrimination on the hexagon
 
@@ -180,45 +170,52 @@ class Distinguishability:
     effects: np.ndarray  # (n, 3) dual vectors, rows sum to the unit effect
 
 
-def _triangle_measurements(points, anchors):
-    """Barycentric effects of a stack of anchor triples, and which of them
-    measure perfectly.
+def _triangle_measurement(rows, scale, anchors):
+    """Effects that discriminate the three points ``anchors`` of a hexagon,
+    as a (3, 3) array; None when there are none.
 
-    For each (3, 3) matrix Y of ``anchors`` (one anchor per row) the only
-    effects with e_i . y_j = delta_ij are the rows of inv(Y)^T.  They
-    discriminate the anchors when they are finite, meet those equalities
-    and sum to the unit effect (1, 1, 1) within ``DEFAULT_TOL``, and are valid
-    (0 <= e . x <= 1) on every point within ``DEFAULT_TOL``: the rule
-    ``numerics.check_feasible`` applies to an LP point.  Returns the (m, 3, 3)
-    effects and an (m,) boolean mask.
+    ``rows`` and ``scale`` are the hexagon's vertices as exact integers
+    (:func:`_dyadic_rows`).  For anchors a, b, c the only effects with
+    e_i . a_j = delta_ij are their barycentric coordinates scale (b x c) / det
+    and its cyclic shifts, det = a . (b x c); collinear anchors (det = 0)
+    have none.  The vertices permute one alpha, so they share one coordinate
+    sum s and the effects sum to (1, 1, 1) / s, the unit effect up to the
+    roundoff of normalising alpha.  Every other point x must meet
+    -tol <= e_i . x <= 1 + tol, with tol = ``DEFAULT_TOL``: the rule
+    ``numerics.check_feasible`` applies to an LP point.  Each test is exact
+    in integers, and the effects are rounded once.
     """
-    anchors = np.asarray(anchors, dtype=float)
-    effects = np.swapaxes(_triple_inverses(anchors), 1, 2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        delta = np.abs(effects @ np.swapaxes(anchors, 1, 2) - np.eye(3))
-        unit = np.abs(effects.sum(axis=1) - 1.0)
-        vals = effects @ np.asarray(points, dtype=float).T
-        worst = np.maximum.reduce([
-            delta.max(axis=(1, 2)), unit.max(axis=1),
-            (vals - 1.0).max(axis=(1, 2)), (-vals).max(axis=(1, 2))])
-    ok = np.all(np.isfinite(effects), axis=(1, 2)) & (worst <= DEFAULT_TOL)
-    return effects, ok
+    a, b, c = (rows[k] for k in anchors)
+    cofactors = (_cross(b, c), _cross(c, a), _cross(a, b))
+    det = _dot(a, cofactors[0])
+    if det == 0:
+        return None
+    tol_num, tol_den = DEFAULT_TOL.as_integer_ratio()
+    # -tol <= w . x / det <= 1 + tol, times |det| tol_den
+    lo, hi = -tol_num * abs(det), (tol_den + tol_num) * abs(det)
+    sign = tol_den if det > 0 else -tol_den  # |det| tol_den / det
+    for k, x in enumerate(rows):
+        if k not in anchors:
+            for w in cofactors:
+                if not lo <= sign * _dot(w, x) <= hi:
+                    return None
+    return np.array([[scale * v / det for v in w] for w in cofactors])
 
 
-def _pair_measurement(rows, scale, i, j):
-    """Effects (e, unit - e) that discriminate points i and j of a hexagon,
-    as a (2, 3) array; None when there are none.
+def _pair_measurement(rows, scale, anchors):
+    """Effects (e, unit - e) that discriminate the two points ``anchors`` of
+    a hexagon, as a (2, 3) array; None when there are none.
 
     ``rows`` and ``scale`` are the hexagon's vertices as exact integers
     (:func:`_dyadic_rows`).  The effects with e . a = 1 and e . b = 0, for
-    a, b = points i, j, form the line e0 + w (a x b).  Each point x cuts it
+    anchors a, b, form the line e0 + w (a x b).  Each point x cuts it
     to an interval in w through -tol <= e . x <= 1 + tol and
     -tol <= (unit - e) . x <= 1 + tol, with tol = ``DEFAULT_TOL``: the rule
     ``numerics.check_feasible`` applies to an LP point.  The intervals are
     intersected in exact rationals, so roundoff cannot flip the answer; the
     returned e is the middle of the feasible segment, rounded once.
     """
-    a, b = rows[i], rows[j]
+    a, b = (rows[k] for k in anchors)
     d = _cross(a, b)
     norm2 = _dot(d, d)
     if norm2 == 0:  # parallel anchors: no effect is 1 on one, 0 on the other
@@ -279,30 +276,27 @@ def max_distinguishable(h):
     ``itertools.combinations`` order, and returns the first one that a
     measurement discriminates; no LP is solved.
 
+    Triples and pairs are decided on one copy of the vertices in exact
+    integers (:func:`_dyadic_rows`), so roundoff cannot flip the answer:
+
     - Perfectly distinguishable states are linearly independent 3-vectors,
       so no more than three fit.  Three, the plane's dimension plus one,
       force the state space to be their triangle, and the only candidate
-      effects are its barycentric coordinates, the rows of inv(Y)^T.  All
-      triples are checked at once (:func:`_triangle_measurements`).
-    - A pair is decided exactly on the line of effects that are 1 on one
-      state and 0 on the other (:func:`_pair_measurement`).
+      effects are its barycentric coordinates
+      (:func:`_triangle_measurement`).
+    - A pair is decided on the line of effects that are 1 on one state and
+      0 on the other (:func:`_pair_measurement`).
     - One state is always discriminated, by the unit effect.
     """
     nv = len(h.vertices)
     if nv == 0:
         raise DomainError("hexagon has no vertices")
-    if nv >= 3:
-        triples = list(itertools.combinations(range(nv), 3))
-        effects, ok = _triangle_measurements(h.vertices,
-                                             h.vertices[triples])
-        if ok.any():
-            first = int(np.argmax(ok))
-            return Distinguishability(3, triples[first], effects[first])
     rows, scale = _dyadic_rows(h.vertices)
-    for pair in itertools.combinations(range(nv), 2):
-        effects = _pair_measurement(rows, scale, *pair)
-        if effects is not None:
-            return Distinguishability(2, pair, effects)
+    for k, measure in ((3, _triangle_measurement), (2, _pair_measurement)):
+        for states in itertools.combinations(range(nv), k):
+            effects = measure(rows, scale, states)
+            if effects is not None:
+                return Distinguishability(k, states, effects)
     return Distinguishability(1, (0,), np.ones((1, 3)))
 
 

@@ -240,10 +240,6 @@ def trivial_subgroup(group):
     return Subgroup._closed(group, (0,))
 
 
-def full_subgroup(group):
-    return Subgroup._closed(group, tuple(range(group.order)))
-
-
 # common concrete groups ----------------------------------------------------
 
 
@@ -271,33 +267,14 @@ def dihedral_group(n):
     return generate_group([rot, ref])
 
 
-_QUAT_TABLE = {  # (a, b) -> (sign, letter) for letters 1=0, i=1, j=2, k=3
-    (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-    (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-    (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-    (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-}
-
-
 def quaternion_group():
     """The order-8 quaternion group in its regular action on 8 points.
 
-    Points are (sign, letter) pairs encoded as letter + 4 * (sign < 0); the
-    generators are right multiplication by i and by j.
+    Point letter + 4 * (sign < 0) is the unit sign * letter, letters 1, i, j,
+    k = 0, 1, 2, 3 (so 0..7 are 1, i, j, k, -1, -i, -j, -k); the generators
+    are right multiplication by i and by j.
     """
-
-    def enc(sign, letter):
-        return letter + (4 if sign < 0 else 0)
-
-    def mul(x, y):
-        sx, lx = (1 if x < 4 else -1), x % 4
-        sy, ly = (1 if y < 4 else -1), y % 4
-        s, l = _QUAT_TABLE[(lx, ly)]
-        return enc(sx * sy * s, l)
-
-    right_i = tuple(mul(x, enc(1, 1)) for x in range(8))
-    right_j = tuple(mul(x, enc(1, 2)) for x in range(8))
-    return generate_group([right_i, right_j])
+    return generate_group([(1, 4, 7, 2, 5, 0, 3, 6), (2, 3, 4, 5, 6, 7, 0, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .compact_rep import (
     su_adjoint,
 )
 from .errors import DomainError
-from .numerics import DEFAULT_TOL, INVARIANCE_TOL, ZERO_NORM
+from .numerics import INVARIANCE_TOL, ZERO_NORM
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,27 +156,6 @@ def sphere_check(s):
         raise DomainError("empty sample")
     radii = np.linalg.norm(s.points - s.mixed, axis=1)
     return float(np.max(np.abs(radii - radii.mean())))
-
-
-@dataclass(frozen=True)
-class EffectValidity:
-    valid: bool
-    min_value: float
-    max_value: float
-
-
-def effect_valid(s, e):
-    """Check 0 <= e . point <= 1 within ``DEFAULT_TOL`` over all sampled
-    points."""
-    vec = np.asarray(e.vector, dtype=float)
-    if vec.shape != (s.ambient_dim,):
-        raise DomainError(
-            f"effect has dimension {vec.shape}, sample needs ({s.ambient_dim},)"
-        )
-    vals = s.points @ vec
-    lo, hi = float(vals.min()), float(vals.max())
-    return EffectValidity(lo >= -DEFAULT_TOL and hi <= 1.0 + DEFAULT_TOL,
-                          lo, hi)
 
 
 def witness_effect(s, anchor=0):

@@ -164,6 +164,30 @@ def _solve_fractions(a, b):
     return [m[i][n] / m[i][i] for i in range(n)]
 
 
+def barycentric_oracle(points, anchors):
+    """The only effects e_i with e_i . a_j = delta_ij for three anchors a_j,
+    as exact Fractions, and their worst violation of the three-state
+    program: how far sum_i e_i leaves (1, 1, 1), and how far e_i . x leaves
+    [0, 1] on a row x of ``points``.  Each e_i comes from Gauss-Jordan
+    elimination on the rationals of the input floats, not from cross
+    products.  (None, inf) when the anchors are linearly dependent.
+    """
+    from fractions import Fraction
+
+    exact = [[Fraction(float(v)) for v in row] for row in anchors]
+    effects = [_solve_fractions(exact, [Fraction(int(i == j)) for j in range(3)])
+               for i in range(3)]
+    if effects[0] is None:
+        return None, float("inf")
+    worst = max(abs(sum(col) - 1) for col in zip(*effects))
+    for x in points:
+        x = [Fraction(float(v)) for v in x]
+        for e in effects:
+            value = sum(u * v for u, v in zip(e, x))
+            worst = max(worst, value - 1, -value)
+    return effects, worst
+
+
 def game_lp_oracle(vertices, plus, minus):
     """Exact optimum of the game LP, max c . e over the effects e with
     0 <= y . e <= 1 on every row y of ``vertices``, where
@@ -208,6 +232,16 @@ def game_lp_oracle(vertices, plus, minus):
                 if best is None or value > best:
                     best = value
     return best
+
+
+def quaternion_product(p, q):
+    """Hamilton product of quaternions given as (w, x, y, z) = w + xi + yj + zk."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
 
 
 def gelfand_tsetlin_count(top):

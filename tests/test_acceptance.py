@@ -57,7 +57,7 @@ def _test_pairs():
         fr.trivial_subgroup(s3),
         fr.subgroup_from_generators(s3, [(1, 0, 2)]),
         fr.subgroup_from_generators(s3, [(1, 2, 0)]),
-        fr.full_subgroup(s3),
+        fr.Subgroup(s3, tuple(range(s3.order))),
     )]
 
     s4 = fr.symmetric_group(4)
@@ -72,7 +72,7 @@ def _test_pairs():
         fr.subgroup_from_generators(s4, [(1, 0, 2, 3), (1, 2, 0, 3)]),
         fr.subgroup_from_generators(s4, [(1, 2, 3, 0), (2, 1, 0, 3)]),
         fr.subgroup_from_generators(s4, [(1, 2, 0, 3), (0, 2, 3, 1)]),
-        fr.full_subgroup(s4),
+        fr.Subgroup(s4, tuple(range(s4.order))),
     )]
 
     d4 = fr.dihedral_group(4)
@@ -84,14 +84,14 @@ def _test_pairs():
         fr.subgroup_from_generators(d4, [(1, 2, 3, 0)]),
         fr.subgroup_from_generators(d4, [(2, 3, 0, 1), (0, 3, 2, 1)]),
         fr.subgroup_from_generators(d4, [(2, 3, 0, 1), (1, 0, 3, 2)]),
-        fr.full_subgroup(d4),
+        fr.Subgroup(d4, tuple(range(d4.order))),
     )]
 
     q8 = fr.quaternion_group()
     q8_subs = [fr.trivial_subgroup(q8)]
     q8_subs += _all_cyclic_subgroups_of_order(q8, 2)
     q8_subs += _all_cyclic_subgroups_of_order(q8, 4)
-    q8_subs.append(fr.full_subgroup(q8))
+    q8_subs.append(fr.Subgroup(q8, tuple(range(q8.order))))
     pairs += [(("Q8", q8), h) for h in q8_subs]
 
     for n in range(2, 13):

@@ -15,6 +15,7 @@ from oracles import (
     gelfand_oracle,
     invariant_bilinear_type,
     irrep_matrices,
+    quaternion_product,
 )
 
 GROUPS = {
@@ -37,6 +38,22 @@ class TestGenerateGroup:
     def test_z4(self):
         g = fr.cyclic_group(4)
         assert g.order == 4
+
+    def test_quaternion_generators_from_hamilton_product(self):
+        # point letter + 4 * (sign < 0) is the unit sign * (1, i, j, k)[letter]
+        units = [tuple(sign * int(k == letter) for k in range(4))
+                 for sign in (1, -1) for letter in range(4)]
+
+        def right(y):
+            return tuple(units.index(quaternion_product(x, units[y]))
+                         for x in units)
+
+        assert (right(1), right(2)) == ((1, 4, 7, 2, 5, 0, 3, 6),
+                                        (2, 3, 4, 5, 6, 7, 0, 1))
+        q8 = fr.quaternion_group()
+        assert q8.order == 8
+        assert np.array_equal(q8.perms,
+                              fr.generate_group([right(1), right(2)]).perms)
 
     def test_cap(self):
         with pytest.raises(ResourceError):
@@ -267,7 +284,7 @@ class TestRestrictionMultiplicity:
     def test_trivial_character_always_one(self, s3, s3_table):
         for h in [fr.trivial_subgroup(s3),
                   fr.subgroup_from_generators(s3, [(1, 0, 2)]),
-                  fr.full_subgroup(s3)]:
+                  fr.Subgroup(s3, tuple(range(s3.order)))]:
             assert fr.trivial_restriction_multiplicity(s3_table, 0, h) == 1
 
     @pytest.mark.parametrize("gens", [[(1, 0, 2)], [(1, 2, 0)], []])
@@ -294,8 +311,8 @@ class TestGelfand:
 
     def test_full_subgroup_always_gelfand(self, s3, s4, q8):
         for g in (s3, s4, q8):
-            assert fr.is_gelfand_pair(fr.character_table(g),
-                                      fr.full_subgroup(g)).gelfand
+            full = fr.Subgroup(g, tuple(range(g.order)))
+            assert fr.is_gelfand_pair(fr.character_table(g), full).gelfand
 
     def test_against_fixed_vector_oracle(self, s4):
         t = fr.character_table(s4)
@@ -401,8 +418,8 @@ class TestStructureEnumeration:
 
     def test_full_subgroup_only_trivial(self, s4):
         t = fr.character_table(s4)
-        units = fr.spherical_units(
-            t, fr.is_gelfand_pair(t, fr.full_subgroup(s4)))
+        full = fr.Subgroup(s4, tuple(range(s4.order)))
+        units = fr.spherical_units(t, fr.is_gelfand_pair(t, full))
         out = fr.count_probabilistic_structures(units, 10)
         assert out == [(0,)]
 

@@ -6,6 +6,7 @@ import pytest
 from gptforge import compact_rep as cr
 from gptforge import state_space as ss
 from gptforge.errors import DomainError
+from gptforge.numerics import DEFAULT_TOL
 
 
 class TestBuildStructure:
@@ -106,22 +107,7 @@ class TestAugmentedLayout:
 
 class TestEffects:
     def test_unit_effect(self, bloch_2000):
-        v = ss.effect_valid(bloch_2000, ss.unit_effect(bloch_2000))
-        assert v.valid and v.min_value == v.max_value == 1.0
-
-    def test_zero_effect(self, bloch_2000):
-        zero = ss.Effect(np.zeros(4), "0")
-        v = ss.effect_valid(bloch_2000, zero)
-        assert v.valid and v.min_value == v.max_value == 0.0
-
-    def test_out_of_range_effect(self, bloch_2000):
-        e = ss.Effect(np.array([0.5, 0.0, 0.0, 1.0]))
-        v = ss.effect_valid(bloch_2000, e)
-        assert not v.valid and v.max_value > 1.0
-
-    def test_dimension_mismatch(self, bloch_2000):
-        with pytest.raises(DomainError):
-            ss.effect_valid(bloch_2000, ss.Effect(np.zeros(5)))
+        assert np.all(ss.unit_effect(bloch_2000)(bloch_2000.points) == 1.0)
 
 
 class TestWitnessEffect:
@@ -130,8 +116,8 @@ class TestWitnessEffect:
         assert abs(bloch_2000.points[3] @ e.vector - 1.0) < 1e-12
 
     def test_valid_on_whole_sample(self, bloch_2000):
-        e = ss.witness_effect(bloch_2000, anchor=0)
-        assert ss.effect_valid(bloch_2000, e).valid
+        vals = ss.witness_effect(bloch_2000, anchor=0)(bloch_2000.points)
+        assert vals.min() >= -DEFAULT_TOL and vals.max() <= 1.0 + DEFAULT_TOL
 
     def test_haar_average_one_half(self, bloch_2000):
         e = ss.witness_effect(bloch_2000, anchor=0)
