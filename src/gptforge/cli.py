@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from decimal import Context, Decimal
 
 import numpy as np
 
@@ -170,13 +171,17 @@ def cmd_gelfand(args):
 
 
 def cmd_hexagon(args):
-    total = args.a1 + args.a2 + args.a3
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    alpha = discrimination.AlphaTriple.of([args.a1, args.a2, args.a3])
+    # summed in decimal: the float sum of three finite floats can overflow
+    total = sum(map(Decimal, (args.a1, args.a2, args.a3)))
+    if abs(total - 1) > NORMALIZATION_TOL:
+        shown = float(total)
+        if math.isinf(shown):  # six digits, as :.6g prints a float
+            shown = Context(prec=6).plus(total).normalize()
         print(
-            f"warning: coefficients sum to {total:.6g}; renormalizing",
+            f"warning: coefficients sum to {shown:.6g}; renormalizing",
             file=sys.stderr,
         )
-    alpha = discrimination.AlphaTriple.of([args.a1, args.a2, args.a3])
     h = discrimination.hexagon_vertices(alpha)
     result = discrimination.max_distinguishable(h)
     payload = {
@@ -231,28 +236,6 @@ def _check_dim(d, where):
                           f"{MAX_FUNDAMENTAL_DIM}")
 
 
-def _parse_structure_spec(text):
-    """bloch | spin2 | deformable[:a1,a2,a3[:t]] | quartic[:k] | file.json"""
-    if text.endswith(".json"):
-        return {"name": "file", "data": _load_json(text)}
-    name, *params = text.split(":")
-    if name in ("bloch", "spin2") and not params:
-        return {"name": name}
-    if name == "deformable" and len(params) <= 2:
-        alpha = _alpha_triple(params[0] if params and params[0]
-                              else "0.5,0.3,0.2")
-        t = _number(float, params[1], text) if len(params) == 2 else 0.0
-        return {"name": "deformable", "alpha": alpha, "t": t}
-    if name == "quartic" and len(params) <= 1:
-        k = _number(int, params[0], text) if params else 2
-        _check_dim(k * k, text)
-        return {"name": "quartic", "k": k}
-    raise DomainError(
-        f"unknown structure spec {text!r}; expected bloch, spin2, "
-        "deformable:a1,a2,a3[:t], quartic[:k], or a .json file"
-    )
-
-
 def _structure_from_file(data, n, seed):
     if not (isinstance(data, dict) and _is_int(data.get("d"))):
         raise DomainError("structure file needs a JSON object with integer 'd'")
@@ -280,51 +263,45 @@ def _structure_from_file(data, n, seed):
     return state_space.build_structure(rep, sub, ref, n, seed)
 
 
-def _build_single(spec, n, seed):
-    name = spec["name"]
-    if name == "bloch":
+def _structure(text, n, seed):
+    """Parse and build one structure spec, bloch | spin2 |
+    deformable[:a1,a2,a3[:t]] | quartic[:k] | file.json, from n Haar
+    samples of ``seed``.  The samples depend only on the fundamental group,
+    so any two specs on one group share their elements point for point."""
+    if text.endswith(".json"):
+        return _structure_from_file(_load_json(text), n, seed)
+    name, *params = text.split(":")
+    if name == "bloch" and not params:
         return state_space.bloch_structure(n, seed, via="so3")
-    if name == "spin2":
+    if name == "spin2" and not params:
         return state_space.spin2_structure(n, seed)
-    if name == "deformable":
-        base = state_space.deformable_structure(spec["alpha"], n, seed)
-        if spec["t"]:
-            path = deformation.make_deformation_path(base)
-            return deformation.deform(path, spec["t"])
+    if name == "deformable" and len(params) <= 2:
+        alpha = _alpha_triple(params[0] if params and params[0]
+                              else "0.5,0.3,0.2")
+        t = _number(float, params[1], text) if len(params) == 2 else 0.0
+        base = state_space.deformable_structure(alpha, n, seed)
+        if t:
+            return deformation.deform(
+                deformation.make_deformation_path(base), t)
         return base
-    if name == "quartic":
-        return state_space.quartic_structure(spec["k"], n, seed)
-    return _structure_from_file(spec["data"], n, seed)
-
-
-def _build_pair(spec0, spec1, n, seed):
-    names = (spec0["name"], spec1["name"])
-    if names == ("bloch", "spin2") or names == ("spin2", "bloch"):
-        s_bloch, s_spin2 = state_space.bloch_spin2_pair(n, seed)
-        return (s_bloch, s_spin2) if names[0] == "bloch" else (s_spin2, s_bloch)
-    if names == ("deformable", "deformable"):
-        if spec0["alpha"] != spec1["alpha"]:
-            raise DomainError(
-                "deformable pair must share alpha; distances across alphas "
-                "need a common reference stream"
-            )
-        base = state_space.deformable_structure(spec0["alpha"], n, seed)
-        path = deformation.make_deformation_path(base)
-        s0 = deformation.deform(path, spec0["t"]) if spec0["t"] else base
-        s1 = deformation.deform(path, spec1["t"]) if spec1["t"] else base
-        return s0, s1
-    if spec0 == spec1:
-        s = _build_single(spec0, n, seed)
-        return s, s
+    if name == "quartic" and len(params) <= 1:
+        k = _number(int, params[0], text) if params else 2
+        _check_dim(k * k, text)
+        return state_space.quartic_structure(k, n, seed)
     raise DomainError(
-        f"incompatible structure pair {names}: no common sampling convention"
+        f"unknown structure spec {text!r}; expected bloch, spin2, "
+        "deformable:a1,a2,a3[:t], quartic[:k], or a .json file"
     )
 
 
 def cmd_distance(args):
-    spec0 = _parse_structure_spec(args.spec0)
-    spec1 = _parse_structure_spec(args.spec1)
-    s0, s1 = _build_pair(spec0, spec1, args.samples, args.seed)
+    s0 = _structure(args.spec0, args.samples, args.seed)
+    s1 = _structure(args.spec1, args.samples, args.seed)
+    if not np.array_equal(s0.elements, s1.elements):
+        raise DomainError(
+            f"incompatible structure pair {args.spec0!r} and {args.spec1!r}: "
+            "their group samples differ; a distance needs two structures of "
+            "one fundamental group")
     report = deformation.symmetrized_distance_estimate(
         s0, s1, effect_family_size=args.family_size, rng=args.seed
     )
@@ -381,8 +358,7 @@ def cmd_deform(args):
 
 
 def cmd_sphere_check(args):
-    spec = _parse_structure_spec(args.spec)
-    s = _build_single(spec, args.samples, args.seed)
+    s = _structure(args.spec, args.samples, args.seed)
     return {
         "spec": args.spec,
         "n": s.n_points,
@@ -391,8 +367,7 @@ def cmd_sphere_check(args):
 
 
 def cmd_schur_average(args):
-    spec = _parse_structure_spec(args.spec)
-    s = _build_single(spec, args.samples, args.seed)
+    s = _structure(args.spec, args.samples, args.seed)
     rng = np.random.default_rng([args.seed, 1])
     checks = []
     effects = [state_space.unit_effect(s)]

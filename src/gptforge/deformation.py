@@ -16,15 +16,15 @@ irrep carrier of dimension D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compact_rep import haar_samples, invariant_projector
+from .compact_rep import act, haar_samples, invariant_projector
 from .errors import DomainError
-from .numerics import (EFFECT_RANGE_TOL, INVARIANCE_TOL, POLISH_PROBES,
+from .numerics import (DEFAULT_TOL, INVARIANCE_TOL, POLISH_PROBES,
                        POLISH_SWEEPS, ZERO_NORM, effect_lp)
-from .state_space import Effect, build_structure, orbit_points, witness_effect
+from .state_space import Effect, mixed_state, orbit_points, witness_effect
 
 # ---------------------------------------------------------------------------
 # the rigidity bound
@@ -235,7 +235,7 @@ def _force_valid(x, beta):
     """Shrink an effect toward the coin-flip effect until valid on x."""
     vals = x @ beta
     lo, hi = vals.min(), vals.max()
-    if lo >= -EFFECT_RANGE_TOL and hi <= 1.0 + EFFECT_RANGE_TOL:
+    if lo >= -DEFAULT_TOL and hi <= 1.0 + DEFAULT_TOL:
         return beta
     nu = 1.0
     if hi > 1.0:
@@ -253,26 +253,23 @@ def _force_valid(x, beta):
 
 @dataclass(frozen=True, eq=False)
 class DeformationPath:
-    """A one-parameter rotation of the reference inside the H-fixed plane.
+    """A fixed plane of two orbits in the H-fixed space.
 
-    The rotation has unit speed: at parameter t the reference has turned by
-    t radians from w1 toward w2, so the pointwise perturbation scale is
-    2 sin(t/2) ~ t.  The generator is the canonical rotation of the chosen
-    plane (any rotation of span(w1, w2) works; this pick is recorded).
+    At parameter t the reference has turned by t radians from w1 toward w2,
+    so the pointwise perturbation scale is 2 sin(t/2) ~ t.  Gamma(g) is
+    linear, so its orbit is cos t orbit(w1) + sin t orbit(w2); ``orbit2``
+    holds orbit(w2) over the base elements.  Any unit w2 in the fixed space
+    orthogonal to w1 works; this pick is recorded.
     """
 
     base: object
     w1: np.ndarray
     w2: np.ndarray
+    orbit2: np.ndarray
 
-    def rotation(self, t):
-        w1, w2 = self.w1, self.w2
-        def apply(x):
-            c1 = x @ w1
-            c2 = x @ w2
-            return (x + (np.cos(t) - 1.0) * (c1 * w1 + c2 * w2)
-                    + np.sin(t) * (c1 * w2 - c2 * w1))
-        return apply
+    def reference(self, t):
+        """The reference at parameter t: cos t w1 + sin t w2."""
+        return np.cos(t) * self.w1 + np.sin(t) * self.w2
 
 
 def make_deformation_path(base):
@@ -296,26 +293,27 @@ def make_deformation_path(base):
     norms = np.linalg.norm(resid, axis=0)
     j = int(np.argmax(norms))
     w2 = resid[:, j] / norms[j]
-    path = DeformationPath(base, w1, w2)
-    for t in (0.25, 0.5, 0.75, 1.0):
-        v = path.rotation(t)(w1)
-        viol = np.linalg.norm(proj.projector @ v - v)
-        if viol > INVARIANCE_TOL:
-            raise DomainError(
-                f"rotated reference leaves the fixed space at t = {t} "
-                f"(violation {viol:.3e}); the plane is not invariant"
-            )
-    return path
+    viol = np.linalg.norm(proj.projector @ w2 - w2)
+    if viol > INVARIANCE_TOL:
+        raise DomainError(
+            f"the second plane axis leaves the fixed space (violation "
+            f"{viol:.3e}); the plane is not invariant"
+        )
+    return DeformationPath(base, w1, w2, act(base.rep, base.elements, w2))
 
 
 def deform(path, t):
-    """The structure at parameter t, sampled with the base element stream."""
+    """The base with points (1, cos t orbit(w1) + sin t orbit(w2)) and
+    reference ``path.reference(t)``: nothing is sampled, projected or acted
+    on."""
     if not 0.0 <= t <= 1.0:
         raise DomainError("t must lie in [0, 1]")
     base = path.base
-    ref = path.rotation(t)(path.w1)
-    return build_structure(base.rep, base.subgroup, ref, base.n_points,
-                           None, elements=base.elements)
+    ref = path.reference(t)
+    points = base.points.copy()
+    points[:, 1:] = np.cos(t) * points[:, 1:] + np.sin(t) * path.orbit2
+    return replace(base, reference=ref, points=points,
+                   mixed=mixed_state(base.rep, ref))
 
 
 def deformation_sweep(base, ts, effect_family_size=8, rng=0):

@@ -55,8 +55,6 @@ TIE_TOL = 1e-15
 CHARACTER_TOL = 1e-6
 # An eigenvector entry below this modulus is too small to normalise by.
 PIVOT_TOL = 1e-10
-# A fitted effect may leave [0, 1] by this on a sample before it is shrunk.
-EFFECT_RANGE_TOL = 1e-9
 
 # Fixed iteration counts: coordinate sweeps and probes per step of the
 # best-match polish, and squarings of an averaged rep operator.

@@ -120,10 +120,14 @@ def build_structure(rep, sub, reference, n_samples, rng, elements=None):
     if elements is None:
         elements = haar_samples(rep, n_samples, rng)
     points = orbit_points(rep, elements, v)
-    # the trivial group fixes its single orbit point; otherwise the carrier
-    # part of the mixed state vanishes
-    mixed = np.concatenate([[1.0], v if rep.d == 1 else np.zeros_like(v)])
-    return StructureSample(rep, sub, v, points, np.asarray(elements), mixed)
+    return StructureSample(rep, sub, v, points, np.asarray(elements),
+                           mixed_state(rep, v))
+
+
+def mixed_state(rep, v):
+    """The maximally mixed state of the orbit of v: the trivial group fixes
+    its single orbit point; otherwise the carrier part vanishes."""
+    return np.concatenate([[1.0], v if rep.d == 1 else np.zeros_like(v)])
 
 
 def paired_structures(rep0, ref0, rep1, ref1, n_samples, rng, sub0=None,

@@ -209,6 +209,19 @@ class TestHexagonCommand:
         data = json.loads(out)
         assert abs(sum(data["alpha"]) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("alpha,code,err", [
+        (("1e308", "1e308", "1e308"), 0,
+         "warning: coefficients sum to 3e+308; renormalizing\n"),
+        (("0.5", "0.3", "0.2"), 0, ""),
+        (("1e13", "-1e13", "1"), 0, ""),
+        # refused before any warning
+        (("nan", "0.3", "0.2"), 2,
+         "error: alpha needs exactly three finite components\n"),
+    ])
+    def test_warning_reads_the_exact_sum(self, capsys, alpha, code, err):
+        got_code, _, got = run_cli(capsys, "hexagon", "--", *alpha)
+        assert (got_code, got) == (code, err)
+
     def test_csv_output(self, capsys, tmp_path):
         csv_path = tmp_path / "fig.csv"
         code, _, _ = run_cli(capsys, "hexagon", "0.5", "0.3", "0.2",
@@ -304,9 +317,22 @@ class TestDistanceCommand:
         data = json.loads(out)
         assert data["estimate"] <= 0.12
 
+    def test_deformable_pair_across_alphas(self, capsys):
+        # one seed draws one SU(3) stream, whatever the alpha
+        code, out, _ = run_cli(capsys, "distance",
+                               "deformable:0.5,0.3,0.2",
+                               "deformable:0.4,0.4,0.2:0.05",
+                               "--samples", "300")
+        assert code == 0
+        assert "missing_blocks" not in json.loads(out)
+
     def test_incompatible_pair_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "distance", "bloch", "quartic")
-        assert code == 2
+        for specs in (("bloch", "quartic"), ("deformable", "quartic:2")):
+            code, _, err = run_cli(capsys, "distance", *specs,
+                                   "--samples", "50")
+            assert code == 2
+            assert err.startswith("error:")
+            assert all(repr(spec) in err for spec in specs)
 
     def test_argument_order_irrelevant(self, capsys):
         keys = ("estimate", "lower_bound", "mc_verification")
@@ -505,6 +531,9 @@ class TestDeterminism:
         ("schur-average", "bloch", "--samples", "500", "--trials", "2"),
         ("deform", "--t-grid", "0:0.04:0.02", "--samples", "200"),
         ("distance", "bloch", "spin2", "--samples", "300"),
+        ("distance", "deformable:0.5,0.3,0.2", "deformable:0.4,0.4,0.2:0.05",
+         "--samples", "200"),
+        ("sphere-check", "deformable:0.5,0.3,0.2:0.3", "--samples", "200"),
     ])
     def test_byte_identical_reruns(self, capsys, argv):
         _, out1, _ = run_cli(capsys, *argv)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gptforge import compact_rep as cr
 from gptforge import deformation as dm
@@ -174,8 +176,45 @@ class TestDeformationPath:
         proj = cr.invariant_projector(deformable_2000.rep,
                                       deformable_2000.subgroup).projector
         for t in (0.3, 0.7, 1.0):
-            v = path.rotation(t)(path.w1)
+            v = path.reference(t)
             assert np.linalg.norm(proj @ v - v) < 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           st.floats(0.0, 1.0))
+    def test_plane_of_two_orbits_is_the_orbit_of_the_reference(self, alpha,
+                                                               t):
+        assume(np.ptp(alpha) > 1e-3)
+        base = ss.deformable_structure(alpha, 50, 0)
+        path = dm.make_deformation_path(base)
+        moved = dm.deform(path, t)
+        direct = cr.act(base.rep, base.elements, path.reference(t))
+        assert np.max(np.abs(moved.points[:, 1:] - direct)) <= 1e-12
+        assert np.array_equal(moved.points[:, 0], np.ones(50))
+        assert np.array_equal(moved.reference, path.reference(t))
+
+    def test_deform_builds_and_projects_nothing(self, deformable_2000,
+                                                monkeypatch):
+        path = dm.make_deformation_path(deformable_2000)
+        calls = []
+        for mod in (cr, ss, dm):
+            for name in ("invariant_projector", "build_structure", "act",
+                         "haar_samples"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, lambda *a, _name=name,
+                                        **k: calls.append(_name))
+        dm.deform(path, 0.3)
+        assert calls == []
+
+    def test_trivial_group_moves_its_mixed_state(self):
+        # SU(1) fixes its single orbit point, which is also the mixed state
+        rep = cr.CompactRepSpec("su_fundamental", 1)
+        base = ss.build_structure(rep, cr.full_torus(), [1.0, 0.0], 5, 0)
+        moved = dm.deform(dm.make_deformation_path(base), 0.4)
+        rebuilt = ss.build_structure(rep, cr.full_torus(), moved.reference, 5,
+                                     None, elements=base.elements)
+        assert np.max(np.abs(moved.mixed - rebuilt.mixed)) <= 1e-15
+        assert np.max(np.abs(moved.points - rebuilt.points)) <= 1e-15
 
     def test_endpoint_changes_hexagon(self, deformable_2000):
         path = dm.make_deformation_path(deformable_2000)
