@@ -236,7 +236,7 @@ def _check_dim(d, where):
                           f"{MAX_FUNDAMENTAL_DIM}")
 
 
-def _structure_from_file(data, n, seed):
+def _structure_from_file(data):
     if not (isinstance(data, dict) and _is_int(data.get("d"))):
         raise DomainError("structure file needs a JSON object with integer 'd'")
     _check_dim(data["d"], "structure file 'd'")
@@ -260,34 +260,39 @@ def _structure_from_file(data, n, seed):
     except (TypeError, ValueError):
         raise DomainError(
             "structure file needs a 'reference' vector of numbers") from None
-    return state_space.build_structure(rep, sub, ref, n, seed)
+    return lambda n, seed: state_space.build_structure(rep, sub, ref, n, seed)
 
 
-def _structure(text, n, seed):
-    """Parse and build one structure spec, bloch | spin2 |
-    deformable[:a1,a2,a3[:t]] | quartic[:k] | file.json, from n Haar
-    samples of ``seed``.  The samples depend only on the fundamental group,
-    so any two specs on one group share their elements point for point."""
+def _structure(text):
+    """Parse one structure spec, bloch | spin2 | deformable[:a1,a2,a3[:t]] |
+    quartic[:k] | file.json, into its builder: a function of (n, seed) that
+    builds the structure from n Haar samples of ``seed``.  A malformed spec
+    raises here, before any sampling.  The samples depend only on the
+    fundamental group, so any two specs on one group share their elements
+    point for point."""
     if text.endswith(".json"):
-        return _structure_from_file(_load_json(text), n, seed)
+        return _structure_from_file(_load_json(text))
     name, *params = text.split(":")
     if name == "bloch" and not params:
-        return state_space.bloch_structure(n, seed, via="so3")
+        return lambda n, seed: state_space.bloch_structure(n, seed, via="so3")
     if name == "spin2" and not params:
-        return state_space.spin2_structure(n, seed)
+        return lambda n, seed: state_space.spin2_structure(n, seed)
     if name == "deformable" and len(params) <= 2:
         alpha = _alpha_triple(params[0] if params and params[0]
                               else "0.5,0.3,0.2")
         t = _number(float, params[1], text) if len(params) == 2 else 0.0
-        base = state_space.deformable_structure(alpha, n, seed)
-        if t:
-            return deformation.deform(
-                deformation.make_deformation_path(base), t)
-        return base
+
+        def deformable(n, seed):
+            base = state_space.deformable_structure(alpha, n, seed)
+            if t:
+                return deformation.deform(
+                    deformation.make_deformation_path(base), t)
+            return base
+        return deformable
     if name == "quartic" and len(params) <= 1:
         k = _number(int, params[0], text) if params else 2
         _check_dim(k * k, text)
-        return state_space.quartic_structure(k, n, seed)
+        return lambda n, seed: state_space.quartic_structure(k, n, seed)
     raise DomainError(
         f"unknown structure spec {text!r}; expected bloch, spin2, "
         "deformable:a1,a2,a3[:t], quartic[:k], or a .json file"
@@ -295,8 +300,8 @@ def _structure(text, n, seed):
 
 
 def cmd_distance(args):
-    s0 = _structure(args.spec0, args.samples, args.seed)
-    s1 = _structure(args.spec1, args.samples, args.seed)
+    build0, build1 = _structure(args.spec0), _structure(args.spec1)
+    s0, s1 = (build(args.samples, args.seed) for build in (build0, build1))
     if not np.array_equal(s0.elements, s1.elements):
         raise DomainError(
             f"incompatible structure pair {args.spec0!r} and {args.spec1!r}: "
@@ -358,7 +363,7 @@ def cmd_deform(args):
 
 
 def cmd_sphere_check(args):
-    s = _structure(args.spec, args.samples, args.seed)
+    s = _structure(args.spec)(args.samples, args.seed)
     return {
         "spec": args.spec,
         "n": s.n_points,
@@ -367,7 +372,7 @@ def cmd_sphere_check(args):
 
 
 def cmd_schur_average(args):
-    s = _structure(args.spec, args.samples, args.seed)
+    s = _structure(args.spec)(args.samples, args.seed)
     rng = np.random.default_rng([args.seed, 1])
     checks = []
     effects = [state_space.unit_effect(s)]

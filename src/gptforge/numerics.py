@@ -1,28 +1,35 @@
-"""Dense linear-algebra kernel and a small linear-program front end.
+"""Dense linear-algebra kernel and a small linear-program solver.
 
 Every other module funnels its matrix work through here, and the package's
 tolerance policy lives here: each tolerance shared by several checks is one
 named constant below.  Problems are tiny (at most a few hundred variables),
 so everything is dense float64: eigendecompositions go through LAPACK
-(``numpy.linalg.eigh``) and linear programs through HiGHS
-(``scipy.optimize.linprog``, imported by the first solve: loading it takes
-longer than most commands that solve no LP).  The LPs are those over sampled
-orbit points, the pure-state metric and sampled discrimination; the
-hexagon's small problems are solved exactly in ``discrimination`` and never
-load HiGHS.
+(``numpy.linalg.eigh``).  The LPs are those over sampled orbit points, the
+pure-state metric and sampled discrimination; the hexagon's small problems
+are solved exactly in ``discrimination``.
+
+:func:`lp_solve` runs a dual simplex method in numpy, on the free variables
+and dense rows that :func:`effect_program` builds, and checks a certificate
+for every answer before it returns it: dual multipliers that close the
+duality gap for "optimal", a Farkas vector for "infeasible", a ray for
+"unbounded".  Only an answer that does not check goes to HiGHS
+(``scipy.optimize.linprog``), which is imported then and only then: loading
+it takes longer than most commands.
 
 An effect LP over n sampled points has 2kn validity rows, of which only a
 few bind, so :func:`effect_lp` solves it by row generation (Kelley, J. SIAM
 8, 1960): it starts from the extreme points along the objective rows and the
 coordinate axes, and each round adds the inactive points whose rows the
-round's optimum violates most.  An optimum valid on every row within
-``DEFAULT_TOL`` is the full optimum; an infeasible subset certifies that the
-full LP is infeasible; an unbounded subset sends the next round to every row.
+round's optimum violates most.  A round only adds rows, so it starts from
+the previous round's basis, which stays dual feasible.  An optimum valid on
+every row within ``DEFAULT_TOL`` is the full optimum; an infeasible subset
+certifies that the full LP is infeasible; an unbounded subset sends the next
+round to every row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,6 +62,24 @@ TIE_TOL = 1e-15
 CHARACTER_TOL = 1e-6
 # An eigenvector entry below this modulus is too small to normalise by.
 PIVOT_TOL = 1e-10
+
+# The LP kernel (numerics.lp_solve): its artificial box starts at this
+# size and grows by the factor up to the cap; a ratio-column entry must
+# exceed RATIO_PIVOT to leave the basis; the basis inverse is recomputed
+# every REFACTOR_PIVOTS pivots and the pivots stop at PIVOT_CAP_PER_ROW per
+# row; the pivots follow costs perturbed by COST_PERTURBATION (relative);
+# a row within INDEPENDENCE_RTOL (relative) of the span of others
+# does not join a start basis; and an infeasibility certificate rules out
+# every point of 1-norm up to CERTIFIED_RADIUS.
+BOX_START = 1e4
+BOX_GROWTH = 1e3
+BOX_MAX = 1e10
+RATIO_PIVOT = 1e-9
+REFACTOR_PIVOTS = 32
+PIVOT_CAP_PER_ROW = 4
+COST_PERTURBATION = 1e-10
+INDEPENDENCE_RTOL = 1e-6
+CERTIFIED_RADIUS = 1e6
 
 # Fixed iteration counts: coordinate sweeps and probes per step of the
 # best-match polish, and squarings of an averaged rep operator.
@@ -124,35 +149,77 @@ class LinearProgram:
 
 @dataclass
 class LpResult:
+    """The answer to one LP, with the evidence for it.
+
+    ``certificate`` is what the numpy kernel proved (see :func:`lp_solve`):
+    for "optimal" the multipliers of the ``eq`` rows then the ``ub`` rows,
+    for "infeasible" a Farkas vector in the same layout, and for
+    "unbounded" a ray in the variables (``x`` is then a feasible point).
+    It is None when HiGHS answered, which ``fallback`` records.  ``basis``
+    is the kernel's final basis, which :func:`effect_lp` hands to the next
+    round as its start.
+    """
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float | None = None
     x: np.ndarray | None = None
+    certificate: np.ndarray | None = None
+    fallback: bool = False
+    basis: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def optimal(self):
         return self.status == "optimal"
 
 
-def lp_solve(p: LinearProgram):
+def lp_solve(p: LinearProgram, _basis=None):
     """Solve a small dense LP, maximizing the objective.
 
-    Returns an :class:`LpResult`.  An optimal point is feasibility-checked
-    within ``DEFAULT_TOL`` before being returned.  HiGHS runs at its own
-    defaults (feasibility tolerance 1e-7) first; when its point fails the
-    check, or it stops without a status certificate, the LP is solved once
-    more with feasibility tolerances of ``DEFAULT_TOL / 10`` and the
-    objective scaled to a largest entry of 1 (the tolerances are absolute).
+    Returns an :class:`LpResult`.  The numpy dual simplex
+    (:func:`_dual_simplex`) answers first, from ``_basis`` when a
+    row-generation round hands its previous basis on, and each of its
+    answers is checked before it is returned:
+
+    - "optimal": the point passes :func:`check_feasible`, the ``ub``
+      multipliers are non-negative, the multipliers reproduce the objective
+      and the duality gap is closed, each within ``DEFAULT_TOL`` (relative
+      to the objective's size);
+    - "infeasible": a Farkas vector ``(z, y)``, ``y >= 0``, whose row
+      combination ``A_eq^T z + A_ub^T y`` is so small that no point of
+      1-norm up to ``CERTIFIED_RADIUS`` can meet every row within
+      ``DEFAULT_TOL``;
+    - "unbounded": a point that passes :func:`check_feasible` and a ray
+      ``d`` (largest entry 1) that raises the objective by more than
+      ``ZERO_NORM`` (relative) while no row rises along it by more than
+      ``ZERO_NORM``.
+
+    Only an answer that does not check runs HiGHS (:func:`_highs_solve`),
+    which imports ``scipy.optimize``.
 
     Raises
     ------
     LpSolverFailure
-        If the re-solve also stops without a status certificate.
+        If HiGHS runs and its re-solve also stops without a status
+        certificate.
     NumericalConsistencyError
-        If the re-solved optimal point also fails the check.
+        If HiGHS runs and its re-solved optimal point also fails the check.
+    """
+    p._validate()
+    try:
+        res = _dual_simplex(p, _basis)
+    except np.linalg.LinAlgError:  # a basis that rounding made singular
+        res = None
+    return _highs_solve(p) if res is None else res
+
+
+def _highs_solve(p):
+    """HiGHS at its own defaults (feasibility tolerance 1e-7) first; when
+    its point fails the check, or it stops without a status certificate,
+    once more with feasibility tolerances of ``DEFAULT_TOL / 10`` and the
+    objective scaled to a largest entry of 1 (the tolerances are absolute).
     """
     from scipy.optimize import linprog
 
-    p._validate()
     c = -np.atleast_1d(np.asarray(p.objective, dtype=float))
     a_eq, b_eq = (None, None) if p.eq is None else p.eq
     a_ub, b_ub = (None, None) if p.ub is None else p.ub
@@ -173,14 +240,206 @@ def lp_solve(p: LinearProgram):
 def _certify(p, res, scale):
     """The LpResult of one HiGHS run; raises when the run certifies nothing."""
     if res.status == 2:
-        return LpResult("infeasible")
+        return LpResult("infeasible", fallback=True)
     if res.status == 3:
-        return LpResult("unbounded")
+        return LpResult("unbounded", fallback=True)
     if res.status != 0:
         raise LpSolverFailure(f"LP solver stopped: {res.message}")
     x = np.asarray(res.x, dtype=float)
     check_feasible(p, x)
-    return LpResult("optimal", value=-float(res.fun) * scale, x=x)
+    return LpResult("optimal", value=-float(res.fun) * scale, x=x,
+                    fallback=True)
+
+
+def _dual_simplex(p, start=None):
+    """Solve ``p`` by the dual simplex method on a boxed copy of it; the
+    checked LpResult, or None when no answer checks.
+
+    Every variable is free, so a basis is a set of n linearly independent
+    rows, met with equality by its point x; it is dual feasible when the
+    objective is a combination of them with a non-negative multiplier on
+    each inequality row.  The rows are stacked as
+
+        [I; -I] (rhs the box size), A_eq, A_ub
+
+    and a basis is an array of indices into that stack.  Each pivot brings
+    in the row that x violates most, and the ratio test sends out the basic
+    row whose multiplier first reaches zero, so the basis stays dual
+    feasible.  After a pivot that leaves the multipliers where they were
+    (degenerate), Bland's rule (lowest index first) picks both rows until
+    one moves them, so the method cannot cycle.  Adding rows keeps a basis
+    dual feasible, which is why one row-generation round's basis starts
+    the next (``start``).
+
+    The box ``|x_j| <= BOX_START`` makes every program bounded and gives a
+    dual-feasible start, ``sign(c_j) e_j`` for each j.  A cold start takes,
+    before those, the linearly independent ``eq`` rows and, when the ``ub``
+    rows are ``[P; -P]`` (the layout of :func:`effect_program`), rows of P,
+    each turned to whichever of ``p`` and ``-p`` takes a non-negative
+    multiplier.  When the box binds at the end, the answer is "unbounded"
+    if the box's own direction is a ray; otherwise, and when the box is in
+    a Farkas vector, the box grows by ``BOX_GROWTH`` and the pivots go on,
+    up to ``BOX_MAX``.
+    """
+    c = np.atleast_1d(np.asarray(p.objective, dtype=float))
+    n = len(c)
+    eq = _rows(p.eq, n)
+    ub = _rows(p.ub, n)
+    q, half = len(eq[1]), len(ub[1]) // 2
+    lead = 2 * n + q  # the first ub row
+    rows = np.concatenate([np.eye(n), -np.eye(n), eq[0], ub[0]])
+    rhs = np.concatenate([np.full(2 * n, BOX_START), eq[1], ub[1]])
+    free = np.zeros(len(rows), dtype=bool)
+    free[2 * n:lead] = True
+    dual_tol = ZERO_NORM * max(1.0, np.max(np.abs(c), initial=0.0))
+    # the pivots follow perturbed costs, so that ratios seldom tie; the
+    # answer is decided and certified with the true ones
+    spread = (1.0 + np.arange(n) * 0.6180339887498949) % 1.0  # golden ratio
+    cost = c + COST_PERTURBATION * (1.0 + np.abs(c)) * (0.5 + spread / 2)
+    if start is None:
+        paired = half and np.array_equal(ub[0][half:], -ub[0][:half])
+        basis = _independent_rows(rows, [
+            np.arange(2 * n, lead), lead + np.arange(half if paired else 0),
+            np.arange(n)], n)
+        flip = (np.linalg.solve(rows[basis].T, cost) < 0) & ~free[basis]
+        basis[flip] += np.where(basis[flip] < n, n, half)
+    else:
+        basis = np.array(start)
+
+    inv, pivots, bland = np.linalg.inv(rows[basis]), 0, False
+    for _ in range(PIVOT_CAP_PER_ROW * len(rows)):
+        x = inv @ rhs[basis]
+        w = cost @ inv
+        excess = rows @ x - rhs
+        sign = np.where(free & (excess < 0), -1.0, 1.0)
+        excess *= sign
+        excess[basis] = 0.0
+        violated = np.flatnonzero(excess > DEFAULT_TOL / 10)
+        if violated.size:
+            r = violated[0] if bland else violated[np.argmax(excess[violated])]
+            alpha = rows[r] @ inv
+            col = sign[r] * alpha
+            out = np.flatnonzero((col > RATIO_PIVOT) & ~free[basis])
+        if pivots and (violated.size == 0 or out.size == 0):
+            # decide on a fresh inverse, not on one updated by pivots
+            inv, pivots = np.linalg.inv(rows[basis]), 0
+            continue
+        if violated.size == 0:
+            boxed = basis < 2 * n
+            w = c @ inv
+            if np.all(w[boxed] <= dual_tol):
+                return _optimum(p, c, x, w, basis, eq, ub)
+            ray = inv @ boxed.astype(float)
+            res = _unbounded(p, c, x, ray / np.max(np.abs(ray)), eq, ub, basis)
+        elif out.size == 0:
+            farkas = np.zeros(len(rows))
+            farkas[basis] = -col
+            farkas[r] = sign[r]
+            if np.all(farkas[:2 * n] <= dual_tol):
+                return _infeasible(farkas[2 * n:], eq, ub, basis)
+            res = None
+        else:
+            ratio = np.maximum(w[out], 0.0) / col[out]
+            ties = out[ratio <= ratio.min() + dual_tol]
+            leave = (ties[np.argmin(basis[ties])] if bland
+                     else ties[np.argmax(col[ties])])
+            bland = ratio.min() <= dual_tol
+            old = inv[:, leave] / alpha[leave]
+            inv -= np.outer(old, alpha)  # row ``leave`` of the basis is r
+            inv[:, leave] += old
+            basis[leave] = r
+            pivots += 1
+            if pivots == REFACTOR_PIVOTS:
+                inv, pivots = np.linalg.inv(rows[basis]), 0
+            continue
+        if res is not None or rhs[0] * BOX_GROWTH > BOX_MAX:
+            return res
+        rhs[:2 * n] *= BOX_GROWTH  # the box binds: grow it, keep the basis
+    return None
+
+
+def _rows(pair, n):
+    """(matrix, rhs) of an optional constraint pair, empty when absent."""
+    if pair is None:
+        return np.zeros((0, n)), np.zeros(0)
+    return np.asarray(pair[0], dtype=float), np.asarray(pair[1], dtype=float)
+
+
+def _independent_rows(rows, tiers, n):
+    """Indices of n linearly independent rows, taken tier by tier, each the
+    candidate farthest from the span of those taken, relative to its norm
+    (Gram-Schmidt with pivoting); a candidate within ``INDEPENDENCE_RTOL``
+    of that span is not taken.  The last tier must span."""
+    picked, span = [], np.zeros((0, rows.shape[1]))
+    for tier in tiers:
+        resid = rows[tier] - (rows[tier] @ span.T) @ span
+        norms = np.linalg.norm(rows[tier], axis=1)
+        norms[norms == 0.0] = np.inf
+        while len(picked) < n and len(tier):
+            size = np.linalg.norm(resid, axis=1)
+            i = int(np.argmax(size / norms))
+            if size[i] <= INDEPENDENCE_RTOL * norms[i]:
+                break
+            u = resid[i] / size[i]
+            picked.append(tier[i])
+            span = np.vstack([span, u])
+            resid -= np.outer(resid @ u, u)
+    return np.array(picked)
+
+
+def _optimum(p, c, x, w, basis, eq, ub):
+    """The "optimal" LpResult at x with the basic multipliers w (the box's
+    dropped), or None unless the certificate of :func:`lp_solve` checks."""
+    n, q = len(c), len(eq[1])
+    mult = np.zeros(2 * n + q + len(ub[1]))
+    mult[basis] = w
+    z, y = mult[2 * n:2 * n + q], np.maximum(mult[2 * n + q:], 0.0)
+    value = float(c @ x)
+    resid = np.max(np.abs(c - eq[0].T @ z - ub[0].T @ y), initial=0.0)
+    gap = abs(value - eq[1] @ z - ub[1] @ y)
+    if (resid > DEFAULT_TOL * max(1.0, np.max(np.abs(c)))
+            or gap > DEFAULT_TOL * max(1.0, abs(value)) or not _meets(p, x)):
+        return None
+    return LpResult("optimal", value=value, x=x,
+                    certificate=np.concatenate([z, y]), basis=basis)
+
+
+def _infeasible(farkas, eq, ub, basis):
+    """The "infeasible" LpResult for the Farkas vector (eq part, ub part),
+    or None unless it rules out every point of 1-norm up to
+    ``CERTIFIED_RADIUS`` that meets every row within ``DEFAULT_TOL``."""
+    q = len(eq[1])
+    f = np.concatenate([farkas[:q], np.maximum(farkas[q:], 0.0)])
+    f /= np.sum(np.abs(f))
+    combo = np.max(np.abs(eq[0].T @ f[:q] + ub[0].T @ f[q:]), initial=0.0)
+    # for x meeting the rows within DEFAULT_TOL, combo . x - f . rhs <=
+    # DEFAULT_TOL |f|_1 = DEFAULT_TOL
+    bound = eq[1] @ f[:q] + ub[1] @ f[q:]
+    if bound + DEFAULT_TOL + CERTIFIED_RADIUS * combo >= 0.0:
+        return None
+    return LpResult("infeasible", certificate=f, basis=basis)
+
+
+def _unbounded(p, c, x, d, eq, ub, basis):
+    """The "unbounded" LpResult for the point x and the direction d, or None
+    unless x passes :func:`check_feasible`, d (largest entry 1) raises the
+    objective by more than ``ZERO_NORM`` times its largest entry (or 1), and
+    no row rises along d by more than ``ZERO_NORM``."""
+    slip = max(np.max(np.abs(eq[0] @ d), initial=0.0),
+               np.max(ub[0] @ d, initial=0.0))
+    if not (c @ d > ZERO_NORM * max(1.0, np.max(np.abs(c)))
+            and slip <= ZERO_NORM and _meets(p, x)):
+        return None
+    return LpResult("unbounded", x=x, certificate=d, basis=basis)
+
+
+def _meets(p, x):
+    """Whether ``x`` passes :func:`check_feasible` on ``p``."""
+    try:
+        check_feasible(p, x)
+    except NumericalConsistencyError:
+        return False
+    return True
 
 
 def effect_program(points, objective, eq=None):
@@ -207,11 +466,12 @@ def effect_program(points, objective, eq=None):
 def effect_lp(points, objective, eq=None):
     """Solve :func:`effect_program` with :func:`lp_solve`, by row generation.
 
-    Each round solves the program on the points of an active set.  It
-    starts as the lowest and highest point along each objective row and
-    each coordinate axis; after each round, up to ``2 * dim`` inactive
-    points join it, those whose validity rows the round's optimum violates
-    most.  The answer is
+    Each round solves the program on the points of an active set, from the
+    basis at which the round before stopped.  The set starts as the lowest
+    and highest point along each objective row and each coordinate axis;
+    after each round, up to ``2 * dim`` inactive points join it, those
+    whose validity rows the round's optimum violates most.  The answer,
+    whose certificate is spread over the rows of every point, is
 
     - the round's optimum, once it meets every validity row within
       ``DEFAULT_TOL`` (the rule of :func:`check_feasible`, read off
@@ -231,24 +491,52 @@ def effect_lp(points, objective, eq=None):
     if n:
         proj = pts @ np.concatenate([obj, np.eye(dim)]).T
         active[proj.argmin(axis=0)] = active[proj.argmax(axis=0)] = True
+    lead = 2 * k * dim + (0 if eq is None else len(eq[1]))  # see _dual_simplex
+    basis = None
     while True:
-        res = lp_solve(effect_program(pts[active], obj, eq))
-        if active.all() or res.status == "infeasible":
-            return res
+        idx = np.flatnonzero(active)
+        res = lp_solve(effect_program(pts[idx], obj, eq), basis)
+        if idx.size == n or res.status == "infeasible":
+            return _on_every_point(res, idx, n, 2 * k)
         if res.status == "unbounded":
             active[:] = True
-            continue
-        vals = pts @ res.x.reshape(k, dim).T
-        excess = np.maximum(vals - 1.0, -vals).max(axis=1)
-        if excess.max() <= DEFAULT_TOL:
-            return res
-        excess[active] = 0.0
-        violated = np.flatnonzero(excess > DEFAULT_TOL)
-        if violated.size == 0:
-            active[:] = True
-            continue
-        worst = np.argsort(-excess[violated], kind="stable")[:2 * dim]
-        active[violated[worst]] = True
+        else:
+            vals = pts @ res.x.reshape(k, dim).T
+            excess = np.maximum(vals - 1.0, -vals).max(axis=1)
+            if excess.max() <= DEFAULT_TOL:
+                return _on_every_point(res, idx, n, 2 * k)
+            excess[active] = 0.0
+            violated = np.flatnonzero(excess > DEFAULT_TOL)
+            worst = np.argsort(-excess[violated], kind="stable")[:2 * dim]
+            active[violated[worst] if violated.size else slice(None)] = True
+        basis = _carry(res.basis, lead, idx, np.flatnonzero(active))
+
+
+def _carry(basis, lead, old, new):
+    """A round's basis, as indices into the kernel's row stack of the next
+    round, whose points ``new`` contain the round's points ``old``; the
+    validity rows start at ``lead``, one block of ``len(old)`` per effect
+    and sign."""
+    if basis is None:
+        return None
+    basis = basis.copy()
+    valid = basis >= lead
+    block, j = np.divmod(basis[valid] - lead, len(old))
+    basis[valid] = lead + block * len(new) + np.searchsorted(new, old[j])
+    return basis
+
+
+def _on_every_point(res, idx, n, blocks):
+    """``res`` with a row certificate of the round on the points ``idx``
+    spread over the rows of all n points, zero on the rows left out."""
+    if res.status == "unbounded" or res.certificate is None or len(idx) == n:
+        return res
+    q = len(res.certificate) - blocks * len(idx)
+    cert = np.zeros(q + blocks * n)
+    cert[:q] = res.certificate[:q]
+    rows = (np.arange(blocks)[:, None] * n + idx).ravel()
+    cert[q + rows] = res.certificate[q:]
+    return replace(res, certificate=cert)
 
 
 def check_feasible(p: LinearProgram, x):

@@ -148,6 +148,42 @@ def lp_vertex_oracle(c, a_ub, b_ub, lo, hi, tol=1e-9):
     return "optimal", best
 
 
+def highs_lp(p, presolve=True):
+    """The LP ``p`` (a gptforge ``LinearProgram``, maximized, variables
+    free) by HiGHS through ``scipy.optimize.linprog`` alone: at HiGHS's
+    defaults, and once more at feasibility tolerances ``DEFAULT_TOL / 10``
+    with the objective scaled to a largest entry of 1 when the first point
+    fails ``check_feasible`` or HiGHS stops without a status.
+
+    Returns ``(status, value, x)``, status "optimal", "infeasible",
+    "unbounded" or None (no status from either run, or a point that fails
+    the check twice).
+    """
+    from scipy.optimize import linprog
+
+    from gptforge.errors import NumericalConsistencyError
+    from gptforge.numerics import DEFAULT_TOL, check_feasible
+
+    c = -np.asarray(p.objective, dtype=float)
+    a_eq, b_eq = (None, None) if p.eq is None else p.eq
+    a_ub, b_ub = (None, None) if p.ub is None else p.ub
+    tight = dict.fromkeys(("primal_feasibility_tolerance",
+                           "dual_feasibility_tolerance"), DEFAULT_TOL / 10)
+    for scale, options in ((1.0, {}), (np.max(np.abs(c)) or 1.0, tight)):
+        res = linprog(c / scale, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=(None, None), method="highs",
+                      options=dict(options, presolve=presolve))
+        if res.status in (2, 3):
+            return ("infeasible", "unbounded")[res.status - 2], None, None
+        if res.status == 0:
+            try:
+                check_feasible(p, res.x)
+                return "optimal", -float(res.fun) * scale, res.x
+            except NumericalConsistencyError:
+                pass
+    return None, None, None
+
+
 def _solve_fractions(a, b):
     """x with a x = b for a square matrix of Fractions; None when singular."""
     n = len(a)

@@ -345,6 +345,22 @@ class TestDistanceCommand:
         assert reports[0] == reports[1]
         assert reports[0]["lower_bound"] == pytest.approx(1 / 12)
 
+    @pytest.mark.parametrize("specs", [("quartic:4", "bloch:1"),
+                                       ("bloch:1", "quartic:4"),
+                                       ("deformable:0.5,0.3,0.2", "spin2:x")])
+    def test_malformed_spec_refused_before_sampling(self, capsys,
+                                                    monkeypatch, specs):
+        from gptforge import compact_rep, state_space
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Haar samples drawn for a malformed spec")
+
+        for module in (compact_rep, state_space, dm):
+            monkeypatch.setattr(module, "haar_samples", refuse, raising=False)
+        code, _, err = run_cli(capsys, "distance", *specs)
+        assert code == 2
+        assert err.startswith("error:") and "unknown structure spec" in err
+
 
 class TestOtherCommands:
     def test_sphere_check(self, capsys):
@@ -615,7 +631,8 @@ class TestLazyLpImport:
             ["distance", "bloch", "spin2", "--samples", "50"],
             ["hexagon", "0.5", "0.3", "0.2", "--game"],
         ]
-        # no command solves an LP; sampled discrimination, after them, does
+        # no command solves an LP; sampled discrimination, after them, does,
+        # in the package's own kernel
         script = (
             "import contextlib, io, json, sys\n"
             "from gptforge import discrimination, state_space\n"
@@ -635,7 +652,40 @@ class TestLazyLpImport:
             capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout)
-        assert seen == [[0, False]] * len(commands) + [[True, True]]
+        assert seen == [[0, False]] * len(commands) + [[True, False]]
+
+    def test_no_distances_op_imports_scipy_optimize(self):
+        # one op of each kind of the benchmark's distances workload, at its
+        # sizes: no LP falls back to HiGHS
+        alpha, t = "0.55,0.3,0.15", 0.06
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from gptforge import deformation, discrimination, state_space\n"
+            "from gptforge.cli import main\n"
+            "alpha, t = json.loads(sys.argv[1])\n"
+            "seen = []\n"
+            "for argv in (['deform', '--t-grid', '0:0.1:0.02', '--alpha',\n"
+            "              alpha, '--samples', '2000', '--seed', '5'],\n"
+            "             ['distance', 'deformable:' + alpha,\n"
+            "              f'deformable:{alpha}:{t!r}', '--samples', '2000',\n"
+            "              '--seed', '6']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        seen.append(main(argv))\n"
+            "s = state_space.deformable_structure(\n"
+            "    [float(a) for a in alpha.split(',')], 2000, 7)\n"
+            "seen += [deformation.pure_state_distance(s, i, j) > 0\n"
+            "         for i, j in ((42, 1999), (1999, 42))]\n"
+            "seen += [discrimination.max_distinguishable_sampled(s, k)\n"
+            "         for k in (2, 3)]\n"
+            "seen.append('scipy.optimize' in sys.modules)\n"
+            "print(json.dumps(seen))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([alpha, t])],
+            capture_output=True, text=True, timeout=120, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, 0, True, True, True, False,
+                                           False]
 
 
 class TestStructureSpecFiles:
@@ -679,9 +729,9 @@ class TestStructureSpecFiles:
         read = []
         from_file = cli._structure_from_file
 
-        def spy(data, n, seed):
+        def spy(data):
             read.append(data)
-            return from_file(data, n, seed)
+            return from_file(data)
 
         monkeypatch.setattr(cli, "_structure_from_file", spy)
         code, out, _ = run_cli(capsys, "sphere-check", "quartic_x.json",

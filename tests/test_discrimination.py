@@ -13,21 +13,16 @@ from gptforge import discrimination as dc
 from gptforge import numerics
 from gptforge import state_space as ss
 from gptforge.cli import main
-from gptforge.errors import (
-    DomainError,
-    LpSolverFailure,
-    NumericalConsistencyError,
-)
+from gptforge.errors import DomainError, NumericalConsistencyError
 from gptforge.numerics import (
     COINCIDENCE_TOL,
     DEFAULT_TOL,
     check_feasible,
     effect_lp,
     effect_program,
-    lp_solve,
 )
 
-from oracles import barycentric_oracle, game_lp_oracle
+from oracles import barycentric_oracle, game_lp_oracle, highs_lp
 
 # HiGHS's default primal feasibility tolerance, at which the LP reference runs
 HIGHS_FEASIBILITY_TOL = 1e-7
@@ -334,17 +329,14 @@ def _three_state_program(points, anchors):
 
 
 def _lp_three_states(p):
-    """Reference verdict on the LP ``p``: feasible when HiGHS returns a
-    point that passes the DEFAULT_TOL check, either through lp_solve, the
-    old route, or from one more run with presolve off at the tolerances of
-    lp_solve's re-solve.  Presolve calls the LP of some nearly degenerate
-    triangles infeasible although inv(Y)^T meets it within 1e-15 (see the
-    examples of the triangle test).  None when no run gives an answer."""
-    try:
-        verdict = lp_solve(p).optimal
-    except (LpSolverFailure, NumericalConsistencyError):
-        verdict = None
-    if verdict:
+    """Reference verdict on the LP ``p`` from HiGHS alone: feasible when
+    HiGHS returns a point that passes the DEFAULT_TOL check, at its defaults,
+    at DEFAULT_TOL / 10, or with presolve off at DEFAULT_TOL / 10.
+    Presolve calls the LP of some nearly degenerate triangles infeasible
+    although inv(Y)^T meets it within 1e-15 (see the examples of the
+    triangle test).  None when no run gives an answer."""
+    status = highs_lp(p)[0]
+    if status == "optimal":
         return True
     res = linprog(p.objective, A_ub=p.ub[0], b_ub=p.ub[1], A_eq=p.eq[0],
                   b_eq=p.eq[1], bounds=(None, None), method="highs",
@@ -357,7 +349,7 @@ def _lp_three_states(p):
             return True
         except NumericalConsistencyError:
             pass
-    return False if res.status in (0, 2) else verdict
+    return False if res.status in (0, 2) or status else None
 
 
 def _assert_certified(effects, points, states):
@@ -413,9 +405,10 @@ def _assert_three_states_match_lp(a):
             if not unresolved:
                 _assert_certified(effects, h.vertices, anchors)
         program = _three_state_program(h.vertices, anchors)
-        # lp_solve runs HiGHS at 1e-7 first: between that and DEFAULT_TOL / 10
-        # the LP's answer depends on the point HiGHS returns, and HiGHS
-        # evaluates e . x with an error up to about size * 64 eps
+        # the reference runs HiGHS at 1e-7 first: between that and
+        # DEFAULT_TOL / 10 the LP's answer depends on the point HiGHS
+        # returns, and HiGHS evaluates e . x with an error up to about
+        # size * 64 eps
         slack = size * 64 * np.finfo(float).eps
         undecided = (DEFAULT_TOL / 10 < violation
                      <= HIGHS_FEASIBILITY_TOL + slack)
@@ -457,6 +450,16 @@ class TestThreeStatesByLinearSolve:
 
     def test_all_equal_agrees_with_lp(self):
         _assert_three_states_match_lp([1.0, 1.0, 1.0])
+
+    def test_kernel_solves_lp_that_presolve_refused(self):
+        # HiGHS presolve called this three-state LP infeasible, although
+        # inv(Y)^T meets it within 3e-16; the numpy kernel certifies it
+        h = dc.hexagon_vertices([1.005438050730057e-09, 0.9999999979891239,
+                                 1.005438050730057e-09])
+        program = _three_state_program(h.vertices, h.vertices)
+        res = numerics.lp_solve(program)
+        assert res.optimal and not res.fallback
+        check_feasible(program, res.x)
 
     @pytest.mark.parametrize("a, states", [
         # every candidate triple violates by about 9.39e-9; the LP route
@@ -521,7 +524,7 @@ def _lp_states(h):
             if k == 3:
                 if barycentric_oracle(h.vertices, anchors)[1] <= DEFAULT_TOL:
                     return k, chosen
-            elif lp_solve(program).optimal:
+            elif highs_lp(program)[0] == "optimal":
                 return k, chosen
 
 
@@ -532,7 +535,7 @@ def _lp_game(h):
 
     def guess(plus, minus):
         objective = 0.25 * (np.sum(plus, axis=0) - np.sum(minus, axis=0))
-        return 0.5 + effect_lp(h.vertices, [objective]).value
+        return 0.5 + highs_lp(effect_program(h.vertices, [objective]))[1]
 
     bit1 = guess([y[0], y[1]], [y[3], y[4]])
     if len({h.label_to_vertex[i] for i in (0, 1, 3, 4)}) < 4:
@@ -635,11 +638,11 @@ def _pair_segment(h, i, j):
 def lp_calls(monkeypatch):
     """Every lp_solve call, wherever the package binds it."""
     calls = []
-    lp_solve = numerics.lp_solve
+    solve = numerics.lp_solve
 
-    def counted(p):
+    def counted(p, *warm):
         calls.append(p)
-        return lp_solve(p)
+        return solve(p, *warm)
 
     monkeypatch.setattr(numerics, "lp_solve", counted)
     monkeypatch.setattr(dc, "lp_solve", counted, raising=False)

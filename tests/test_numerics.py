@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gptforge
+from gptforge import numerics
 from gptforge.errors import DomainError, NumericalConsistencyError
 from gptforge.numerics import (
+    CERTIFIED_RADIUS,
+    DEFAULT_TOL,
+    ZERO_NORM,
     LinearProgram,
     check_feasible,
     effect_lp,
@@ -18,7 +22,75 @@ from gptforge.numerics import (
     round_to_int,
     symmetric_eigen,
 )
-from oracles import lp_vertex_oracle
+from oracles import highs_lp, lp_vertex_oracle
+
+
+def _assert_certificate(p, res):
+    """The kernel's evidence for ``res``, checked on the arrays of ``p``."""
+    assert not res.fallback and res.certificate is not None
+    c = np.asarray(p.objective, dtype=float)
+    empty = (np.zeros((0, len(c))), np.zeros(0))
+    (a_eq, b_eq), (a_ub, b_ub) = (
+        empty if pair is None else (np.asarray(pair[0]), np.asarray(pair[1]))
+        for pair in (p.eq, p.ub))
+    if res.status == "unbounded":
+        d = res.certificate
+        check_feasible(p, res.x)
+        slip = max(np.max(np.abs(a_eq @ d), initial=0.0),
+                   np.max(a_ub @ d, initial=0.0))
+        assert np.max(np.abs(d)) == 1.0 and slip <= ZERO_NORM
+        assert c @ d > ZERO_NORM * max(1.0, np.max(np.abs(c)))
+        return
+    q = len(b_eq)
+    z, y = res.certificate[:q], res.certificate[q:]
+    assert np.all(y >= 0.0)
+    combo = a_eq.T @ z + a_ub.T @ y
+    bound = b_eq @ z + b_ub @ y
+    if res.status == "optimal":
+        check_feasible(p, res.x)
+        size = max(1.0, np.max(np.abs(c)))
+        assert np.max(np.abs(combo - c)) <= DEFAULT_TOL * size
+        assert abs(bound - res.value) <= DEFAULT_TOL * max(1.0, abs(res.value))
+    else:
+        # no point of 1-norm up to CERTIFIED_RADIUS meets every row within
+        # DEFAULT_TOL: for such x, combo . x - bound <= DEFAULT_TOL |f|_1
+        scale = np.sum(np.abs(res.certificate))
+        assert res.status == "infeasible" and scale > 0.0
+        assert (bound + DEFAULT_TOL * scale
+                + CERTIFIED_RADIUS * np.max(np.abs(combo), initial=0.0)) < 0.0
+
+
+def _effect_case(seed, kind, k, dim, n_eq):
+    """(points, objective, eq) of an effect LP of the given kind: general,
+    flat (the points span a hyperplane), flat-in-span (and the objective
+    lies in their span), contradictory (an equality asks for 3/2 on a
+    point), zero (objective), duplicated (every point three times) or
+    parallel (an objective row is a point's validity row)."""
+    # augmented points (column 0 is 1) so that e = (1/2, 0, ...) is valid
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 300))
+    rank = dim - 1 if kind.startswith("flat") else dim
+    carrier = rng.standard_normal((n, rank - 1)) @ rng.standard_normal(
+        (rank - 1, dim - 1))
+    points = np.concatenate([np.ones((n, 1)), carrier], axis=1)
+    objective = rng.standard_normal((k, dim))
+    if kind == "zero":
+        objective[:] = 0.0
+    elif kind == "flat-in-span":
+        objective = rng.standard_normal((k, n)) @ points / n
+    elif kind == "duplicated":
+        points = np.repeat(points, 3, axis=0)
+    elif kind == "parallel":
+        objective[0] = points[int(rng.integers(n))]
+    a_eq = rng.standard_normal((n_eq, k * dim))
+    x0 = np.tile(np.eye(dim)[0] / 2.0, k)
+    b_eq = a_eq @ x0
+    if kind == "contradictory":
+        # the first effect must take 3/2 on one sampled point
+        row = np.zeros(k * dim)
+        row[:dim] = points[int(rng.integers(n))]
+        a_eq, b_eq = np.vstack([a_eq, row]), np.append(b_eq, 1.5)
+    return points, objective, (a_eq, b_eq) if len(b_eq) else None
 
 
 class TestSymmetricEigen:
@@ -123,10 +195,13 @@ class TestLpSolve:
             eye = np.eye(n)
             rows = np.concatenate([a, eye, -eye])
             rhs = np.concatenate([b, hi, np.negative(lo)])
-            res = lp_solve(LinearProgram(c, ub=(rows, rhs)))
-            assert res.status == status
+            program = LinearProgram(c, ub=(rows, rhs))
+            res = lp_solve(program)
+            assert res.status == status == highs_lp(program)[0]
+            _assert_certificate(program, res)
             if status == "optimal":
                 assert abs(res.value - value) < 1e-8
+                assert abs(res.value - highs_lp(program)[1]) < 1e-8
 
 
 class TestEffectLp:
@@ -165,47 +240,30 @@ class TestEffectLp:
         assert res.optimal and abs(res.value - 1.0) < 1e-8
         assert np.allclose(res.x, [0.5, 0.5, 0.5, -0.5], atol=1e-8)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6),
            st.sampled_from(["general", "flat", "flat-in-span",
-                            "contradictory", "zero"]),
+                            "contradictory", "zero", "duplicated",
+                            "parallel"]),
            st.integers(min_value=1, max_value=3),
            st.integers(min_value=2, max_value=5),
            st.integers(min_value=0, max_value=2))
     def test_row_generation_matches_all_rows(self, seed, kind, k, dim, n_eq):
-        # augmented points (column 0 is 1) so that e = (1/2, 0, ...) is valid
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(20, 300))
-        rank = dim - 1 if kind.startswith("flat") else dim
-        carrier = rng.standard_normal((n, rank - 1)) @ rng.standard_normal(
-            (rank - 1, dim - 1))
-        points = np.concatenate([np.ones((n, 1)), carrier], axis=1)
-        objective = rng.standard_normal((k, dim))
-        if kind == "zero":
-            objective[:] = 0.0
-        elif kind == "flat-in-span":
-            objective = rng.standard_normal((k, n)) @ points / n
-        a_eq = rng.standard_normal((n_eq, k * dim))
-        x0 = np.tile(np.eye(dim)[0] / 2.0, k)
-        b_eq = a_eq @ x0
-        if kind == "contradictory":
-            # the first effect must take 3/2 on one sampled point
-            row = np.zeros(k * dim)
-            row[:dim] = points[int(rng.integers(n))]
-            a_eq, b_eq = np.vstack([a_eq, row]), np.append(b_eq, 1.5)
-        eq = (a_eq, b_eq) if len(b_eq) else None
-
+        # the kernel, cold on every row and warm round after round, against
+        # HiGHS alone, with every certificate checked from the arrays
+        points, objective, eq = _effect_case(seed, kind, k, dim, n_eq)
         full = effect_program(points, objective, eq)
-        expected = lp_solve(full)
-        res = effect_lp(points, objective, eq)
-        assert res.status == expected.status
-        assert kind not in ("general", "zero") or res.optimal
+        status, value, _ = highs_lp(full)
+        for res in (lp_solve(full), effect_lp(points, objective, eq)):
+            assert res.status == status
+            _assert_certificate(full, res)
+            if res.optimal:
+                assert abs(res.value - value) <= 1e-7
+        spanning = ("general", "zero", "duplicated", "parallel")
+        assert kind not in spanning or res.optimal
         # an equality row may close the direction the points leave open
         assert kind != "flat" or n_eq or res.status == "unbounded"
         assert kind != "contradictory" or res.status == "infeasible"
-        if res.optimal:
-            assert abs(res.value - expected.value) <= 1e-7
-            check_feasible(full, res.x)
 
     def test_non_finite_point_refused(self):
         # refused as when the full program was validated
@@ -213,6 +271,44 @@ class TestEffectLp:
                                  np.eye(2)])
         with pytest.raises(DomainError):
             effect_lp(points, [[1.0, 1.0]])
+
+
+class TestKernel:
+    """The numpy dual simplex: warm starts and equality rows."""
+
+    def test_rounds_after_the_first_start_warm(self, monkeypatch):
+        # each round starts from the basis of the one before
+        rng = np.random.default_rng(11)
+        points = np.concatenate(
+            [np.ones((400, 1)), rng.standard_normal((400, 8))], axis=1)
+        objective = [points[3] - points[7]]
+        starts = []
+        solve = numerics.lp_solve
+
+        def spy(p, *warm):
+            starts.append(bool(warm and warm[0] is not None))
+            return solve(p, *warm)
+
+        monkeypatch.setattr(numerics, "lp_solve", spy)
+        res = effect_lp(points, objective)
+        assert len(starts) >= 3 and starts[0] is False and all(starts[1:])
+        full = effect_program(points, objective)
+        assert abs(res.value - highs_lp(full)[1]) <= 1e-7
+        _assert_certificate(full, res)
+
+    def test_equalities_alone(self):
+        # n independent equalities fix the point; a redundant one is met
+        a_eq = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        p = LinearProgram(np.array([1.0, -1.0]),
+                          eq=(a_eq, np.array([0.25, 0.5, 0.75])))
+        res = lp_solve(p)
+        assert res.optimal and np.allclose(res.x, [0.25, 0.5])
+        _assert_certificate(p, res)
+        infeasible = lp_solve(LinearProgram(
+            p.objective, eq=(a_eq, np.array([0.25, 0.5, 1.0]))))
+        assert infeasible.status == "infeasible"
+        _assert_certificate(LinearProgram(
+            p.objective, eq=(a_eq, np.array([0.25, 0.5, 1.0]))), infeasible)
 
 
 class TestRoundToInt:
