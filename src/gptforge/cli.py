@@ -260,23 +260,31 @@ def _structure_from_file(data):
     except (TypeError, ValueError):
         raise DomainError(
             "structure file needs a 'reference' vector of numbers") from None
-    return lambda n, seed: state_space.build_structure(rep, sub, ref, n, seed)
+    return _group(rep), (
+        lambda n, seed: state_space.build_structure(rep, sub, ref, n, seed))
+
+
+def _group(rep):
+    """The fundamental group of ``rep``: (is_unitary_group, d)."""
+    return rep.is_unitary_group, rep.d
 
 
 def _structure(text):
     """Parse one structure spec, bloch | spin2 | deformable[:a1,a2,a3[:t]] |
-    quartic[:k] | file.json, into its builder: a function of (n, seed) that
-    builds the structure from n Haar samples of ``seed``.  A malformed spec
-    raises here, before any sampling.  The samples depend only on the
-    fundamental group, so any two specs on one group share their elements
-    point for point."""
+    quartic[:k] | file.json, into its fundamental group (see ``_group``) and
+    its builder: a function of (n, seed) that builds the structure from n
+    Haar samples of ``seed``.  A malformed spec raises here, before any
+    sampling.  The samples depend only on the fundamental group, so any two
+    specs on one group share their elements point for point."""
     if text.endswith(".json"):
         return _structure_from_file(_load_json(text))
     name, *params = text.split(":")
     if name == "bloch" and not params:
-        return lambda n, seed: state_space.bloch_structure(n, seed, via="so3")
+        return _group(compact_rep.so_fundamental(3)), (
+            lambda n, seed: state_space.bloch_structure(n, seed, via="so3"))
     if name == "spin2" and not params:
-        return lambda n, seed: state_space.spin2_structure(n, seed)
+        return _group(compact_rep.so_traceless_symmetric(3)), (
+            lambda n, seed: state_space.spin2_structure(n, seed))
     if name == "deformable" and len(params) <= 2:
         alpha = _alpha_triple(params[0] if params and params[0]
                               else "0.5,0.3,0.2")
@@ -288,11 +296,12 @@ def _structure(text):
                 return deformation.deform(
                     deformation.make_deformation_path(base), t)
             return base
-        return deformable
+        return _group(compact_rep.su_adjoint(3)), deformable
     if name == "quartic" and len(params) <= 1:
         k = _number(int, params[0], text) if params else 2
         _check_dim(k * k, text)
-        return lambda n, seed: state_space.quartic_structure(k, n, seed)
+        return _group(compact_rep.su_adjoint(k * k)), (
+            lambda n, seed: state_space.quartic_structure(k, n, seed))
     raise DomainError(
         f"unknown structure spec {text!r}; expected bloch, spin2, "
         "deformable:a1,a2,a3[:t], quartic[:k], or a .json file"
@@ -300,13 +309,20 @@ def _structure(text):
 
 
 def cmd_distance(args):
-    build0, build1 = _structure(args.spec0), _structure(args.spec1)
+    (group0, build0), (group1, build1) = map(_structure,
+                                             (args.spec0, args.spec1))
+    pair = f"incompatible structure pair {args.spec0!r} and {args.spec1!r}"
+    if group0 != group1:  # refused before any Haar draw
+        name0, name1 = (f"{'SU' if unitary else 'SO'}({d})"
+                        for unitary, d in (group0, group1))
+        raise DomainError(
+            f"{pair}: their fundamental groups {name0} and {name1} differ; a "
+            "distance needs two structures of one fundamental group")
     s0, s1 = (build(args.samples, args.seed) for build in (build0, build1))
     if not np.array_equal(s0.elements, s1.elements):
         raise DomainError(
-            f"incompatible structure pair {args.spec0!r} and {args.spec1!r}: "
-            "their group samples differ; a distance needs two structures of "
-            "one fundamental group")
+            f"{pair}: their group samples differ; a distance needs two "
+            "structures of one fundamental group")
     report = deformation.symmetrized_distance_estimate(
         s0, s1, effect_family_size=args.family_size, rng=args.seed
     )
@@ -363,7 +379,7 @@ def cmd_deform(args):
 
 
 def cmd_sphere_check(args):
-    s = _structure(args.spec)(args.samples, args.seed)
+    s = _structure(args.spec)[1](args.samples, args.seed)
     return {
         "spec": args.spec,
         "n": s.n_points,
@@ -372,7 +388,7 @@ def cmd_sphere_check(args):
 
 
 def cmd_schur_average(args):
-    s = _structure(args.spec)(args.samples, args.seed)
+    s = _structure(args.spec)[1](args.samples, args.seed)
     rng = np.random.default_rng([args.seed, 1])
     checks = []
     effects = [state_space.unit_effect(s)]

@@ -6,7 +6,9 @@ multiplying all of G are array gathers, not loops over compositions.
 Character tables come from Burnside's class-algebra method: the class-sum
 matrices commute, and a random real linear combination of them separates the
 common eigenvectors, which after normalization are exactly the columns of the
-table.
+table.  A few class matrices usually have such a combination already (Dixon
+1967), so the matrices of the generators' classes are built first and the
+others only when those fail to separate the irreps.
 
 The key derived quantities are the multiplicity of the trivial representation
 in a restriction to a subgroup (a plain character average over the subgroup),
@@ -313,6 +315,7 @@ class CharacterTable:
     class_of: np.ndarray = field(repr=False)
     chars: np.ndarray = field(repr=False)  # (n_irreps, n_classes) complex
     retries: int = field(default=0, repr=False)  # random combinations discarded
+    classes_used: int = field(default=0, repr=False)  # class matrices built
 
     @property
     def n_irreps(self):
@@ -333,21 +336,34 @@ class CharacterTable:
         return self.chars[irrep, self.class_of[element]]
 
 
-def _class_constant_matrices(group, classes, class_of):
-    """a[i][j, l] = #{x in class i : x^-1 z_l in class j} for representatives z_l."""
+def _class_constant_matrices(group, classes, class_of, which=None):
+    """a[i][j, l] = #{x in class which[i] : x^-1 z_l in class j} for
+    representatives z_l; ``which`` names the classes i (default: all k).
+
+    Only the members of the named classes are multiplied by the k
+    representatives, so the work is (their count) * k row lookups and the
+    result (len(which), k, k).
+    """
     k, perms = len(classes), group.perms
+    which = range(k) if which is None else which
+    xs = np.concatenate([classes[i] for i in which])
+    row = np.repeat(np.arange(len(which)), [len(classes[i]) for i in which])
     reps = perms[[c[0] for c in classes]]
-    y = group.index[perms[group.inverses][:, reps].reshape(-1, group.degree)]
-    cells = (class_of[:, None] * k + class_of[y].reshape(-1, k)) * k + np.arange(k)
-    return np.bincount(cells.ravel(), minlength=k ** 3).reshape(k, k, k).astype(float)
+    y = group.index[perms[group.inverses[xs]][:, reps].reshape(-1, group.degree)]
+    cells = (row[:, None] * k + class_of[y].reshape(-1, k)) * k + np.arange(k)
+    return np.bincount(cells.ravel(), minlength=len(which) * k * k).reshape(
+        len(which), k, k).astype(float)
 
 
 def character_table(group):
     """Irreducible complex characters of a finite group (Burnside's method).
 
     Simultaneous eigenvectors of the class-sum matrices are isolated with a
-    random (but internally seeded, hence reproducible) linear combination;
-    degenerate draws are retried.  The table is verified against row
+    random (but internally seeded, hence reproducible) linear combination.
+    The first combination is drawn over the matrices of the generators'
+    classes alone; if it is degenerate or its table fails verification, the
+    matrices of the remaining classes are added and the combination is drawn
+    over all k, retried while degenerate.  The table is verified against row
     orthogonality (within ``DEFAULT_TOL``) and the sum-of-squares rule
     before being returned.  The group's size was capped when it was built
     (``generate_group(max_order)``); the table adds no cap of its own.
@@ -359,28 +375,35 @@ def character_table(group):
         chars = np.ones((1, 1), dtype=complex)
         return CharacterTable(group, classes, class_of, chars)
 
-    mats = _class_constant_matrices(group, classes, class_of)
+    used = sorted(set(class_of[list(group.generators)].tolist()))
+    mats = _class_constant_matrices(group, classes, class_of, used)
     rng = np.random.default_rng(0x5EED ^ group.order)
     last_err = None
     for retries in range(40):
-        coeff = rng.standard_normal(k)
-        m = np.tensordot(coeff, mats, axes=(0, 0))
-        evals, evecs = np.linalg.eig(m)
+        coeff = rng.standard_normal(len(used))
+        evals, evecs = np.linalg.eig(np.tensordot(coeff, mats, axes=(0, 0)))
         gaps = np.abs(evals[:, None] - evals[None, :])
         np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < CHARACTER_TOL * (1 + np.abs(evals).max()):
-            continue  # degenerate draw; resample the combination
         try:
+            if gaps.min() < CHARACTER_TOL * (1 + np.abs(evals).max()):
+                raise NumericalConsistencyError("degenerate random combination")
             chars = _eigenvectors_to_characters(evecs, sizes, group.order)
             _verify_table(chars, sizes, group.order)
         except NumericalConsistencyError as err:
             last_err = err
+            if len(used) < k:  # these classes may not separate the irreps
+                rest = sorted(set(range(k)) - set(used))
+                mats = np.concatenate(
+                    [mats, _class_constant_matrices(group, classes, class_of,
+                                                    rest)])
+                used += rest
             continue
         # stable: by dimension, then (-re, -im) class by class, to 8 digits
         re, im = np.round(chars.real, 8), np.round(chars.imag, 8)
         keys = [re[:, 0], *np.stack([-re, -im], axis=2).reshape(k, -1).T]
         order = np.lexsort(keys[::-1])  # the last key sorts first
-        return CharacterTable(group, classes, class_of, chars[order], retries)
+        return CharacterTable(group, classes, class_of, chars[order], retries,
+                              len(used))
     raise NumericalConsistencyError(
         f"character table failed to converge: {last_err}"
     )

@@ -345,21 +345,34 @@ class TestDistanceCommand:
         assert reports[0] == reports[1]
         assert reports[0]["lower_bound"] == pytest.approx(1 / 12)
 
-    @pytest.mark.parametrize("specs", [("quartic:4", "bloch:1"),
-                                       ("bloch:1", "quartic:4"),
-                                       ("deformable:0.5,0.3,0.2", "spin2:x")])
-    def test_malformed_spec_refused_before_sampling(self, capsys,
-                                                    monkeypatch, specs):
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
         from gptforge import compact_rep, state_space
 
         def refuse(*args, **kwargs):
-            raise AssertionError("Haar samples drawn for a malformed spec")
+            raise AssertionError("Haar samples drawn for a refused pair")
 
         for module in (compact_rep, state_space, dm):
             monkeypatch.setattr(module, "haar_samples", refuse, raising=False)
+
+    @pytest.mark.parametrize("specs", [("quartic:4", "bloch:1"),
+                                       ("bloch:1", "quartic:4"),
+                                       ("deformable:0.5,0.3,0.2", "spin2:x")])
+    def test_malformed_spec_refused_before_sampling(self, capsys, no_sampling,
+                                                    specs):
         code, _, err = run_cli(capsys, "distance", *specs)
         assert code == 2
         assert err.startswith("error:") and "unknown structure spec" in err
+
+    @pytest.mark.parametrize("specs", [("quartic:4", "bloch"),
+                                       ("bloch", "quartic:4"),
+                                       ("deformable", "spin2")])
+    def test_group_mismatch_refused_before_sampling(self, capsys, no_sampling,
+                                                    specs):
+        code, _, err = run_cli(capsys, "distance", *specs)
+        assert code == 2
+        assert err.startswith("error:") and "fundamental groups" in err
+        assert all(repr(spec) in err for spec in specs)
 
 
 class TestOtherCommands:

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +203,23 @@ class TestArrayRouteMatchesTupleRoute:
         _assert_same_as_tuple_route([tuple(range(1, 300)) + (0,)], 300, 300,
                                     constants=False)
 
+    @settings(max_examples=60, deadline=None)
+    @given(_generator_lists(), st.data())
+    def test_class_subsets_slice_all_classes(self, case, data):
+        degree, gens = case
+        try:
+            g = fr.generate_group([tuple(p) for p in gens], degree=degree,
+                                  max_order=720)
+        except ResourceError:
+            return
+        classes, class_of = fr.conjugacy_classes(g)
+        which = data.draw(st.lists(st.integers(0, len(classes) - 1),
+                                   min_size=1, unique=True))
+        full = fr._class_constant_matrices(g, classes, class_of)
+        assert np.array_equal(
+            fr._class_constant_matrices(g, classes, class_of, which),
+            full[which])
+
     def test_index_refuses_non_elements(self, s3):
         assert (1, 0, 2) in s3.index
         for p in [(1, 0, 3, 2), (0, 1), (0, 1, 3), (0, 1, -1)]:
@@ -268,6 +287,39 @@ class TestCharacterTable:
     def test_no_retries_on_small_groups(self, name):
         g = {"S3": lambda: fr.symmetric_group(3), **GROUPS}[name]()
         assert fr.character_table(g).retries == 0
+
+    def test_generator_classes_suffice_for_s7(self):
+        t = fr.character_table(fr.symmetric_group(7))
+        assert t.classes_used == 2
+        assert t.n_irreps == 15
+
+    def test_all_classes_when_generator_classes_do_not_separate(self):
+        # a 4-cycle, a 3-cycle and a 4-cycle: their two classes give
+        # [4,1] and [2,1,1,1] the same central characters
+        g = fr.generate_group([(3, 1, 0, 4, 2), (3, 1, 0, 2, 4),
+                               (0, 2, 3, 4, 1)])
+        t = fr.character_table(g)
+        assert t.retries >= 1 and t.classes_used == len(t.classes) == 7
+        # the same group, every element a generator: all classes from the
+        # first combination on
+        every = fr.character_table(
+            dataclasses.replace(g, generators=tuple(range(g.order))))
+        assert every.retries == 0 and every.classes_used == 7
+        assert every.classes == t.classes
+        assert every.dims == t.dims
+        assert np.max(np.abs(every.chars - t.chars)) < 1e-9
+
+    def test_memory_of_a_large_abelian_table(self):
+        # 300 classes: a (k, k, k) count array alone would be 216 MB
+        g = fr.cyclic_group(300)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            assert fr.character_table(g).n_irreps == 300
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestRestrictionMultiplicity:
