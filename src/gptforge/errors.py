@@ -20,5 +20,6 @@ class AccuracyError(RuntimeError):
 
 
 class LpSolverFailure(RuntimeError):
-    """The LP solver gave up (iteration limit, numerical trouble).  Distinct
-    from an infeasible or unbounded certificate."""
+    """The LP kernel found no answer with a checked certificate (pivot cap,
+    a basis made singular by rounding).  Distinct from an infeasible or
+    unbounded answer, which carries its certificate."""

@@ -12,9 +12,8 @@ are solved exactly in ``discrimination``.
 and dense rows that :func:`effect_program` builds, and checks a certificate
 for every answer before it returns it: dual multipliers that close the
 duality gap for "optimal", a Farkas vector for "infeasible", a ray for
-"unbounded".  Only an answer that does not check goes to HiGHS
-(``scipy.optimize.linprog``), which is imported then and only then: loading
-it takes longer than most commands.
+"unbounded".  An answer without a checked certificate is not returned: it
+is an :class:`~gptforge.errors.LpSolverFailure` (CLI exit 4).
 
 An effect LP over n sampled points has 2kn validity rows, of which only a
 few bind, so :func:`effect_lp` solves it by row generation (Kelley, J. SIAM
@@ -155,16 +154,15 @@ class LpResult:
     for "optimal" the multipliers of the ``eq`` rows then the ``ub`` rows,
     for "infeasible" a Farkas vector in the same layout, and for
     "unbounded" a ray in the variables (``x`` is then a feasible point).
-    It is None when HiGHS answered, which ``fallback`` records.  ``basis``
-    is the kernel's final basis, which :func:`effect_lp` hands to the next
-    round as its start.
+    Every answer of :func:`lp_solve` carries one.  ``basis`` is the
+    kernel's final basis, which :func:`effect_lp` hands to the next round as
+    its start.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float | None = None
     x: np.ndarray | None = None
     certificate: np.ndarray | None = None
-    fallback: bool = False
     basis: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -176,9 +174,9 @@ def lp_solve(p: LinearProgram, _basis=None):
     """Solve a small dense LP, maximizing the objective.
 
     Returns an :class:`LpResult`.  The numpy dual simplex
-    (:func:`_dual_simplex`) answers first, from ``_basis`` when a
-    row-generation round hands its previous basis on, and each of its
-    answers is checked before it is returned:
+    (:func:`_dual_simplex`) answers, from ``_basis`` when a row-generation
+    round hands its previous basis on, and each of its answers is checked
+    before it is returned:
 
     - "optimal": the point passes :func:`check_feasible`, the ``ub``
       multipliers are non-negative, the multipliers reproduce the objective
@@ -193,62 +191,25 @@ def lp_solve(p: LinearProgram, _basis=None):
       ``ZERO_NORM`` (relative) while no row rises along it by more than
       ``ZERO_NORM``.
 
-    Only an answer that does not check runs HiGHS (:func:`_highs_solve`),
-    which imports ``scipy.optimize``.
-
     Raises
     ------
     LpSolverFailure
-        If HiGHS runs and its re-solve also stops without a status
-        certificate.
-    NumericalConsistencyError
-        If HiGHS runs and its re-solved optimal point also fails the check.
+        If no answer checks, or rounding makes a basis singular.  The
+        message gives the program's shape and whether the start was warm.
     """
     p._validate()
     try:
         res = _dual_simplex(p, _basis)
     except np.linalg.LinAlgError:  # a basis that rounding made singular
         res = None
-    return _highs_solve(p) if res is None else res
-
-
-def _highs_solve(p):
-    """HiGHS at its own defaults (feasibility tolerance 1e-7) first; when
-    its point fails the check, or it stops without a status certificate,
-    once more with feasibility tolerances of ``DEFAULT_TOL / 10`` and the
-    objective scaled to a largest entry of 1 (the tolerances are absolute).
-    """
-    from scipy.optimize import linprog
-
-    c = -np.atleast_1d(np.asarray(p.objective, dtype=float))
-    a_eq, b_eq = (None, None) if p.eq is None else p.eq
-    a_ub, b_ub = (None, None) if p.ub is None else p.ub
-
-    def solve(scale=1.0, options=None):
-        res = linprog(c / scale, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=(None, None), method="highs", options=options)
-        return _certify(p, res, scale)
-
-    try:
-        return solve()
-    except (LpSolverFailure, NumericalConsistencyError):
-        return solve(np.max(np.abs(c)) or 1.0, dict.fromkeys(
-            ("primal_feasibility_tolerance", "dual_feasibility_tolerance"),
-            DEFAULT_TOL / 10))
-
-
-def _certify(p, res, scale):
-    """The LpResult of one HiGHS run; raises when the run certifies nothing."""
-    if res.status == 2:
-        return LpResult("infeasible", fallback=True)
-    if res.status == 3:
-        return LpResult("unbounded", fallback=True)
-    if res.status != 0:
-        raise LpSolverFailure(f"LP solver stopped: {res.message}")
-    x = np.asarray(res.x, dtype=float)
-    check_feasible(p, x)
-    return LpResult("optimal", value=-float(res.fun) * scale, x=x,
-                    fallback=True)
+    if res is None:
+        eq, ub = (0 if pair is None else len(np.atleast_1d(pair[1]))
+                  for pair in (p.eq, p.ub))
+        raise LpSolverFailure(
+            f"LP kernel found no certified answer ({eq} eq rows, {ub} ub "
+            f"rows, {len(np.atleast_1d(p.objective))} variables, "
+            f"{'cold' if _basis is None else 'warm'} start)")
+    return res
 
 
 def _dual_simplex(p, start=None):
@@ -529,7 +490,7 @@ def _carry(basis, lead, old, new):
 def _on_every_point(res, idx, n, blocks):
     """``res`` with a row certificate of the round on the points ``idx``
     spread over the rows of all n points, zero on the rows left out."""
-    if res.status == "unbounded" or res.certificate is None or len(idx) == n:
+    if res.status == "unbounded" or len(idx) == n:
         return res
     q = len(res.certificate) - blocks * len(idx)
     cert = np.zeros(q + blocks * n)

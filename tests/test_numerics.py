@@ -1,6 +1,9 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gptforge
-from gptforge import numerics
-from gptforge.errors import DomainError, NumericalConsistencyError
+from gptforge import deformation, discrimination, numerics, state_space
+from gptforge.errors import (
+    DomainError,
+    LpSolverFailure,
+    NumericalConsistencyError,
+)
 from gptforge.numerics import (
     CERTIFIED_RADIUS,
     DEFAULT_TOL,
@@ -27,7 +34,7 @@ from oracles import highs_lp, lp_vertex_oracle
 
 def _assert_certificate(p, res):
     """The kernel's evidence for ``res``, checked on the arrays of ``p``."""
-    assert not res.fallback and res.certificate is not None
+    assert res.certificate is not None
     c = np.asarray(p.objective, dtype=float)
     empty = (np.zeros((0, len(c))), np.zeros(0))
     (a_eq, b_eq), (a_ub, b_ub) = (
@@ -311,6 +318,38 @@ class TestKernel:
             p.objective, eq=(a_eq, np.array([0.25, 0.5, 1.0]))), infeasible)
 
 
+class TestNoCertifiedAnswer:
+    """A kernel run that ends without a checked certificate is an error."""
+
+    @pytest.fixture(params=["none", "singular"])
+    def failing_kernel(self, request, monkeypatch):
+        def fail(p, start=None):
+            if request.param == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return None
+
+        monkeypatch.setattr(numerics, "_dual_simplex", fail)
+
+    def test_lp_solve(self, failing_kernel):
+        box = (np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+        eq = (np.array([[1.0]]), np.array([0.5]))
+        with pytest.raises(LpSolverFailure, match=re.escape(
+                "(1 eq rows, 2 ub rows, 1 variables, cold start)")):
+            lp_solve(LinearProgram(np.array([1.0]), eq=eq, ub=box))
+        with pytest.raises(LpSolverFailure, match="warm start"):
+            lp_solve(LinearProgram(np.array([1.0]), ub=box), np.array([0]))
+
+    def test_callers(self, failing_kernel):
+        shape = r"\(\d+ eq rows, \d+ ub rows, \d+ variables, cold start\)"
+        s = state_space.deformable_structure([0.5, 0.3, 0.2], 200, 0)
+        with pytest.raises(LpSolverFailure, match=shape):
+            effect_lp(s.points, [s.points[0]])
+        with pytest.raises(LpSolverFailure, match=shape):
+            deformation.pure_state_distance(s, 3, 7)
+        with pytest.raises(LpSolverFailure, match=shape):
+            discrimination.max_distinguishable_sampled(s, 2)
+
+
 class TestRoundToInt:
     def test_exact(self):
         assert round_to_int(3.0) == 3
@@ -360,3 +399,24 @@ def test_one_tolerance_knob():
         if param.endswith("tol")
     }
     assert knobs == {"numerics.round_to_int(soft_tol)"}
+
+
+def test_scipy_is_a_test_dependency_only():
+    src = Path(gptforge.__file__).parent
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), \
+                f"{path.name}:{node.lineno} imports scipy"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (src.parents[1] / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w-]+", d)[0] for d in project["dependencies"]] \
+        == ["numpy"]
+    assert any(re.match(r"scipy\b", d)
+               for d in project["optional-dependencies"]["test"])
