@@ -74,7 +74,6 @@ from .state_space import (
     bloch_structure,
     build_structure,
     deformable_structure,
-    paired_structures,
     quartic_structure,
     sphere_check,
     spin2_structure,

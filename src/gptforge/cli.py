@@ -289,6 +289,8 @@ def _structure(text):
         alpha = _alpha_triple(params[0] if params and params[0]
                               else "0.5,0.3,0.2")
         t = _number(float, params[1], text) if len(params) == 2 else 0.0
+        if not 0.0 <= t <= 1.0:  # refused before any Haar draw
+            raise DomainError(f"t must lie in [0, 1], got {t:g} in {text!r}")
 
         def deformable(n, seed):
             base = state_space.deformable_structure(alpha, n, seed)
@@ -311,18 +313,14 @@ def _structure(text):
 def cmd_distance(args):
     (group0, build0), (group1, build1) = map(_structure,
                                              (args.spec0, args.spec1))
-    pair = f"incompatible structure pair {args.spec0!r} and {args.spec1!r}"
     if group0 != group1:  # refused before any Haar draw
         name0, name1 = (f"{'SU' if unitary else 'SO'}({d})"
                         for unitary, d in (group0, group1))
         raise DomainError(
-            f"{pair}: their fundamental groups {name0} and {name1} differ; a "
+            f"incompatible structure pair {args.spec0!r} and {args.spec1!r}: "
+            f"their fundamental groups {name0} and {name1} differ; a "
             "distance needs two structures of one fundamental group")
     s0, s1 = (build(args.samples, args.seed) for build in (build0, build1))
-    if not np.array_equal(s0.elements, s1.elements):
-        raise DomainError(
-            f"{pair}: their group samples differ; a distance needs two "
-            "structures of one fundamental group")
     report = deformation.symmetrized_distance_estimate(
         s0, s1, effect_family_size=args.family_size, rng=args.seed
     )
@@ -351,7 +349,7 @@ def cmd_distance(args):
 
 def _t_grid(text):
     """start:stop:step, inclusive, with 0 <= start <= stop <= 1, a positive
-    finite step and at most ``MAX_T_GRID_ROWS`` rows."""
+    finite step and at most ``MAX_T_GRID_ROWS`` rows, none past stop."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"t grid {text!r} is not start:stop:step")
@@ -361,11 +359,14 @@ def _t_grid(text):
     if not 0.0 < step < np.inf:
         raise DomainError(
             f"t grid step must be positive and finite, got {step:g}")
-    # capped before rounding: a tiny step would overflow or build a huge list
-    count = round(min((stop - start) / step, MAX_T_GRID_ROWS)) + 1
+    # whole steps counted on the decimal text, where 0:0.3:0.1 is exactly 3
+    # (the float quotient is 2.9999999999999996)
+    start_text, stop_text, step_text = map(Decimal, parts)
+    count = math.floor((stop_text - start_text) / step_text) + 1
     if count > MAX_T_GRID_ROWS:
         raise DomainError(f"t grid {text!r} has more than {MAX_T_GRID_ROWS} rows")
-    return [start + i * step for i in range(count)]
+    # float rounding can put a last row a few ulps past stop
+    return [min(start + i * step, stop) for i in range(count)]
 
 
 def cmd_deform(args):

@@ -422,7 +422,7 @@ class MonteCarlo:
 class InvariantProjector:
     projector: np.ndarray
     rank: int
-    eigenvalues: np.ndarray  # of the averaged operator, descending
+    eigenvalues: np.ndarray  # descending; of the powered average avg^32
 
 
 def _averaged_operator(spec, elements):
@@ -478,8 +478,10 @@ def invariant_projector(spec, sub, quadrature=None):
 
     ``quadrature=None`` takes the exact structural route: the common kernel
     of the subgroup's Lie-algebra action.  :class:`TorusGrid` and
-    :class:`MonteCarlo` force the corresponding numerical averages; rank is
-    the number of averaged eigenvalues above 1/2.
+    :class:`MonteCarlo` force the corresponding numerical averages; the
+    reported eigenvalues are those of the powered average avg^32 (the average
+    squared ``PROJECTOR_SQUARINGS`` times), and rank is the number of them
+    above 1/2.
 
     Raises :class:`AccuracyError` when the requested quadrature is too coarse:
     the powered average is off idempotent by more than ``IDEMPOTENCE_TOL``,

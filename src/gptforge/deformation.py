@@ -24,7 +24,7 @@ from .compact_rep import act, haar_samples, invariant_projector
 from .errors import DomainError
 from .numerics import (DEFAULT_TOL, INVARIANCE_TOL, POLISH_PROBES,
                        POLISH_SWEEPS, ZERO_NORM, effect_lp)
-from .state_space import Effect, mixed_state, orbit_points, witness_effect
+from .state_space import Effect, _integer_seed, orbit_points, witness_effect
 
 # ---------------------------------------------------------------------------
 # the rigidity bound
@@ -94,19 +94,18 @@ class LowerBoundReport:
 def structure_distance_lower_bound(s0, s1):
     """Lower bound 1 / (4 d0) when s0's irrep is absent from s1, verified.
 
-    Requires at least two point-aligned samples (built from one element
-    stream, see ``paired_structures``): the verification minimizes the
+    Requires at least two point-aligned samples (built on one fundamental
+    group from one integer seed): the verification minimizes the
     sampled average of (f0(g x0) - f1(g x0))^2 over all linear effects f1 of
     s1 by least squares and checks that it stays above the bound within
     3 sigma.
     """
+    _check_aligned(s0, s1)
     if s0.label == s1.label:
         raise DomainError(
             f"block {s0.label!r} is present in both structures; the "
             "missing-block bound does not apply"
         )
-    if s0.n_points != s1.n_points:
-        raise DomainError("samples must be point-aligned (equal lengths)")
     if s0.n_points < 2:
         raise DomainError(f"the verification needs at least 2 samples for "
                           f"its sigma, got {s0.n_points}")
@@ -122,6 +121,12 @@ def structure_distance_lower_bound(s0, s1):
     sigma = float(sq.std(ddof=1) / np.sqrt(len(sq)))
     return LowerBoundReport(bound, d0, mc_min, sigma, s0.n_points,
                             mc_min >= bound - 3.0 * sigma)
+
+
+def _check_aligned(s0, s1):
+    if not np.array_equal(s0.elements, s1.elements):
+        raise DomainError("samples must be point-aligned: built on one "
+                          "fundamental group from one integer seed")
 
 
 def _reference_witness(s):
@@ -156,13 +161,12 @@ def symmetrized_distance_estimate(s0, s1, effect_family_size=8, rng=0):
     its random witnesses from a fresh stream of one seed (``rng`` itself when
     it is an integer, else one integer drawn from it), so swapping s0 and s1
     swaps ``directed_01`` and ``directed_10`` and leaves the estimate, the
-    larger of the two, bit for bit the same.
+    larger of the two, bit for bit the same.  The samples must be
+    point-aligned, as in :func:`structure_distance_lower_bound`.
     """
-    if s0.n_points != s1.n_points:
-        raise DomainError("samples must be point-aligned (equal lengths)")
+    _check_aligned(s0, s1)
     seed = rng if isinstance(rng, (int, np.integer)) else None
-    stream = seed if seed is not None else int(
-        np.random.default_rng(rng).integers(2**63))
+    stream = _integer_seed(rng)
     d01 = _directed_estimate(s0, s1, effect_family_size, stream)
     d10 = _directed_estimate(s1, s0, effect_family_size, stream)
 
@@ -312,8 +316,7 @@ def deform(path, t):
     ref = path.reference(t)
     points = base.points.copy()
     points[:, 1:] = np.cos(t) * points[:, 1:] + np.sin(t) * path.orbit2
-    return replace(base, reference=ref, points=points,
-                   mixed=mixed_state(base.rep, ref))
+    return replace(base, reference=ref, points=points)
 
 
 def deformation_sweep(base, ts, effect_family_size=8, rng=0):

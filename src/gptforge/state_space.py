@@ -4,10 +4,11 @@ A structure sample holds a seeded Monte-Carlo picture of one probabilistic
 structure: the augmented orbit of one irrep carrier, that is the orbit points
 Gamma(g_i) v prefixed with an explicit leading coordinate fixed to 1 (the
 unit-effect / normalization component), and the maximally mixed state.  This
-module alone knows that layout: ``orbit_points`` builds augmented points and
-``Effect.affine`` builds effects on them.  Orthogonality of the group action
-puts every orbit on a hypersphere around the mixed state, which is the basic
-consistency check exposed here.
+module builds that layout: ``orbit_points`` builds augmented points and
+``Effect.affine`` builds effects on them; elsewhere only ``deformation``'s
+``deform``, ``schur_average_check`` and ``_force_valid`` index column 0.
+Orthogonality of the group action puts every orbit on a hypersphere around
+the mixed state, which is the basic consistency check exposed here.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class StructureSample:
 
     ``points`` has shape (n, 1 + D): column 0 is identically 1 (the trivial
     block) and columns 1..D carry the irrep ``rep``; rows are the embedded
-    pure states.  ``elements`` keeps the fundamental-picture group samples
-    so deformations and paired builds can reuse the stream.
+    pure states.  ``elements`` keeps the fundamental-picture group samples:
+    deformations reuse them, and two samples built on one fundamental group
+    from one integer seed share them, which makes the samples point-aligned.
     """
 
     rep: CompactRepSpec
@@ -47,7 +49,14 @@ class StructureSample:
     reference: np.ndarray
     points: np.ndarray
     elements: np.ndarray
-    mixed: np.ndarray
+
+    @property
+    def mixed(self):
+        """The maximally mixed state: the trivial group fixes its single
+        orbit point; otherwise the carrier part vanishes."""
+        v = self.reference
+        return np.concatenate([[1.0], v if self.rep.d == 1 else
+                               np.zeros_like(v)])
 
     @property
     def n_points(self):
@@ -89,15 +98,13 @@ def orbit_points(rep, elements, v):
     return np.concatenate([np.ones((len(orbit), 1)), orbit], axis=1)
 
 
-def build_structure(rep, sub, reference, n_samples, rng, elements=None):
+def build_structure(rep, sub, reference, n_samples, rng):
     """Sample the orbit of an H-invariant unit reference vector.
 
     ``reference`` is given in the rep's carrier coordinates (length
     ``rep.real_dimension``) and is normalized here.  When ``sub`` is given,
     the reference must be fixed by the subgroup's invariant projector within
-    ``INVARIANCE_TOL``.  Passing ``elements`` reuses an existing stream of
-    fundamental-picture group samples (paired builds, deformations), and
-    ``rng`` is then unused.
+    ``INVARIANCE_TOL``.
     """
     v = np.asarray(reference, dtype=float).copy()
     if v.shape != (rep.real_dimension,):
@@ -117,34 +124,17 @@ def build_structure(rep, sub, reference, n_samples, rng, elements=None):
             raise DomainError(
                 f"reference is not subgroup-invariant: violation norm {viol:.3e}"
             )
-    if elements is None:
-        elements = haar_samples(rep, n_samples, rng)
-    points = orbit_points(rep, elements, v)
-    return StructureSample(rep, sub, v, points, np.asarray(elements),
-                           mixed_state(rep, v))
+    elements = haar_samples(rep, n_samples, rng)
+    return StructureSample(rep, sub, v, orbit_points(rep, elements, v),
+                           elements)
 
 
-def mixed_state(rep, v):
-    """The maximally mixed state of the orbit of v: the trivial group fixes
-    its single orbit point; otherwise the carrier part vanishes."""
-    return np.concatenate([[1.0], v if rep.d == 1 else np.zeros_like(v)])
-
-
-def paired_structures(rep0, ref0, rep1, ref1, n_samples, rng, sub0=None,
-                      sub1=None):
-    """Two structures of the same dynamical group driven by one sample stream.
-
-    Both reps must consume the same fundamental picture (same group and d);
-    row i of both point sets then corresponds to the same group element.
-    """
-    if (rep0.is_unitary_group, rep0.d) != (rep1.is_unitary_group, rep1.d):
-        raise DomainError(
-            "paired structures need the same fundamental group: "
-            f"{rep0.kind}(d={rep0.d}) vs {rep1.kind}(d={rep1.d})"
-        )
-    elements = haar_samples(rep0, n_samples, rng)
-    return (build_structure(rep0, sub0, ref0, n_samples, rng, elements=elements),
-            build_structure(rep1, sub1, ref1, n_samples, rng, elements=elements))
+def _integer_seed(rng):
+    """``rng`` if an integer, else one integer drawn from it: two builds
+    from one seed align, two draws from one Generator do not."""
+    if isinstance(rng, (int, np.integer)):
+        return rng
+    return int(np.random.default_rng(rng).integers(2**63))
 
 
 def transform_structure(s, g):
@@ -204,11 +194,10 @@ def spin2_structure(n_samples, rng):
 
 
 def bloch_spin2_pair(n_samples, rng):
-    """Bloch and spin-2 structures driven by one SO(3) sample stream."""
-    return paired_structures(so_fundamental(3), _SPIN1_REFERENCE,
-                             so_traceless_symmetric(3), _SPIN2_REFERENCE,
-                             n_samples, rng, sub0=full_torus(),
-                             sub1=full_torus())
+    """Bloch and spin-2 structures on SO(3), point-aligned by one seed."""
+    seed = _integer_seed(rng)
+    return (bloch_structure(n_samples, seed, via="so3"),
+            spin2_structure(n_samples, seed))
 
 
 def deformable_reference(alpha):

@@ -251,6 +251,23 @@ class TestDeformCommand:
         code, _, err = run_cli(capsys, "deform", "--t-grid", "0:2:0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("grid,rows", [
+        ("0:0.1:0.035", [0.0, 0.035, 0.07]),
+        ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+        ("0.5:1:0.3", [0.5, 0.8]),
+        ("0:0.1:0.02", [i * 0.02 for i in range(6)]),
+        ("0:0:0.1", [0.0]),
+    ])
+    def test_grid_rows_stop_at_stop(self, grid, rows):
+        assert _t_grid(grid) == rows
+
+    def test_grid_with_a_partial_last_step_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "deform", "--t-grid", "0.5:1:0.3",
+                               "--samples", "50")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.split()[1:]] == [
+            "0.5", "0.8"]
+
     @pytest.mark.parametrize("argv", [
         ("deform", "--alpha", "x"),
         ("deform", "--alpha", "1,2"),
@@ -363,6 +380,33 @@ class TestDistanceCommand:
         code, _, err = run_cli(capsys, "distance", *specs)
         assert code == 2
         assert err.startswith("error:") and "unknown structure spec" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sphere-check", "deformable:0.5,0.3,0.2:1.5"),
+        ("distance", "deformable", "deformable:0.5,0.3,0.2:-0.1"),
+        ("distance", "deformable", "deformable:0.5,0.3,0.2:nan"),
+    ])
+    def test_deformation_t_refused_before_sampling(self, capsys, no_sampling,
+                                                   argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "[0, 1]" in err
+
+    @pytest.mark.parametrize("specs", [
+        ("bloch", "spin2", {"kind": "so_traceless_symmetric", "d": 3,
+                            "subgroup": {"kind": "torus"},
+                            "reference": [0, 0, 0, 0, 1]}),
+        ("deformable", "deformable:0.4,0.35,0.25:0.3",
+         {"kind": "su_adjoint", "d": 3, "subgroup": {"kind": "torus"},
+          "reference": REF8}),
+    ])
+    def test_specs_on_one_group_align(self, tmp_path, specs):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(specs[-1]))
+        parsed = [cli._structure(text) for text in (*specs[:-1], str(path))]
+        assert len({group for group, _ in parsed}) == 1
+        elements = [build(40, 3).elements for _, build in parsed]
+        assert all(np.array_equal(e, elements[0]) for e in elements[1:])
 
     @pytest.mark.parametrize("specs", [("quartic:4", "bloch"),
                                        ("bloch", "quartic:4"),
@@ -717,6 +761,27 @@ class TestStructureSpecFiles:
         assert code == 0
         data = json.loads(out)
         assert data["max_radial_deviation"] < 1e-8
+
+    @pytest.mark.parametrize("blocks,code,message", [
+        ([2, 1], 0, None),
+        ([1, 2], 2, "not subgroup-invariant"),
+        ([2, 2], 2, "do not sum to d"),
+    ])
+    def test_json_block_subgroup(self, capsys, tmp_path, blocks, code,
+                                 message):
+        # diag(1, 1, -2) is fixed by S(U(2) x U(1)), not by S(U(1) x U(2))
+        ref = gptforge.su_adjoint(3).coordinates(np.diag([1.0, 1.0, -2.0]))
+        spec = tmp_path / "rep.json"
+        spec.write_text(json.dumps({
+            "kind": "su_adjoint", "d": 3, "reference": ref.tolist(),
+            "subgroup": {"kind": "block", "blocks": blocks}}))
+        got, out, err = run_cli(capsys, "sphere-check", str(spec),
+                                "--samples", "50")
+        assert got == code
+        if message is None:
+            assert json.loads(out)["max_radial_deviation"] < 1e-8
+        else:
+            assert err.startswith("error:") and message in err
 
     def test_json_rep_spec_missing_reference(self, capsys, tmp_path):
         spec = tmp_path / "rep.json"

@@ -126,6 +126,15 @@ class TestSymmetrizedDistance:
         with pytest.raises(DomainError, match="aligned"):
             dm.symmetrized_distance_estimate(deformable_2000, other)
 
+    @pytest.mark.parametrize("distance", [
+        dm.symmetrized_distance_estimate, dm.structure_distance_lower_bound])
+    def test_equal_length_other_seed_rejected(self, deformable_2000,
+                                              distance):
+        # the same structure drawn at seed 1: equal lengths, other elements
+        other = ss.deformable_structure([0.5, 0.3, 0.2], 2000, 1)
+        with pytest.raises(DomainError, match="aligned"):
+            distance(deformable_2000, other)
+
     @pytest.mark.parametrize("seed", range(16))
     def test_polish_matches_fresh_temporaries(self, seed):
         # the in-place probe buffer does the same arithmetic as fresh arrays
@@ -212,7 +221,7 @@ class TestDeformationPath:
         base = ss.build_structure(rep, cr.full_torus(), [1.0, 0.0], 5, 0)
         moved = dm.deform(dm.make_deformation_path(base), 0.4)
         rebuilt = ss.build_structure(rep, cr.full_torus(), moved.reference, 5,
-                                     None, elements=base.elements)
+                                     0)
         assert np.max(np.abs(moved.mixed - rebuilt.mixed)) <= 1e-15
         assert np.max(np.abs(moved.points - rebuilt.points)) <= 1e-15
 

@@ -80,10 +80,12 @@ class TestPairedStructures:
         p2 = 0.5 * (3 * z0**2 - 1)
         assert np.max(np.abs(v5[:, -1] - p2)) < 1e-10
 
-    def test_incompatible_groups_rejected(self):
-        with pytest.raises(DomainError, match="fundamental group"):
-            ss.paired_structures(cr.su_adjoint(2), np.array([0, 0, 1.0]),
-                                 cr.su_adjoint(3), np.zeros(8), 10, 0)
+    def test_generator_draws_one_seed(self):
+        seed = int(np.random.default_rng(4).integers(2**63))
+        s0, s1 = ss.bloch_spin2_pair(50, np.random.default_rng(4))
+        assert np.array_equal(s0.elements, s1.elements)
+        assert np.array_equal(s0.elements,
+                              ss.bloch_structure(50, seed, via="so3").elements)
 
 
 class TestAugmentedLayout:
