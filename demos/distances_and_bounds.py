@@ -30,16 +30,16 @@ print(f"\nReverse direction (missing block d = 5): bound = {rev.bound:.6f}, "
 est = dm.symmetrized_distance_estimate(s_bloch, s_spin2, rng=0)
 print(f"\nSymmetrized distance estimate: {est.estimate:.4f} "
       f"(directed {est.directed_01:.4f} / {est.directed_10:.4f}), "
-      f"floor {est.lower_bound:.4f}")
+      f"floor {report.bound:.4f}")
 
 print("\nRigidity floor for any rival of the same total dimension:")
 for d0 in (2, 4, 9):
     print(f"  dim {d0}: 1/(4 (d0 - 1)) = {dm.rigidity_bound(d0):.6f}")
 
-print("\nBlock-average identity on the Bloch orbit:")
-bloch = ss.bloch_structure(2000, 0, via="su2")
+print("\nBlock-average identity over a 5,000-point Bloch orbit:")
+bloch = ss.bloch_structure(5000, 0, via="su2")
 hand = ss.Effect(np.array([0.5, 0.0, 0.0, 0.5]), "(1+z)/2")
-r = dm.schur_average_check(bloch, [hand], 5000, 0)[0]
+r = dm.schur_average_check(bloch, [hand])[0]
 print(f"  effect (1+z)/2: exact 1/4 + (1/4)/3 = {r.exact:.6f}, "
       f"Monte Carlo {r.mc_average:.6f} +- {r.sigma:.6f}")
 

@@ -17,8 +17,8 @@ back as 1/2 Re tr(B_a X) (:meth:`CompactRepSpec.coordinates`); the two
 fundamental carriers multiply v by g.  An orbit point Gamma(g) v therefore
 costs O(d^3) per element, without forming the D x D matrix Gamma(g).
 :func:`rep_matrices` is the same kernel applied to the identity, for the
-few callers that need Gamma(g) itself (the projectors' drift check on 8
-fresh samples).
+projectors' drift check on 8 fresh samples and for Gamma(mean g), the
+averaged operator of the two fundamental carriers.
 
 Haar sampling is Ginibre + QR with the R-diagonal phase fixed, then
 det-normalized into SU(d) / SO(d).  Invariant projectors onto the

@@ -336,16 +336,15 @@ class CharacterTable:
         return self.chars[irrep, self.class_of[element]]
 
 
-def _class_constant_matrices(group, classes, class_of, which=None):
+def _class_constant_matrices(group, classes, class_of, which):
     """a[i][j, l] = #{x in class which[i] : x^-1 z_l in class j} for
-    representatives z_l; ``which`` names the classes i (default: all k).
+    representatives z_l; ``which`` names the classes i.
 
     Only the members of the named classes are multiplied by the k
     representatives, so the work is (their count) * k row lookups and the
     result (len(which), k, k).
     """
     k, perms = len(classes), group.perms
-    which = range(k) if which is None else which
     xs = np.concatenate([classes[i] for i in which])
     row = np.repeat(np.arange(len(which)), [len(classes[i]) for i in which])
     reps = perms[[c[0] for c in classes]]

@@ -478,8 +478,6 @@ def _carry(basis, lead, old, new):
     round, whose points ``new`` contain the round's points ``old``; the
     validity rows start at ``lead``, one block of ``len(old)`` per effect
     and sign."""
-    if basis is None:
-        return None
     basis = basis.copy()
     valid = basis >= lead
     block, j = np.divmod(basis[valid] - lead, len(old))

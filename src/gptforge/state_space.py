@@ -101,22 +101,22 @@ def orbit_points(rep, elements, v):
 def build_structure(rep, sub, reference, n_samples, rng):
     """Sample the orbit of an H-invariant unit reference vector.
 
-    ``reference`` is given in the rep's carrier coordinates (length
-    ``rep.real_dimension``) and is normalized here.  When ``sub`` is given,
-    the reference must be fixed by the subgroup's invariant projector within
-    ``INVARIANCE_TOL``.
+    ``reference``, in the rep's carrier coordinates (length
+    ``rep.real_dimension``), may have any nonzero scale: it is normalized
+    here.  When ``sub`` is given, it must be fixed by the subgroup's
+    invariant projector within ``INVARIANCE_TOL``.
     """
-    v = np.asarray(reference, dtype=float).copy()
+    v = np.asarray(reference, dtype=float)
     if v.shape != (rep.real_dimension,):
         raise DomainError(
             f"reference has shape {v.shape}, expected ({rep.real_dimension},)"
         )
     if not np.all(np.isfinite(v)):
         raise DomainError("reference has non-finite entries")
-    norm = np.linalg.norm(v)
-    if norm < ZERO_NORM:
+    if not np.any(v):
         raise DomainError("reference vector is zero")
-    v /= norm
+    v = _prescale(v)
+    v /= np.linalg.norm(v)
     if sub is not None:
         proj = invariant_projector(rep, sub).projector
         viol = np.linalg.norm(proj @ v - v)
@@ -127,6 +127,12 @@ def build_structure(rep, sub, reference, n_samples, rng):
     elements = haar_samples(rep, n_samples, rng)
     return StructureSample(rep, sub, v, orbit_points(rep, elements, v),
                            elements)
+
+
+def _prescale(v):
+    """``v`` times the power of two that puts max |v_i| in [1/2, 1): an
+    exact scaling, whose norm can neither overflow nor underflow."""
+    return np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
 
 
 def _integer_seed(rng):
@@ -205,9 +211,11 @@ def deformable_reference(alpha):
     a = np.asarray(alpha, dtype=float)
     if a.shape != (3,) or not np.all(np.isfinite(a)):
         raise DomainError("alpha must have three finite components")
+    a = _prescale(a)
     coords = su_adjoint(3).coordinates(np.diag(a - a.sum() / 3.0))
     norm = np.linalg.norm(coords)
-    if norm < ZERO_NORM:
+    # zero up to the rounding error of a - sum(a) / 3, a few eps max |a_i|
+    if norm <= 8 * np.finfo(float).eps * np.max(np.abs(a)):
         raise DomainError("alpha is fully degenerate: reference vanishes")
     return coords / norm
 

@@ -221,21 +221,22 @@ def test_criterion_7_deformation_closeness():
 
 
 def test_criterion_8_block_average_identity():
+    # each effect averaged over its own 5,000-point orbit sample
     rng = np.random.default_rng(1)
-    bloch = ss.bloch_structure(2000, 0)
-    family = ss.deformable_structure([0.5, 0.3, 0.2], 2000, 0)
     ok = True
-    for s in (bloch, family):
-        dim = s.ambient_dim - 1
+    for build, dim in ((lambda g: ss.bloch_structure(5000, g), 3),
+                       (lambda g: ss.deformable_structure([0.5, 0.3, 0.2],
+                                                          5000, g), 8)):
         for trial in range(50):
             c0 = rng.uniform(0.3, 0.7)
             w = rng.standard_normal(dim)
             w *= rng.uniform(0.1, 1.0) * min(c0, 1 - c0) / np.linalg.norm(w)
             e = ss.Effect(np.concatenate([[c0], w]))
-            r = dm.schur_average_check(s, [e], 5000, rng)[0]
+            r = dm.schur_average_check(build(rng), [e])[0]
             ok &= r.deviation <= 4.0 * r.sigma + 1e-12
     hand = dm.schur_average_check(
-        bloch, [ss.Effect(np.array([0.5, 0.0, 0.0, 0.5]))], 5000, 0)[0]
+        ss.bloch_structure(5000, 0),
+        [ss.Effect(np.array([0.5, 0.0, 0.0, 0.5]))])[0]
     ok &= hand.exact == pytest.approx(1 / 3, abs=1e-15)
     ok &= hand.deviation <= 4.0 * hand.sigma
     _report(8, "100 random effects and the hand value 1/3 inside 4 sigma", ok)

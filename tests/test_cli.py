@@ -1,5 +1,4 @@
 import argparse
-import copy
 import itertools
 import json
 import os
@@ -13,6 +12,7 @@ import pytest
 import gptforge
 from gptforge import deformation as dm
 from gptforge import finite_rep as fr
+from gptforge import state_space as ss
 from gptforge import cli
 from gptforge.cli import MAX_FAMILY_SIZE, MAX_TRIALS, _t_grid, main
 from gptforge.errors import DomainError
@@ -111,6 +111,36 @@ class TestGelfandCommand:
                                "--dim-cap", "0")
         assert code == 0
         assert json.loads(out)["structures"] == []
+
+    def test_degree_cap_refused_before_allocating(self, capsys, monkeypatch,
+                                                  tmp_path, s3_files):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a permutation of the capped degree built")
+
+        monkeypatch.setattr(fr, "generate_group", refuse)
+        monkeypatch.setattr(fr, "cycles_to_perm", refuse)
+        huge = tmp_path / "huge.json"
+        for generators in ([], [[[0, 1]]]):
+            huge.write_text(json.dumps({"degree": 10**9,
+                                        "generators": generators}))
+            code, _, err = run_cli(capsys, "gelfand", str(huge),
+                                   str(s3_files[2]))
+            assert code == 2
+            assert str(cli.MAX_DEGREE) in err
+
+    @pytest.mark.parametrize("degree,code", [(3, 0), (4, 2), (2, 2),
+                                             ("3", 2), (0, 2)])
+    def test_subgroup_degree_must_match(self, capsys, tmp_path, s3_files,
+                                        degree, code):
+        sub = tmp_path / "h.json"
+        sub.write_text(json.dumps({"degree": degree,
+                                   "generators": [[[0, 1]]]}))
+        got, out, err = run_cli(capsys, "gelfand", str(s3_files[0]), str(sub))
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["subgroup_order"] == 2
+        else:
+            assert "degree" in err
 
     def test_pair_decided_once(self, capsys, monkeypatch, tmp_path):
         group = tmp_path / "s4.json"
@@ -435,25 +465,24 @@ class TestOtherCommands:
     def test_schur_average_one_haar_draw(self, capsys, monkeypatch):
         argv = ("schur-average", "deformable:0.5,0.3,0.2", "--samples", "300")
         draws = []
-        haar_samples = dm.haar_samples
+        haar_samples = ss.haar_samples
 
         def counted(*args, **kwargs):
             draws.append(args)
             return haar_samples(*args, **kwargs)
 
-        monkeypatch.setattr(dm, "haar_samples", counted)
+        monkeypatch.setattr(ss, "haar_samples", counted)
         _, out, _ = run_cli(capsys, *argv)
-        assert len(draws) == 1  # one for six effects, not one per effect
-        # reference: each effect checked by its own call on its own copy of
-        # the stream, so every effect redraws the same Haar samples
+        assert len(draws) == 1  # the structure's, averaged for six effects
+        # reference: each effect checked by its own call on the same sample
         check = dm.schur_average_check
 
-        def one_call_per_effect(s, effects, n, rng):
-            return [check(s, [e], n, copy.deepcopy(rng))[0] for e in effects]
+        def one_call_per_effect(s, effects):
+            return [check(s, [e])[0] for e in effects]
 
         monkeypatch.setattr(dm, "schur_average_check", one_call_per_effect)
         _, reference, _ = run_cli(capsys, *argv)
-        assert len(draws) == 7
+        assert len(draws) == 2
         assert out == reference
 
     def test_catalog(self, capsys):
@@ -577,6 +606,13 @@ class TestInputCaps:
         code, out, _ = run_cli(capsys, "sphere-check", str(path),
                                "--samples", "20")
         assert code == 0 and json.loads(out)["n"] == 20
+
+    def test_group_file_degree_at_cap(self, capsys, tmp_path, s3_files):
+        path = tmp_path / "z2.json"
+        path.write_text(json.dumps({"degree": cli.MAX_DEGREE,
+                                    "generators": [[[0, 1]]]}))
+        code, out, _ = run_cli(capsys, "gelfand", str(path), str(s3_files[2]))
+        assert code == 0 and json.loads(out)["group_order"] == 2
 
     def test_grassmann_rank_64(self, capsys):
         code, out, _ = run_cli(capsys, "grassmann", "1", "63", "1")
@@ -782,6 +818,30 @@ class TestStructureSpecFiles:
             assert json.loads(out)["max_radial_deviation"] < 1e-8
         else:
             assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("j", [1000, -1000])
+    def test_json_reference_scale_is_free(self, capsys, tmp_path, j):
+        # the squared norm of 2^1000 REF8 overflows, of 2^-1000 REF8 vanishes
+        runs = []
+        for ref in (REF8, np.ldexp(REF8, j).tolist()):
+            spec = tmp_path / "rep.json"
+            spec.write_text(json.dumps({"kind": "su_adjoint", "d": 3,
+                                        "subgroup": {"kind": "torus"},
+                                        "reference": ref}))
+            code, out, err = run_cli(capsys, "sphere-check", str(spec),
+                                     "--samples", "50")
+            assert code == 0, err
+            runs.append(out)
+        assert runs[0] == runs[1]
+        assert 0 < json.loads(runs[0])["max_radial_deviation"] < 1e-8
+
+    def test_deformable_alpha_scale_is_free(self, capsys):
+        code, out, err = run_cli(capsys, "distance", "deformable:1e200,1e199,0",
+                                 "deformable:1e-200,1e-201,0",
+                                 "--samples", "200")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["lower_bound"] is None and data["estimate"] < 0.02
 
     def test_json_rep_spec_missing_reference(self, capsys, tmp_path):
         spec = tmp_path / "rep.json"

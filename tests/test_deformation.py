@@ -22,33 +22,36 @@ class TestRigidityBound:
 
 class TestSchurAverage:
     def test_unit_effect(self, bloch_2000):
-        r = dm.schur_average_check(bloch_2000, [ss.unit_effect(bloch_2000)],
-                                   1000, 0)[0]
+        r = dm.schur_average_check(bloch_2000,
+                                   [ss.unit_effect(bloch_2000)])[0]
         assert r.mc_average == pytest.approx(1.0, abs=1e-12)
         assert r.exact == pytest.approx(1.0, abs=1e-12)
+        assert r.ok
 
     def test_zero_effect(self, bloch_2000):
-        r = dm.schur_average_check(bloch_2000, [ss.Effect(np.zeros(4))], 500,
-                                   0)[0]
+        r = dm.schur_average_check(bloch_2000, [ss.Effect(np.zeros(4))])[0]
         assert r.mc_average == 0.0 and r.exact == 0.0
 
-    def test_bloch_hand_value(self, bloch_2000):
+    def test_bloch_hand_value(self):
         e = ss.Effect(np.array([0.5, 0.0, 0.0, 0.5]), "(1+z)/2")
-        r = dm.schur_average_check(bloch_2000, [e], 5000, 0)[0]
+        r = dm.schur_average_check(ss.bloch_structure(5000, 0), [e])[0]
         assert r.exact == pytest.approx(1 / 3, abs=1e-12)
         assert r.deviation <= 4 * r.sigma
 
-    def test_random_effects_within_4_sigma(self, bloch_2000, deformable_2000):
+    def test_random_effects_within_4_sigma(self):
+        # each effect averaged over its own 5,000-point sample
         rng = np.random.default_rng(21)
-        for s in (bloch_2000, deformable_2000):
-            dim = s.ambient_dim - 1
+        for build, dim in ((lambda g: ss.bloch_structure(5000, g), 3),
+                           (lambda g: ss.deformable_structure(
+                               [0.5, 0.3, 0.2], 5000, g), 8)):
             for trial in range(10):
                 c0 = rng.uniform(0.3, 0.7)
                 w = rng.standard_normal(dim)
                 w *= rng.uniform(0.1, 1.0) * min(c0, 1 - c0) / np.linalg.norm(w)
                 e = ss.Effect(np.concatenate([[c0], w]))
-                r = dm.schur_average_check(s, [e], 5000, rng)[0]
+                r = dm.schur_average_check(build(rng), [e])[0]
                 assert r.deviation <= 4 * r.sigma + 1e-12
+                assert r.ok
 
 
 class TestLowerBound:
@@ -118,8 +121,9 @@ class TestSymmetrizedDistance:
     def test_bloch_vs_spin2_respects_bound(self):
         s0, s1 = ss.bloch_spin2_pair(2000, 0)
         r = dm.symmetrized_distance_estimate(s0, s1, rng=0)
-        assert r.lower_bound == pytest.approx(1 / 12)
-        assert r.estimate >= r.lower_bound - 0.02
+        bound = dm.structure_distance_lower_bound(s0, s1).bound
+        assert bound == pytest.approx(1 / 12)
+        assert r.estimate >= bound - 0.02
 
     def test_misaligned_samples_rejected(self, deformable_2000):
         other = ss.deformable_structure([0.5, 0.3, 0.2], 100, 0)

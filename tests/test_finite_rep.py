@@ -160,7 +160,8 @@ def _assert_same_as_tuple_route(gens, degree, max_order, constants=True):
     assert np.array_equal(class_of, want_class_of)
     if constants:
         assert np.array_equal(
-            fr._class_constant_matrices(g, classes, class_of),
+            fr._class_constant_matrices(g, classes, class_of,
+                                        range(len(classes))),
             _tuple_class_constants(ref, want_classes, want_class_of))
     # the subgroup of the first generator, closed one composition at a time
     first = elems[generators[0]]
@@ -215,7 +216,8 @@ class TestArrayRouteMatchesTupleRoute:
         classes, class_of = fr.conjugacy_classes(g)
         which = data.draw(st.lists(st.integers(0, len(classes) - 1),
                                    min_size=1, unique=True))
-        full = fr._class_constant_matrices(g, classes, class_of)
+        full = fr._class_constant_matrices(g, classes, class_of,
+                                           range(len(classes)))
         assert np.array_equal(
             fr._class_constant_matrices(g, classes, class_of, which),
             full[which])

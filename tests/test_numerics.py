@@ -318,6 +318,38 @@ class TestKernel:
             p.objective, eq=(a_eq, np.array([0.25, 0.5, 1.0]))), infeasible)
 
 
+class TestBox:
+    """The artificial box of the kernel: BOX_START = 1e4, grown by
+    BOX_GROWTH = 1e3 while it binds, up to BOX_MAX = 1e10."""
+
+    @pytest.mark.parametrize("bounds,value", [([5e6], 5e6),
+                                              ([3e9, 2e4], 3_000_020_000.0)])
+    def test_grows_to_a_far_optimum(self, bounds, value):
+        # one growth for 5e6, two for 3e9
+        p = LinearProgram(np.ones(len(bounds)),
+                          ub=(np.eye(len(bounds)), np.array(bounds)))
+        res = lp_solve(p)
+        assert res.optimal and res.value == value
+        assert res.value == pytest.approx(highs_lp(p)[1], rel=1e-12)
+        _assert_certificate(p, res)
+
+    def test_optimum_past_the_cap_refused(self):
+        p = LinearProgram(np.ones(1), ub=(np.eye(1), np.array([5e12])))
+        with pytest.raises(LpSolverFailure):
+            lp_solve(p)
+
+    def test_grows_when_it_is_in_a_farkas_vector(self):
+        # an effect pinned to 1 and 0 on two points 2e-5 apart has slope
+        # 5e4: inside the first box the equalities cannot be met
+        points = np.array([[1.0, -1e-5], [1.0, 0.0], [1.0, 1e-5]])
+        eq = (points[[2, 0]], np.array([1.0, 0.0]))
+        res = effect_lp(points, [[0.0, 0.0]], eq)
+        full = effect_program(points, np.zeros((1, 2)), eq)
+        assert res.optimal and highs_lp(full)[0] == "optimal"
+        assert np.allclose(res.x, [0.5, 5e4], rtol=1e-9, atol=0.0)
+        _assert_certificate(full, res)
+
+
 class TestNoCertifiedAnswer:
     """A kernel run that ends without a checked certificate is an error."""
 

@@ -2,11 +2,28 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from gptforge import compact_rep as cr
 from gptforge import state_space as ss
 from gptforge.errors import DomainError
 from gptforge.numerics import DEFAULT_TOL
+
+
+def _scaled_exactly(v, j):
+    """``2**j * v``, or a hypothesis reject when the product overflows or
+    loses bits to the subnormal range."""
+    with np.errstate(over="ignore", under="ignore"):
+        scaled = np.ldexp(v, j)
+    nonzero = np.abs(scaled[np.asarray(v) != 0])
+    if not np.all(np.isfinite(scaled)) or np.any(nonzero < 2.0 ** -1022):
+        reject()
+    return scaled
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False,
+                   allow_subnormal=False)
 
 
 class TestBuildStructure:
@@ -42,6 +59,24 @@ class TestBuildStructure:
     def test_zero_reference_rejected(self):
         with pytest.raises(DomainError):
             ss.build_structure(cr.su_adjoint(2), None, np.zeros(3), 10, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(FINITE, min_size=3, max_size=3), st.integers(-2000, 2000))
+    @example([1e308, 1e308, 1e308], -1)
+    @example([1e-13, 0.0, 0.0], 0)
+    @example([1e-200, 1e-200, 1e-200], 1)
+    def test_power_of_two_scaling_keeps_the_reference(self, r, j):
+        scaled = _scaled_exactly(r, j)
+        rep = cr.so_fundamental(3)
+        if not np.any(r):
+            for v in (r, scaled):
+                with pytest.raises(DomainError, match="zero"):
+                    ss.build_structure(rep, None, v, 2, 0)
+            return
+        a, b = (ss.build_structure(rep, None, v, 2, 0) for v in (r, scaled))
+        assert np.array_equal(a.reference, b.reference)
+        assert np.array_equal(a.points, b.points)
+        assert abs(np.linalg.norm(a.reference) - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_reference_rejected(self, bad):
@@ -188,5 +223,23 @@ class TestStockStructures:
         assert np.max(np.abs(ratio - ratio[0])) < 1e-10
 
     def test_fully_degenerate_alpha_rejected(self):
-        with pytest.raises(DomainError):
-            ss.deformable_reference([1 / 3, 1 / 3, 1 / 3])
+        # equal entries, to rounding, at any scale
+        for alpha in ([1 / 3, 1 / 3, 1 / 3], [0.1, 0.1, 0.1], [0.0] * 3,
+                      [1e300] * 3, [1e-300] * 3):
+            with pytest.raises(DomainError, match="degenerate"):
+                ss.deformable_reference(alpha)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(FINITE, min_size=3, max_size=3), st.integers(-2000, 2000))
+    @example([1e200, 1e199, 0.0], -1)
+    @example([1e-200, 1e-201, 0.0], 1)
+    def test_power_of_two_scaling_keeps_alpha_reference(self, alpha, j):
+        scaled = _scaled_exactly(alpha, j)
+        try:
+            ref = ss.deformable_reference(alpha)
+        except DomainError:
+            with pytest.raises(DomainError, match="degenerate"):
+                ss.deformable_reference(scaled)
+            return
+        assert np.array_equal(ref, ss.deformable_reference(scaled))
+        assert abs(np.linalg.norm(ref) - 1.0) <= 1e-15
