@@ -14,7 +14,8 @@ import gptforge as gf
 from gptforge import deformation as dm
 from gptforge import state_space as ss
 
-s_bloch, s_spin2 = ss.bloch_spin2_pair(10_000, 0)
+s_bloch = ss.bloch_structure(10_000, 0, via="so3")
+s_spin2 = ss.spin2_structure(10_000, 0)
 
 report = dm.structure_distance_lower_bound(s_bloch, s_spin2)
 print("Bloch (spin-1, d = 3) against spin-2 only:")

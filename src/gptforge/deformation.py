@@ -4,7 +4,17 @@ The directed distance between structures is a max-min over effects of the
 worst-case discrimination error; it is estimated here by sweeping a family of
 witness effects, projecting each onto the rival structure's effects by least
 squares, and polishing with a coordinate-wise search on the sup-norm
-objective.  Analytic lower bounds (1 / (4 d) for a missing irreducible block,
+objective.  Each polish step probes a few shifts of one coefficient and needs,
+for each, the largest |residual| over all points; most steps find no
+improving shift.  Over the near points alone (a bounded set of points whose
+|residual| is within a few percent of the largest) the same float operations
+give, per probe, a value no larger than its maximum over all points, so
+their minimum over the probes is an exact floor: a column whose floor is not
+below the current best cannot improve, and its full probe is skipped.  The
+floors of every column come from one small array after each accepted step,
+and the polished coefficients are bit for bit those of probing every step.
+
+Analytic lower bounds (1 / (4 d) for a missing irreducible block,
 1 / (4 (d - 1)) for rigidity) are computed exactly and cross-checked by a
 Monte-Carlo average that realizes the Schur orthogonality identity
 
@@ -22,8 +32,9 @@ import numpy as np
 
 from .compact_rep import act, invariant_projector
 from .errors import DomainError
-from .numerics import (DEFAULT_TOL, INVARIANCE_TOL, POLISH_PROBES,
-                       POLISH_SWEEPS, ZERO_NORM, effect_lp)
+from .numerics import (DEFAULT_TOL, INVARIANCE_TOL, POLISH_NEAR_FRACTION,
+                       POLISH_NEAR_MAX, POLISH_PROBES, POLISH_SWEEPS,
+                       ZERO_NORM, effect_lp)
 from .state_space import Effect, _integer_seed, witness_effect
 
 # ---------------------------------------------------------------------------
@@ -208,16 +219,19 @@ def _coordinate_polish(y, x, beta, sweeps, probes):
     best = np.max(np.abs(resid))
     # one buffer for every step: fresh (probes, n) temporaries page-fault
     buf = np.empty((probes, len(resid)))
+    deltas, floors = _probe_floors(resid, x, best, probes)
     for _ in range(sweeps):
         improved = False
         for c in range(len(beta)):
+            # floors[c] is min over probes of max over the near points of
+            # |r_i - delta x_ic|, the same float operations as the full
+            # probe's on a subset of its points, so every probe value of
+            # column c is at least floors[c]: such a step would be rejected
+            # below, and its (probes, n) probe is skipped
+            if floors[c] >= best - ZERO_NORM:
+                continue
             col = x[:, c]
-            scale = max(best, ZERO_NORM)
-            deltas = np.linspace(-scale, scale, probes)
-            np.multiply.outer(deltas, col, out=buf)
-            np.subtract(resid, buf, out=buf)
-            np.abs(buf, out=buf)
-            vals = buf.max(axis=1)
+            vals = _probe(resid, col, deltas, buf)
             k = int(np.argmin(vals))
             if vals[k] < best - ZERO_NORM:
                 beta = beta.copy()
@@ -225,9 +239,35 @@ def _coordinate_polish(y, x, beta, sweeps, probes):
                 resid = resid - deltas[k] * col
                 best = vals[k]
                 improved = True
+                deltas, floors = _probe_floors(resid, x, best, probes)
         if not improved:
             break
     return beta
+
+
+def _probe(resid, col, deltas, buf):
+    """max_i |r_i - delta_p x_i| for every probe p, computed in ``buf``."""
+    np.multiply.outer(deltas, col, out=buf)
+    np.subtract(resid, buf, out=buf)
+    np.abs(buf, out=buf)
+    return buf.max(axis=1)
+
+
+def _probe_floors(resid, x, best, probes):
+    """The probe steps at residual ``resid`` and, for every column c,
+    min_p max_{i near} |r_i - delta_p x_ic|: a lower bound on that column's
+    best probe value, by the same float operations.  The near points are
+    the first ``POLISH_NEAR_MAX`` in sample order with |r_i| >=
+    ``POLISH_NEAR_FRACTION`` best; samples come in random order, so they
+    spread over every region where the residual is near its maximum."""
+    scale = max(best, ZERO_NORM)
+    deltas = np.linspace(-scale, scale, probes)
+    near = np.flatnonzero(np.abs(resid) >= POLISH_NEAR_FRACTION * best)
+    near = near[:POLISH_NEAR_MAX]
+    t = np.multiply.outer(deltas, x[near])
+    np.subtract(resid[near][:, None], t, out=t)
+    np.abs(t, out=t)
+    return deltas, t.max(axis=1).min(axis=0)
 
 
 def _force_valid(x, beta):

@@ -85,6 +85,12 @@ CERTIFIED_RADIUS = 1e6
 POLISH_SWEEPS = 3
 POLISH_PROBES = 12
 PROJECTOR_SQUARINGS = 5
+# The polish's near set: the points with |residual| >= POLISH_NEAR_FRACTION
+# times the largest, at most POLISH_NEAR_MAX of them, so the floor array is
+# at most POLISH_PROBES x POLISH_NEAR_MAX x columns.  Any values keep the
+# results exact; they set only how many steps are skipped.
+POLISH_NEAR_FRACTION = 0.95
+POLISH_NEAR_MAX = 32
 
 
 def as_real_matrix(m, name="matrix"):

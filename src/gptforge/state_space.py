@@ -13,7 +13,7 @@ the mixed state, which is the basic consistency check exposed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,13 +143,6 @@ def _integer_seed(rng):
     return int(np.random.default_rng(rng).integers(2**63))
 
 
-def transform_structure(s, g):
-    """Apply one group element (fundamental picture) to every sampled point."""
-    pts = orbit_points(s.rep, g, s.points[:, 1:])
-    elements = np.asarray(g) @ s.elements
-    return replace(s, points=pts, elements=elements)
-
-
 def sphere_check(s):
     """Max deviation of point radii about the mixed state from their mean."""
     if s.n_points < 1:
@@ -197,13 +190,6 @@ def spin2_structure(n_samples, rng):
     """Spin-2 orbit over the same pure states as the Bloch sphere."""
     return build_structure(so_traceless_symmetric(3), full_torus(),
                            _SPIN2_REFERENCE, n_samples, rng)
-
-
-def bloch_spin2_pair(n_samples, rng):
-    """Bloch and spin-2 structures on SO(3), point-aligned by one seed."""
-    seed = _integer_seed(rng)
-    return (bloch_structure(n_samples, seed, via="so3"),
-            spin2_structure(n_samples, seed))
 
 
 def deformable_reference(alpha):

@@ -6,7 +6,11 @@ types are detected by searching for invariant bilinear forms on explicitly
 extracted irrep matrices.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from gptforge.state_space import orbit_points
 
 
 def regular_matrix(group, g):
@@ -324,3 +328,40 @@ def frobenius_schur_element_sum(table, irrep):
     """(1/|G|) sum_g chi(g^2), summed over every element g."""
     g = table.group
     return sum(table.value(irrep, g.compose(x, x)) for x in g) / g.order
+
+
+def coordinate_polish(y, x, beta, sweeps, probes):
+    """The sup-norm coordinate polish with every probe of every step run
+    over all points, in fresh arrays.
+
+    Returns the polished coefficients and the number of coordinate steps
+    taken (columns visited, summed over the sweeps run).
+    """
+    resid = y - x @ beta
+    best = np.max(np.abs(resid))
+    steps = 0
+    for _ in range(sweeps):
+        improved = False
+        for c in range(len(beta)):
+            steps += 1
+            col = x[:, c]
+            deltas = np.linspace(-max(best, 1e-12), max(best, 1e-12), probes)
+            vals = np.max(np.abs(resid[None, :] - np.outer(deltas, col)),
+                          axis=1)
+            k = int(np.argmin(vals))
+            if vals[k] < best - 1e-12:
+                beta = beta.copy()
+                beta[c] += deltas[k]
+                resid = resid - deltas[k] * col
+                best = vals[k]
+                improved = True
+        if not improved:
+            break
+    return beta, steps
+
+
+def transform_structure(s, g):
+    """Apply one group element (fundamental picture) to every sampled point."""
+    pts = orbit_points(s.rep, g, s.points[:, 1:])
+    elements = np.asarray(g) @ s.elements
+    return replace(s, points=pts, elements=elements)

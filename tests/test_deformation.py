@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,46 @@ from gptforge import deformation as dm
 from gptforge import discrimination as dc
 from gptforge import state_space as ss
 from gptforge.errors import DomainError
+from oracles import coordinate_polish, transform_structure
+
+
+@st.composite
+def polish_inputs(draw):
+    """(y, x, beta, sweeps, probes) for the polish: 1 to 40 points (1 to 3
+    often), 1 to 9 columns, x and y scaled by 1e-6 to 1e6, optionally a
+    column of ones, a zero column, the second half of the rows duplicating
+    or mirroring the first (ties in |r|) and an exact fit (every residual
+    0); otherwise beta is y's least-squares fit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 3), st.integers(4, 40)))
+    m = draw(st.integers(1, 9))
+    x = rng.standard_normal((n, m)) * 10.0 ** draw(st.integers(-6, 6))
+    y = rng.uniform(0.0, 1.0, n) * 10.0 ** draw(st.integers(-6, 6))
+    if draw(st.booleans()):
+        x[:, 0] = 1.0
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, m - 1))] = 0.0
+    half = n // 2
+    sign = draw(st.sampled_from([0.0, 1.0, -1.0]))
+    if sign:
+        x[n - half:] = sign * x[:half]
+        y[n - half:] = sign * y[:half]
+    if draw(st.booleans()):
+        beta = rng.standard_normal(m)
+        y = x @ beta
+    else:
+        beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+    return y, x, beta, draw(st.integers(1, 3)), draw(st.integers(1, 12))
+
+
+@pytest.fixture(scope="module")
+def sample_pairs(deformable_2000):
+    """(witness sample, matched sample) pairs, point-aligned."""
+    moved = dm.deform(dm.make_deformation_path(deformable_2000), 0.05)
+    bloch = ss.bloch_structure(2000, 0, via="so3")
+    spin2 = ss.spin2_structure(2000, 0)
+    return {"deformable": (deformable_2000, moved),
+            "bloch/spin2": (bloch, spin2), "spin2/bloch": (spin2, bloch)}
 
 
 class TestRigidityBound:
@@ -56,14 +98,16 @@ class TestSchurAverage:
 
 class TestLowerBound:
     def test_bloch_vs_spin2(self):
-        s0, s1 = ss.bloch_spin2_pair(4000, 0)
+        s0 = ss.bloch_structure(4000, 0, via="so3")
+        s1 = ss.spin2_structure(4000, 0)
         r = dm.structure_distance_lower_bound(s0, s1)
         assert r.bound == pytest.approx(1 / 12)
         assert r.block_dim == 3
         assert r.verified
 
     def test_spin2_direction_gives_one_twentieth(self):
-        s0, s1 = ss.bloch_spin2_pair(4000, 0)
+        s0 = ss.bloch_structure(4000, 0, via="so3")
+        s1 = ss.spin2_structure(4000, 0)
         r = dm.structure_distance_lower_bound(s1, s0)
         assert r.bound == pytest.approx(1 / 20)
         assert r.block_dim == 5
@@ -75,7 +119,8 @@ class TestLowerBound:
 
     def test_one_sample_rejected(self):
         # a sigma from one squared residual would be NaN
-        s0, s1 = ss.bloch_spin2_pair(1, 0)
+        s0 = ss.bloch_structure(1, 0, via="so3")
+        s1 = ss.spin2_structure(1, 0)
         with pytest.raises(DomainError, match="at least 2 samples"):
             dm.structure_distance_lower_bound(s0, s1)
 
@@ -119,7 +164,8 @@ class TestSymmetrizedDistance:
         assert r.estimate <= 0.10 + 0.02
 
     def test_bloch_vs_spin2_respects_bound(self):
-        s0, s1 = ss.bloch_spin2_pair(2000, 0)
+        s0 = ss.bloch_structure(2000, 0, via="so3")
+        s1 = ss.spin2_structure(2000, 0)
         r = dm.symmetrized_distance_estimate(s0, s1, rng=0)
         bound = dm.structure_distance_lower_bound(s0, s1).bound
         assert bound == pytest.approx(1 / 12)
@@ -141,36 +187,78 @@ class TestSymmetrizedDistance:
 
     @pytest.mark.parametrize("seed", range(16))
     def test_polish_matches_fresh_temporaries(self, seed):
-        # the in-place probe buffer does the same arithmetic as fresh arrays
-        def reference(y, x, beta, sweeps, probes):
-            resid = y - x @ beta
-            best = np.max(np.abs(resid))
-            for _ in range(sweeps):
-                improved = False
-                for c in range(len(beta)):
-                    col = x[:, c]
-                    deltas = np.linspace(-max(best, 1e-12), max(best, 1e-12),
-                                         probes)
-                    vals = np.max(np.abs(resid[None, :]
-                                         - np.outer(deltas, col)), axis=1)
-                    k = int(np.argmin(vals))
-                    if vals[k] < best - 1e-12:
-                        beta = beta.copy()
-                        beta[c] += deltas[k]
-                        resid = resid - deltas[k] * col
-                        best = vals[k]
-                        improved = True
-                if not improved:
-                    break
-            return beta
-
+        # the in-place probe buffer and the skipped steps give the same
+        # coefficients as every probe run in fresh arrays
         rng = np.random.default_rng(seed)
         x = np.concatenate([np.ones((500, 1)),
                             rng.standard_normal((500, 8))], axis=1)
         y = rng.uniform(0.0, 1.0, 500)
         beta, *_ = np.linalg.lstsq(x, y, rcond=None)
         got = dm._coordinate_polish(y, x, beta, 3, 12)
-        assert np.array_equal(got, reference(y, x, beta, 3, 12))
+        assert np.array_equal(got, coordinate_polish(y, x, beta, 3, 12)[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(polish_inputs())
+    def test_polish_matches_oracle(self, case):
+        y, x, beta, sweeps, probes = case
+        got = dm._coordinate_polish(y, x, beta, sweeps, probes)
+        want = coordinate_polish(y, x, beta, sweeps, probes)[0]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pair", ["deformable", "bloch/spin2",
+                                      "spin2/bloch"])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_polish_matches_oracle_on_samples(self, sample_pairs, pair,
+                                              seed):
+        # a random witness on one sample matched on the other's points:
+        # 9, 6 and 4 columns at 2,000 points
+        sa, sb = sample_pairs[pair]
+        w = np.random.default_rng(seed).standard_normal(sa.ambient_dim - 1)
+        y = sa.points @ np.concatenate([[0.5], w / (2 * np.linalg.norm(w))])
+        beta, *_ = np.linalg.lstsq(sb.points, y, rcond=None)
+        got = dm._coordinate_polish(y, sb.points, beta, dm.POLISH_SWEEPS,
+                                    dm.POLISH_PROBES)
+        want = coordinate_polish(y, sb.points, beta, dm.POLISH_SWEEPS,
+                                 dm.POLISH_PROBES)[0]
+        assert np.array_equal(got, want)
+
+    def test_floors_skip_most_full_probes(self, deformable_2000,
+                                          monkeypatch):
+        moved = dm.deform(dm.make_deformation_path(deformable_2000), 0.05)
+        steps, probes = [], []
+        polish, probe = dm._coordinate_polish, dm._probe
+
+        def counting_polish(y, x, beta, sweeps, n_probes):
+            steps.append(coordinate_polish(y, x, beta, sweeps, n_probes)[1])
+            return polish(y, x, beta, sweeps, n_probes)
+
+        def counting_probe(*args):
+            probes.append(args)
+            return probe(*args)
+
+        monkeypatch.setattr(dm, "_coordinate_polish", counting_polish)
+        monkeypatch.setattr(dm, "_probe", counting_probe)
+        dm.symmetrized_distance_estimate(deformable_2000, moved)
+        assert 3 * len(probes) < sum(steps)
+
+    def test_exact_fit_floors_stay_small(self):
+        # every residual is exactly 0, so every point ties for the largest:
+        # the near set is capped, not 2,000 points x 256 columns x 12 probes
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.ones((2000, 1)),
+                            rng.integers(-3, 4, (2000, 255))], axis=1)
+        beta = rng.integers(-3, 4, 256).astype(float)
+        y = x @ beta
+        tracemalloc.start()
+        try:
+            got = dm._coordinate_polish(y, x, beta, dm.POLISH_SWEEPS,
+                                        dm.POLISH_PROBES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, beta)
+        assert peak < 2 * 2**20
 
 
 class TestDeformationPath:
@@ -302,7 +390,7 @@ class TestPureStateDistance:
     def test_group_invariance(self):
         s = ss.bloch_structure(150, 5)
         g = cr.haar_samples(s.rep, 1, 8)[0]
-        moved = ss.transform_structure(s, g)
+        moved = transform_structure(s, g)
         for i, j in ((0, 10), (3, 77)):
             assert dm.pure_state_distance(s, i, j) == pytest.approx(
                 dm.pure_state_distance(moved, i, j), abs=1e-6)

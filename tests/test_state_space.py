@@ -9,6 +9,7 @@ from gptforge import compact_rep as cr
 from gptforge import state_space as ss
 from gptforge.errors import DomainError
 from gptforge.numerics import DEFAULT_TOL
+from oracles import transform_structure
 
 
 def _scaled_exactly(v, j):
@@ -105,7 +106,8 @@ class TestBuildStructure:
 
 class TestPairedStructures:
     def test_bloch_spin2_alignment(self):
-        s0, s1 = ss.bloch_spin2_pair(100, 0)
+        s0 = ss.bloch_structure(100, 0, via="so3")
+        s1 = ss.spin2_structure(100, 0)
         assert s0.n_points == s1.n_points == 100
         assert np.array_equal(s0.elements, s1.elements)
         # same rotation stream: z components correlate deterministically
@@ -116,11 +118,17 @@ class TestPairedStructures:
         assert np.max(np.abs(v5[:, -1] - p2)) < 1e-10
 
     def test_generator_draws_one_seed(self):
-        seed = int(np.random.default_rng(4).integers(2**63))
-        s0, s1 = ss.bloch_spin2_pair(50, np.random.default_rng(4))
-        assert np.array_equal(s0.elements, s1.elements)
+        # builds align on one integer seed, which _integer_seed draws from
+        # a Generator; two builds from one Generator do not align
+        seed = ss._integer_seed(np.random.default_rng(4))
+        assert seed == int(np.random.default_rng(4).integers(2**63))
+        s0 = ss.bloch_structure(50, seed, via="so3")
         assert np.array_equal(s0.elements,
-                              ss.bloch_structure(50, seed, via="so3").elements)
+                              ss.spin2_structure(50, seed).elements)
+        gen = np.random.default_rng(4)
+        s0 = ss.bloch_structure(50, gen, via="so3")
+        assert not np.array_equal(s0.elements,
+                                  ss.spin2_structure(50, gen).elements)
 
 
 class TestAugmentedLayout:
@@ -187,7 +195,7 @@ class TestCovariance:
     def test_orbit_covariance_hausdorff(self):
         s = ss.bloch_structure(1000, 3)
         g = cr.haar_samples(s.rep, 1, 17)[0]
-        moved = ss.transform_structure(s, g)
+        moved = transform_structure(s, g)
         a = s.points[:, 1:]
         b = moved.points[:, 1:]
         d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
