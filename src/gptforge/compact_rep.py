@@ -15,13 +15,18 @@ the two conjugation carriers map coordinates v to X = sum_a v_a B_a
 (:meth:`CompactRepSpec.matrix`), conjugate X -> g X g^H and read the result
 back as 1/2 Re tr(B_a X) (:meth:`CompactRepSpec.coordinates`); the two
 fundamental carriers multiply v by g.  An orbit point Gamma(g) v therefore
-costs O(d^3) per element, without forming the D x D matrix Gamma(g).
+costs O(d^3) per element, without forming the D x D matrix Gamma(g); a
+single v shared by a stack of n elements makes g X (or g v) one 2-D product
+on the (n d, d) reshape of the stack.
 :func:`rep_matrices` is the same kernel applied to the identity, for the
 projectors' drift check on 8 fresh samples and for Gamma(mean g), the
 averaged operator of the two fundamental carriers.
 
-Haar sampling is Ginibre + QR with the R-diagonal phase fixed, then
-det-normalized into SU(d) / SO(d).  Invariant projectors onto the
+Haar sampling factors a whole Ginibre stack at once by d - 1 Householder
+reflections applied across the batch, fixes the phases of R's diagonal, and
+reads each determinant off the reflectors: (-1)^(d-1) times the product of
+those phases.  A phase (SU) or a last-column flip (SO) then brings it to 1,
+with no per-matrix LAPACK call.  Invariant projectors onto the
 H-fixed subspace come either from the exact common kernel of the subgroup's
 Lie-algebra action (every subgroup here is connected: tori and unitary block
 subgroups), from an exact grid average (tori), or from a Monte-Carlo average
@@ -167,35 +172,71 @@ def su_fundamental(d):
 # Haar sampling
 
 
+def _phase(x):
+    """x / |x| elementwise, with the phase of 0 taken as 1."""
+    size = np.abs(x)
+    return np.divide(x, size, out=np.ones_like(x), where=size > 0)
+
+
 def _ginibre(rng, n, d, unitary):
-    """n Haar samples from U(d) (``unitary``) or O(d): Ginibre + QR with the
-    R-diagonal phase (the sign, for O(d)) fixed."""
+    """n Haar samples from U(d) (``unitary``) or O(d), and their determinants.
+
+    A Ginibre stack z = QR is factored by d - 1 Householder reflections
+    H = 1 - tau u u^H applied across the whole (n, d, d) stack at once, and
+    Q is multiplied by the phases (signs, for O(d)) of R's diagonal, which
+    makes the sample Haar (Mezzadri, Notices AMS 54, 2007).  Each reflection
+    has determinant -1, so det = (-1)^(d-1) prod_j phase(R_jj) comes off the
+    reflectors without a factorisation.
+    """
     z = rng.standard_normal((n, d, d))
     if unitary:
         z = (z + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("nii->ni", r)
-    return q * (diag / np.abs(diag))[:, None, :]
+    phases = np.empty((n, d), dtype=z.dtype)
+    reflectors = []
+    for k in range(d - 1):
+        x = z[:, k:, k]
+        lead, phase = np.abs(x[:, 0]), _phase(x[:, 0])
+        norm = np.linalg.norm(x, axis=1)
+        # LAPACK's scaling: u_0 = 1 and a real tau = 1 + |x_0| / |x| make H
+        # Hermitian and unitary, with H x = R_kk e_0, R_kk = -phase(x_0) |x|
+        u = x / (x[:, 0] + phase * norm)[:, None]
+        u[:, 0] = 1.0
+        tau_u = ((norm + lead) / norm)[:, None, None] * u[:, :, None]
+        u_h = u.conj()[:, None, :]
+        phases[:, k] = -phase
+        rest = z[:, k:, k + 1:]
+        rest -= tau_u * (u_h @ rest)
+        reflectors.append((tau_u, u_h))
+    phases[:, d - 1] = _phase(z[:, d - 1, d - 1])
+    # Q diag(phases) = H_0 ... H_(d-2) diag(phases), applied right to left
+    q = np.zeros_like(z)
+    q[:, range(d), range(d)] = phases
+    for k in reversed(range(d - 1)):
+        tau_u, u_h = reflectors[k]
+        rest = q[:, k:, k:]
+        rest -= tau_u * (u_h @ rest)
+    return q, (-1) ** (d - 1) * np.prod(phases, axis=1)
 
 
-def _unit_det(q):
-    """Rescale a batch of unitaries by a phase into SU(d)."""
-    det = np.linalg.det(q)
+def _unit_det(q, det):
+    """Rescale a batch of unitaries with determinants ``det`` by a phase into
+    SU(d)."""
     return q * np.exp(-1j * np.angle(det) / q.shape[-1])[:, None, None]
 
 
 def haar_samples(spec, n, rng):
     """n Haar samples from ``spec``'s group, SU(d) or SO(d), in the
-    fundamental picture: Ginibre + QR, phases fixed, then the determinant
-    brought to 1 by a phase (SU) or by flipping the last column (SO)."""
+    fundamental picture: Ginibre + Householder QR, phases fixed, then the
+    determinant brought to 1 by a phase (SU) or by flipping the last column
+    (SO)."""
     rng = np.random.default_rng(rng)
     unitary = spec.is_unitary_group
     if spec.d == 1:
         return np.ones((n, 1, 1), dtype=complex if unitary else float)
-    q = _ginibre(rng, n, spec.d, unitary)
+    q, det = _ginibre(rng, n, spec.d, unitary)
     if unitary:
-        return _unit_det(q)
-    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+        return _unit_det(q, det)
+    q[det < 0, :, -1] *= -1.0
     return q
 
 
@@ -206,8 +247,9 @@ def haar_samples(spec, n, rng):
 def _check_unitary(u, tol):
     u = np.asarray(u)
     d = u.shape[-1]
-    err = np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(d)))
-    if err > tol:
+    err = np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(d)),
+                 initial=0.0)
+    if not err <= tol:  # a NaN entry fails too
         raise DomainError(f"matrix is not unitary within {tol:g} (error {err:.3e})")
 
 
@@ -231,12 +273,21 @@ def act(spec, elements, vectors):
     if spec.kind in _CONJUGATION:
         _check_unitary(g, UNITARY_TOL)
         gh = np.swapaxes(g.conj(), -1, -2)
-        return spec.coordinates(g @ spec.matrix(v) @ gh)
+        return spec.coordinates(_left_product(g, spec.matrix(v)) @ gh)
     if spec.kind == "so_fundamental":
-        return (g @ v[..., None])[..., 0]
+        return _left_product(g, v[..., None])[..., 0]
     d = spec.d
-    w = (g @ (v[..., :d] + 1j * v[..., d:])[..., None])[..., 0]
+    w = _left_product(g, (v[..., :d] + 1j * v[..., d:])[..., None])[..., 0]
     return np.concatenate([w.real, w.imag], axis=-1)
+
+
+def _left_product(g, x):
+    """g @ x.  One d x d or d x 1 factor x shared by every element is one
+    2-D product on the (n d, d) reshape of g, not n small ones."""
+    if x.ndim > 2:
+        return g @ x
+    return (g.reshape(-1, g.shape[-1]) @ x).reshape(g.shape[:-1]
+                                                    + x.shape[-1:])
 
 
 def rep_matrices(spec, elements):
@@ -323,13 +374,15 @@ def subgroup_samples(spec, sub, n, rng):
         return _torus_elements(spec, angles)
     _check_blocks(spec, sub)
     out = np.zeros((n, d, d), dtype=complex)
+    det = np.ones(n, dtype=complex)
     start = 0
     for b in sub.blocks:
         # unrestricted U(b) blocks; the overall phase is fixed below
-        block = _ginibre(rng, n, b, unitary=True)
+        block, block_det = _ginibre(rng, n, b, unitary=True)
         out[:, start:start + b, start:start + b] = block
+        det *= block_det
         start += b
-    return _unit_det(out)
+    return _unit_det(out, det)
 
 
 def subgroup_lie_generators(spec, sub):

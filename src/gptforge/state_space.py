@@ -104,8 +104,11 @@ def build_structure(rep, sub, reference, n_samples, rng):
     ``reference``, in the rep's carrier coordinates (length
     ``rep.real_dimension``), may have any nonzero scale: it is normalized
     here.  When ``sub`` is given, it must be fixed by the subgroup's
-    invariant projector within ``INVARIANCE_TOL``.
+    invariant projector within ``INVARIANCE_TOL``.  ``n_samples`` must be at
+    least 1.
     """
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     v = np.asarray(reference, dtype=float)
     if v.shape != (rep.real_dimension,):
         raise DomainError(

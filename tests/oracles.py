@@ -365,3 +365,65 @@ def transform_structure(s, g):
     pts = orbit_points(s.rep, g, s.points[:, 1:])
     elements = np.asarray(g) @ s.elements
     return replace(s, points=pts, elements=elements)
+
+
+def ginibre_qr(rng, n, d, unitary):
+    """n Haar samples from U(d) (``unitary``) or O(d): Ginibre + LAPACK QR
+    (one call per matrix) with the R-diagonal phase (the sign, for O(d))
+    fixed."""
+    z = rng.standard_normal((n, d, d))
+    if unitary:
+        z = (z + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.einsum("nii->ni", r)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def unit_det_lu(q):
+    """Rescale a batch of unitaries by a phase into SU(d), with the
+    determinant from an LU factorisation."""
+    det = np.linalg.det(q)
+    return q * np.exp(-1j * np.angle(det) / q.shape[-1])[:, None, None]
+
+
+def haar_samples_qr(spec, n, rng):
+    """``compact_rep.haar_samples`` through ``np.linalg.qr`` and
+    ``np.linalg.det``: the same normal draws in the same order."""
+    rng = np.random.default_rng(rng)
+    unitary = spec.is_unitary_group
+    if spec.d == 1:
+        return np.ones((n, 1, 1), dtype=complex if unitary else float)
+    q = ginibre_qr(rng, n, spec.d, unitary)
+    if unitary:
+        return unit_det_lu(q)
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    return q
+
+
+def block_samples_qr(d, blocks, n, rng):
+    """``compact_rep.subgroup_samples`` for a block subgroup of SU(d), through
+    ``np.linalg.qr`` and ``np.linalg.det``."""
+    rng = np.random.default_rng(rng)
+    out = np.zeros((n, d, d), dtype=complex)
+    start = 0
+    for b in blocks:
+        out[:, start:start + b, start:start + b] = ginibre_qr(rng, n, b, True)
+        start += b
+    return unit_det_lu(out)
+
+
+def act_batched(spec, g, v):
+    """``compact_rep.act`` with every product a batched matmul:
+    g @ X @ g^H on the conjugation carriers, g @ v on the fundamental ones."""
+    g = np.asarray(g, dtype=complex if spec.is_unitary_group else float)
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 2:
+        g = g[..., None, :, :]
+    if spec.kind in ("su_adjoint", "so_traceless_symmetric"):
+        gh = np.swapaxes(g.conj(), -1, -2)
+        return spec.coordinates(g @ spec.matrix(v) @ gh)
+    if spec.kind == "so_fundamental":
+        return (g @ v[..., None])[..., 0]
+    d = spec.d
+    w = (g @ (v[..., :d] + 1j * v[..., d:])[..., None])[..., 0]
+    return np.concatenate([w.real, w.imag], axis=-1)

@@ -43,6 +43,17 @@ class TestBuildStructure:
         assert np.max(np.abs(s.points - s.points[0])) == 0.0
         assert ss.sphere_check(s) == 0.0
 
+    @pytest.mark.parametrize("build", [
+        lambda n: ss.bloch_structure(n, 1),
+        lambda n: ss.bloch_structure(n, 1, via="so3"),
+        lambda n: ss.spin2_structure(n, 1),
+        lambda n: ss.deformable_structure([0.5, 0.3, 0.2], n, 1),
+    ])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_no_samples_refused(self, build, n):
+        with pytest.raises(DomainError, match="n_samples"):
+            build(n)
+
     def test_single_point(self):
         s = ss.bloch_structure(1, 0)
         assert ss.sphere_check(s) == 0.0
