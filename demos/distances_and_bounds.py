@@ -33,10 +33,6 @@ print(f"\nSymmetrized distance estimate: {est.estimate:.4f} "
       f"(directed {est.directed_01:.4f} / {est.directed_10:.4f}), "
       f"floor {report.bound:.4f}")
 
-print("\nRigidity floor for any rival of the same total dimension:")
-for d0 in (2, 4, 9):
-    print(f"  dim {d0}: 1/(4 (d0 - 1)) = {dm.rigidity_bound(d0):.6f}")
-
 print("\nBlock-average identity over a 5,000-point Bloch orbit:")
 bloch = ss.bloch_structure(5000, 0, via="su2")
 hand = ss.Effect(np.array([0.5, 0.0, 0.0, 0.5]), "(1+z)/2")

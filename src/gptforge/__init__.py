@@ -35,7 +35,6 @@ from .deformation import (
     deformation_sweep,
     make_deformation_path,
     pure_state_distance,
-    rigidity_bound,
     schur_average_check,
     structure_distance_lower_bound,
     symmetrized_distance_estimate,

@@ -14,9 +14,10 @@ below the current best cannot improve, and its full probe is skipped.  The
 floors of every column come from one small array after each accepted step,
 and the polished coefficients are bit for bit those of probing every step.
 
-Analytic lower bounds (1 / (4 d) for a missing irreducible block,
-1 / (4 (d - 1)) for rigidity) are computed exactly and cross-checked by a
-Monte-Carlo average that realizes the Schur orthogonality identity
+The analytic lower bound 1 / (4 d) for a missing irreducible block of
+dimension d is cross-checked by a least-squares Monte-Carlo minimum, and
+``schur_average_check`` tests a sample against the Schur orthogonality
+identity
 
     integral over g of f(g x)^2  =  c_0^2 + |w|^2 |v|^2 / D
 
@@ -35,19 +36,7 @@ from .errors import DomainError
 from .numerics import (DEFAULT_TOL, INVARIANCE_TOL, POLISH_NEAR_FRACTION,
                        POLISH_NEAR_MAX, POLISH_PROBES, POLISH_SWEEPS,
                        ZERO_NORM, effect_lp)
-from .state_space import Effect, _integer_seed, witness_effect
-
-# ---------------------------------------------------------------------------
-# the rigidity bound
-
-
-def rigidity_bound(d0):
-    """Distance floor 1 / (4 (d0 - 1)) separating inequivalent structures of
-    total dimension d0."""
-    if d0 < 2:
-        raise DomainError("total dimension must be >= 2")
-    return 1.0 / (4.0 * (d0 - 1))
-
+from .state_space import Effect, _integer_seed, _witness, witness_effect
 
 # ---------------------------------------------------------------------------
 # the Schur average identity
@@ -126,7 +115,7 @@ def structure_distance_lower_bound(s0, s1):
     d0 = s0.rep.real_dimension
     bound = 1.0 / (4.0 * d0)
 
-    f0 = _reference_witness(s0)
+    f0 = _witness(s0.reference, "witness[reference]")
     y = s0.points @ f0.vector
     beta, *_ = np.linalg.lstsq(s1.points, y, rcond=None)
     resid = y - s1.points @ beta
@@ -141,13 +130,6 @@ def _check_aligned(s0, s1):
     if not np.array_equal(s0.elements, s1.elements):
         raise DomainError("samples must be point-aligned: built on one "
                           "fundamental group from one integer seed")
-
-
-def _reference_witness(s):
-    """Witness effect 1/2 + <v, x>/2 anchored at the (nonzero) reference v."""
-    v = s.reference
-    nv = np.linalg.norm(v)
-    return Effect.affine(0.5, v / (2.0 * nv * nv), "witness[reference]")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +167,7 @@ def symmetrized_distance_estimate(s0, s1, effect_family_size=8, rng=0):
 
 
 def _witness_family(s, size, rng):
-    effects = [_reference_witness(s)]
+    effects = [_witness(s.reference, "witness[reference]")]
     n = s.n_points
     n_anchor = max(0, (size - 1) // 2)
     for idx in np.unique(np.linspace(0, n - 1, n_anchor, dtype=int)):

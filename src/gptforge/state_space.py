@@ -160,11 +160,16 @@ def witness_effect(s, anchor=0):
     The carrier part is renormalized to unit length, which makes the effect
     valid on the whole orbit and equal to 1 at the anchor point.
     """
-    a = s.points[anchor, 1:]
+    return _witness(s.points[anchor, 1:], f"witness[{s.label}@{anchor}]")
+
+
+def _witness(a, label):
+    """The effect 1/2 + <a, x> / (2 |a|^2), equal to 1 at the carrier point a
+    and valid on its orbit."""
     na = np.linalg.norm(a)
     if na < ZERO_NORM:
         raise DomainError("anchor point has zero component in the carrier")
-    return Effect.affine(0.5, a / (2.0 * na * na), f"witness[{s.label}@{anchor}]")
+    return Effect.affine(0.5, a / (2.0 * na * na), label)
 
 
 # ---------------------------------------------------------------------------

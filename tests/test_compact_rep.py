@@ -276,6 +276,31 @@ class TestInvariantProjector:
             cr.invariant_projector(cr.so_fundamental(3),
                                    cr.block_subgroup(2, 1), quadrature)
 
+    @pytest.mark.parametrize("quadrature, n", [(cr.TorusGrid, 0),
+                                               (cr.TorusGrid, -2),
+                                               (cr.MonteCarlo, 0),
+                                               (cr.MonteCarlo, -1)])
+    def test_empty_quadrature_refused(self, quadrature, n):
+        with pytest.raises(DomainError, match="n >= 1"):
+            quadrature(n)
+
+    def test_drift_samples_are_fresh(self, monkeypatch):
+        # seed 1's drift check must not see the quadrature's own elements
+        draws = []
+        subgroup_samples = cr.subgroup_samples
+
+        def spying(spec, sub, n, rng):
+            draws.append(subgroup_samples(spec, sub, n, rng))
+            return draws[-1]
+
+        monkeypatch.setattr(cr, "subgroup_samples", spying)
+        cr.invariant_projector(cr.su_adjoint(3), cr.full_torus(),
+                               cr.MonteCarlo(2000, 1))
+        quadrature, drift = draws
+        assert drift.shape == (8, 3, 3)
+        gaps = np.abs(drift[:, None] - quadrature[None]).max(axis=(2, 3))
+        assert gaps.min() > 1e-6
+
 
 _CONJUGATION_KINDS = ("su_adjoint", "so_traceless_symmetric")
 
@@ -384,9 +409,16 @@ class TestFundamentalSideOperators:
         assert p.rank == cr.invariant_projector(spec, sub).rank
         assert sum(built) <= 8
 
+    # the grid average and the Gram meet the basis through one contraction
     @pytest.mark.parametrize("spec, rank", [(cr.so_fundamental(3), 1),
                                             (cr.so_fundamental(4), 0),
-                                            (cr.su_fundamental(3), 0)])
+                                            (cr.su_fundamental(3), 0),
+                                            (cr.su_adjoint(3), 2),
+                                            (cr.su_adjoint(4), 3),
+                                            (cr.so_traceless_symmetric(3), 1),
+                                            (cr.so_traceless_symmetric(4), 1),
+                                            (cr.so_fundamental(1), 1),
+                                            (cr.su_fundamental(1), 2)])
     def test_fundamental_grid_matches_structural(self, spec, rank):
         p = cr.invariant_projector(spec, cr.full_torus(), cr.TorusGrid(8))
         q = cr.invariant_projector(spec, cr.full_torus())
@@ -410,6 +442,21 @@ class TestWitness:
 
 
 class TestSubgroupSamples:
+    @pytest.mark.parametrize("make, source", _SOURCES)
+    def test_negative_count_refused(self, make, source):
+        spec = make(3)
+        sub = (cr.full_torus() if source == "torus"
+               else cr.block_subgroup(2, 1))
+
+        def draw(n):
+            if source == "haar":
+                return cr.haar_samples(spec, n, 0)
+            return cr.subgroup_samples(spec, sub, n, 0)
+
+        assert draw(0).shape == (0, 3, 3)
+        with pytest.raises(DomainError, match="n >= 0"):
+            draw(-1)
+
     @pytest.mark.parametrize("sub", [cr.full_torus(), cr.block_subgroup(2, 1)])
     def test_samples_lie_in_su3(self, sub):
         hs = cr.subgroup_samples(cr.su_adjoint(3), sub, 64, 0)

@@ -52,16 +52,6 @@ def sample_pairs(deformable_2000):
             "bloch/spin2": (bloch, spin2), "spin2/bloch": (spin2, bloch)}
 
 
-class TestRigidityBound:
-    def test_values(self):
-        assert dm.rigidity_bound(4) == pytest.approx(1 / 12)
-        assert dm.rigidity_bound(2) == pytest.approx(1 / 4)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            dm.rigidity_bound(1)
-
-
 class TestSchurAverage:
     def test_unit_effect(self, bloch_2000):
         r = dm.schur_average_check(bloch_2000,
