@@ -46,7 +46,6 @@ MAX_GRASSMANN_ROWS = 10_000  # candidate partitions, comb(b1_max + m, m)
 MAX_GRASSMANN_RANK = 64  # m + n; each row is an O((m + n)^2) Weyl product
 MAX_FUNDAMENTAL_DIM = 16  # d of a structure's group, quartic k = 4 at most
 MAX_DEGREE = 1_000  # points a group file's permutations act on
-MAX_FAMILY_SIZE = 1_000  # witness effects per direction of a distance estimate
 MAX_TRIALS = 10_000  # random effects of schur-average, built one by one
 
 
@@ -323,9 +322,7 @@ def cmd_distance(args):
             f"their fundamental groups {name0} and {name1} differ; a "
             "distance needs two structures of one fundamental group")
     s0, s1 = (build(args.samples, args.seed) for build in (build0, build1))
-    report = deformation.symmetrized_distance_estimate(
-        s0, s1, effect_family_size=args.family_size, rng=args.seed
-    )
+    report = deformation.symmetrized_distance_estimate(s0, s1, rng=args.seed)
     payload = {
         "spec0": args.spec0,
         "spec1": args.spec1,
@@ -333,7 +330,7 @@ def cmd_distance(args):
         "directed_01": report.directed_01,
         "directed_10": report.directed_10,
         "lower_bound": None,
-        "n": report.n,
+        "n": s0.n_points,
     }
     if s0.label != s1.label:
         # verified from the structure whose smaller irrep sets the bound
@@ -375,9 +372,7 @@ def cmd_deform(args):
     ts = _t_grid(args.t_grid)
     alpha = _alpha_triple(args.alpha)
     base = state_space.deformable_structure(alpha, args.samples, args.seed)
-    rows = deformation.deformation_sweep(base, ts,
-                                         effect_family_size=args.family_size,
-                                         rng=args.seed)
+    rows = deformation.deformation_sweep(base, ts, rng=args.seed)
     return deformation.sweep_csv(rows)
 
 
@@ -521,12 +516,6 @@ def build_parser():
                                 f"(default {DEFAULT_SAMPLES})")
         p.add_argument("-o", "--output", help="write output to a file")
 
-    def family_size(p):
-        p.add_argument("--family-size", default=8,
-                       type=_int_at_least(1, "positive", MAX_FAMILY_SIZE),
-                       help="witness effects per direction "
-                            f"(default 8, at most {MAX_FAMILY_SIZE})")
-
     p = sub.add_parser("gelfand", help="decide a Gelfand pair from group files")
     p.add_argument("group_file")
     p.add_argument("subgroup_file")
@@ -552,14 +541,12 @@ def build_parser():
                    help="start:stop:step, inclusive (default 0:0.1:0.02)")
     p.add_argument("--alpha", default="0.5,0.3,0.2",
                    help="coefficients a1,a2,a3 (default 0.5,0.3,0.2)")
-    family_size(p)
     common(p, sampled=True)
     p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("distance", help="distance estimate between structures")
     p.add_argument("spec0")
     p.add_argument("spec1")
-    family_size(p)
     common(p, sampled=True)
     p.set_defaults(func=cmd_distance)
 

@@ -35,8 +35,8 @@ from .compact_rep import act, invariant_projector
 from .errors import DomainError
 from .numerics import (DEFAULT_TOL, INVARIANCE_TOL, POLISH_NEAR_FRACTION,
                        POLISH_NEAR_MAX, POLISH_PROBES, POLISH_SWEEPS,
-                       ZERO_NORM, effect_lp)
-from .state_space import Effect, _integer_seed, _witness, witness_effect
+                       WITNESSES, ZERO_NORM, effect_lp)
+from .state_space import Effect, _witness, witness_effect
 
 # ---------------------------------------------------------------------------
 # the Schur average identity
@@ -141,59 +141,59 @@ class DistanceReport:
     estimate: float
     directed_01: float
     directed_10: float
-    n: int
-    seed: int | None
 
 
-def symmetrized_distance_estimate(s0, s1, effect_family_size=8, rng=0):
+def symmetrized_distance_estimate(s0, s1, rng=0):
     """Estimate of the symmetrized max-min discrimination distance.
 
-    Witness effects on one structure are matched on the other by least-squares
-    projection plus a coordinate-wise polish of the sup-norm objective, with
-    the match forced back into the valid effect range.  Each direction draws
-    its random witnesses from a fresh stream of one seed (``rng`` itself when
-    it is an integer, else one integer drawn from it), so swapping s0 and s1
-    swaps ``directed_01`` and ``directed_10`` and leaves the estimate, the
-    larger of the two, bit for bit the same.  The samples must be
-    point-aligned, as in :func:`structure_distance_lower_bound`, which gives
-    the floor under the estimate when the two blocks differ.
+    ``WITNESSES`` witness effects on one structure are matched on the other
+    by least-squares projection plus a coordinate-wise polish of the
+    sup-norm objective, with the match forced back into the valid effect
+    range.  ``rng`` is a non-negative integer seed.  The random witnesses
+    have their own stream, ``SeedSequence(rng, spawn_key=(1,))``, apart
+    from the ``default_rng(rng)`` draws that build the samples; each
+    direction starts it afresh, so swapping s0 and s1 swaps ``directed_01``
+    and ``directed_10`` and leaves the estimate, the larger of the two, bit
+    for bit the same.  The samples must be point-aligned, as in
+    :func:`structure_distance_lower_bound`, which gives the floor under the
+    estimate when the two blocks differ.
     """
     _check_aligned(s0, s1)
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    stream = _integer_seed(rng)
-    d01 = _directed_estimate(s0, s1, effect_family_size, stream)
-    d10 = _directed_estimate(s1, s0, effect_family_size, stream)
-    return DistanceReport(max(d01, d10), d01, d10, s0.n_points, seed)
+    if not isinstance(rng, (int, np.integer)) or rng < 0:
+        raise DomainError(f"rng must be a non-negative integer seed, "
+                          f"got {rng!r}")
+    d01 = _directed_estimate(s0, s1, rng)
+    d10 = _directed_estimate(s1, s0, rng)
+    return DistanceReport(max(d01, d10), d01, d10)
 
 
-def _witness_family(s, size, rng):
+def _witness_family(s, rng):
     effects = [_witness(s.reference, "witness[reference]")]
-    n = s.n_points
-    n_anchor = max(0, (size - 1) // 2)
-    for idx in np.unique(np.linspace(0, n - 1, n_anchor, dtype=int)):
+    anchors = np.linspace(0, s.n_points - 1, (WITNESSES - 1) // 2, dtype=int)
+    for idx in np.unique(anchors):
         effects.append(witness_effect(s, anchor=int(idx)))
-    while len(effects) < size:
+    while len(effects) < WITNESSES:
         w = rng.standard_normal(s.rep.real_dimension)
         w /= np.linalg.norm(w)
         effects.append(Effect.affine(0.5, w / 2.0, "witness[random]"))
     return effects
 
 
-def _directed_estimate(sa, sb, family_size, seed):
-    worst = 0.0
-    for f0 in _witness_family(sa, family_size, np.random.default_rng(seed)):
-        y = sa.points @ f0.vector
-        worst = max(worst, _best_match_distance(y, sb))
-    return worst
-
-
-def _best_match_distance(y, sb):
-    """min over valid effects f1 of max_x |y(x) - f1(x)| (approximate)."""
+def _directed_estimate(sa, sb, seed):
+    """max over sa's witnesses f0 of min over valid effects f1 of
+    max_x |f0(x) - f1(x)| (approximate)."""
     x = sb.points
-    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-    beta = _coordinate_polish(y, x, beta, POLISH_SWEEPS, POLISH_PROBES)
-    beta = _force_valid(x, beta)
-    return float(np.max(np.abs(y - x @ beta)))
+    worst = 0.0
+    # spawned from the seed, a stream no integer seed gives: the samples'
+    # Haar draws read default_rng(seed) itself
+    stream = np.random.SeedSequence(seed, spawn_key=(1,))
+    for f0 in _witness_family(sa, np.random.default_rng(stream)):
+        y = sa.points @ f0.vector
+        beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+        beta = _coordinate_polish(y, x, beta, POLISH_SWEEPS, POLISH_PROBES)
+        beta = _force_valid(x, beta)
+        worst = max(worst, float(np.max(np.abs(y - x @ beta))))
+    return worst
 
 
 def _coordinate_polish(y, x, beta, sweeps, probes):
@@ -336,21 +336,22 @@ def deform(path, t):
     return replace(base, reference=ref, points=points)
 
 
-def deformation_sweep(base, ts, effect_family_size=8, rng=0):
+def deformation_sweep(base, ts, rng=0):
     """Distance-from-base estimates along a deformation path.
 
-    Returns one dict per t with the estimate and its reproducibility data.
+    Returns one dict per t with the estimate and its reproducibility data:
+    the sample size and the integer seed ``rng``.
     """
     path = make_deformation_path(base)
     rows = []
     for t in ts:
         st = deform(path, float(t))
-        rep = symmetrized_distance_estimate(base, st, effect_family_size, rng)
+        rep = symmetrized_distance_estimate(base, st, rng)
         rows.append({
             "t": float(t),
             "d_sym_estimate": rep.estimate,
-            "n": rep.n,
-            "seed": rep.seed,
+            "n": base.n_points,
+            "seed": rng,
         })
     return rows
 

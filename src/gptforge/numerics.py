@@ -80,8 +80,10 @@ COST_PERTURBATION = 1e-10
 INDEPENDENCE_RTOL = 1e-6
 CERTIFIED_RADIUS = 1e6
 
-# Fixed iteration counts: coordinate sweeps and probes per step of the
-# best-match polish, and squarings of an averaged rep operator.
+# Fixed counts: witness effects per direction of a distance estimate,
+# coordinate sweeps and probes per step of the best-match polish, and
+# squarings of an averaged rep operator.
+WITNESSES = 8
 POLISH_SWEEPS = 3
 POLISH_PROBES = 12
 PROJECTOR_SQUARINGS = 5

@@ -138,14 +138,6 @@ def _prescale(v):
     return np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
 
 
-def _integer_seed(rng):
-    """``rng`` if an integer, else one integer drawn from it: two builds
-    from one seed align, two draws from one Generator do not."""
-    if isinstance(rng, (int, np.integer)):
-        return rng
-    return int(np.random.default_rng(rng).integers(2**63))
-
-
 def sphere_check(s):
     """Max deviation of point radii about the mixed state from their mean."""
     if s.n_points < 1:

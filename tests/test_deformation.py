@@ -136,16 +136,37 @@ class TestSymmetrizedDistance:
         assert r01.directed_01 == r10.directed_10
         assert r01.directed_10 == r10.directed_01
 
-    def test_generator_draws_one_seed(self, deformable_2000):
-        st = dm.deform(dm.make_deformation_path(deformable_2000), 0.1)
-        seed = int(np.random.default_rng(4).integers(2**63))
-        r = dm.symmetrized_distance_estimate(deformable_2000, st,
-                                             rng=np.random.default_rng(4))
-        by_seed = dm.symmetrized_distance_estimate(deformable_2000, st,
-                                                   rng=seed)
-        assert r.seed is None
-        assert (r.directed_01, r.directed_10) == (by_seed.directed_01,
-                                                  by_seed.directed_10)
+    @pytest.mark.parametrize("rng", [np.random.default_rng(0), -1, 0.0,
+                                     None])
+    def test_non_integer_seed_rejected(self, deformable_2000, rng):
+        with pytest.raises(DomainError, match="non-negative integer seed"):
+            dm.symmetrized_distance_estimate(deformable_2000,
+                                             deformable_2000, rng=rng)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_random_witnesses_own_stream(self, monkeypatch, seed):
+        # the structures' Haar draw reads default_rng(seed)'s normals; no
+        # random witness direction is a normalised run of D of them
+        base = ss.deformable_structure([0.5, 0.3, 0.2], 200, seed)
+        moved = dm.deform(dm.make_deformation_path(base), 0.05)
+        witnesses, family = [], dm._witness_family
+
+        def recording_family(*args):
+            effects = family(*args)
+            witnesses.extend(e for e in effects
+                             if e.label == "witness[random]")
+            return effects
+
+        monkeypatch.setattr(dm, "_witness_family", recording_family)
+        dm.symmetrized_distance_estimate(base, moved, rng=seed)
+        d = base.rep.real_dimension
+        normals = np.random.default_rng(seed).standard_normal(4096)
+        runs = np.lib.stride_tricks.sliding_window_view(normals, d)
+        runs = runs / np.linalg.norm(runs, axis=1, keepdims=True)
+        assert witnesses
+        for e in witnesses:
+            w = 2.0 * e.vector[1:]
+            assert np.min(np.max(np.abs(runs - w), axis=1)) > 1e-6
 
     def test_small_deformation_close(self, deformable_2000):
         path = dm.make_deformation_path(deformable_2000)
@@ -231,6 +252,20 @@ class TestSymmetrizedDistance:
         monkeypatch.setattr(dm, "_probe", counting_probe)
         dm.symmetrized_distance_estimate(deformable_2000, moved)
         assert 3 * len(probes) < sum(steps)
+
+    @pytest.mark.parametrize("beta,nu", [((0.5, 0.8), 0.5 / 0.8),
+                                         ((0.3, 0.5), 0.5 / 0.7)])
+    def test_force_valid_shrinks_low_side(self, beta, nu):
+        # x @ beta is (-0.3, 1.3) (the first gives (0.5, 0.5)) or
+        # (-0.2, 0.8): the value below 0 sets the shrink 0.5 / (0.5 - lo)
+        # toward the coin flip (0.5, 0), which puts that value on 0
+        x = np.array([[1.0, -1.0], [1.0, 1.0]])
+        beta = np.array(beta)
+        got = dm._force_valid(x, beta)
+        want = nu * beta + (1.0 - nu) * np.array([0.5, 0.0])
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+        vals = x @ got
+        assert abs(vals.min()) <= 1e-15 and vals.max() <= 1.0 + 1e-15
 
     def test_exact_fit_floors_stay_small(self):
         # every residual is exactly 0, so every point ties for the largest:
@@ -336,6 +371,12 @@ class TestDeformationPath:
                                                   proj.eigenvalues))
         again = dm.make_deformation_path(base)
         assert np.max(np.abs(again.w2 - w2)) < 1e-13
+
+    def test_no_subgroup_rejected(self):
+        s = ss.build_structure(cr.su_adjoint(3), None,
+                               ss.deformable_reference([0.5, 0.3, 0.2]), 20, 0)
+        with pytest.raises(DomainError, match="no subgroup"):
+            dm.make_deformation_path(s)
 
     def test_rigidity_guard(self):
         s = ss.quartic_structure(2, 50, 0)

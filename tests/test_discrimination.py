@@ -698,6 +698,13 @@ class TestSampled:
     def test_family_three_infeasible(self, family_sample):
         assert not dc.max_distinguishable_sampled(family_sample, 3)
 
+    def test_more_states_than_vertices(self):
+        # a1 > a2 = a3: the hexagon degenerates to 3 vertices, so 4 states
+        # are answered False before any LP
+        s = ss.deformable_structure([0.5, 0.25, 0.25], 200, 0)
+        assert len(dc.hexagon_vertices(dc.recover_alpha(s)).vertices) == 3
+        assert dc.max_distinguishable_sampled(s, 4) is False
+
     def test_quantum_three_feasible(self):
         s = ss.deformable_structure([1.0, 0.0, 0.0], 1000, 0)
         assert dc.max_distinguishable_sampled(s, 3)
