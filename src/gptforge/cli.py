@@ -3,16 +3,16 @@
 Subcommands: gelfand, hexagon, deform, grassmann, distance, sphere-check,
 schur-average, catalog, quartic.  JSON is the canonical output (keys sorted,
 defaults echoed in a meta header); CSV is emitted only for sweep and figure
-data.  Every command is deterministic given its inputs.  The four commands
-that sample (deform, distance, sphere-check, schur-average) also take --seed
-and --samples; their seed defaults to the non-negative integer in the
-environment variable GPTFORGE_SEED, read on each call, or 0.  The parser
-holds no environment state and is built once per process.
+data.  A run depends on its arguments alone: it reads no environment.  The
+four commands that sample (deform, distance, sphere-check, schur-average)
+also take --seed, a non-negative integer (default 0), and --samples.  The
+parser is built once per process.
 
 Each ``cmd_*`` returns a payload dict (the sweep CSV text for deform) and
-prints nothing; ``main`` alone adds the meta header, serialises, and writes
-to stdout or ``-o``.  Files are read by ``_load_json`` and written by
-``_write_file``; a path either of them cannot use exits 2.
+writes nothing to stdout (``cmd_hexagon`` writes its warnings to stderr);
+``main`` alone adds the meta header, serialises, and writes to stdout or
+``-o``.  Files are read by ``_load_json`` and written by ``_write_file``; a
+path either of them cannot use exits 2.
 
 Exit codes: 0 success, 2 input error, 3 resource cap exceeded, 4 internal
 numerical-consistency failure.
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from decimal import Context, Decimal
 
@@ -47,17 +46,6 @@ MAX_GRASSMANN_RANK = 64  # m + n; each row is an O((m + n)^2) Weyl product
 MAX_FUNDAMENTAL_DIM = 16  # d of a structure's group, quartic k = 4 at most
 MAX_DEGREE = 1_000  # points a group file's permutations act on
 MAX_TRIALS = 10_000  # random effects of schur-average, built one by one
-
-
-def _default_seed():
-    """The seed when --seed is not given: GPTFORGE_SEED, else 0."""
-    env = os.environ.get("GPTFORGE_SEED")
-    if env is None:
-        return 0
-    try:
-        return _nonnegative_int(env)
-    except argparse.ArgumentTypeError as err:
-        raise DomainError(f"GPTFORGE_SEED: {err}") from None
 
 
 def _json_default(x):
@@ -261,31 +249,27 @@ def _structure_from_file(data):
     except (TypeError, ValueError):
         raise DomainError(
             "structure file needs a 'reference' vector of numbers") from None
-    return _group(rep), (
-        lambda n, rng: state_space.build_structure(rep, sub, ref, n, rng))
-
-
-def _group(rep):
-    """The fundamental group of ``rep``: (is_unitary_group, d)."""
-    return rep.is_unitary_group, rep.d
+    return rep, (
+        lambda n, seed: state_space.build_structure(rep, sub, ref, n, seed))
 
 
 def _structure(text):
     """Parse one structure spec, bloch | spin2 | deformable[:a1,a2,a3[:t]] |
-    quartic[:k] | file.json, into its fundamental group (see ``_group``) and
-    its builder: a function of (n, rng) that builds the structure from n
-    Haar samples of ``rng``, a seed or a Generator.  A malformed spec raises
-    here, before any sampling.  The samples depend only on the fundamental
-    group, so two specs on one group share their elements for one seed."""
+    quartic[:k] | file.json, into its carrier rep and its builder: a
+    function of (n, seed) that builds the structure from n Haar samples of
+    the non-negative integer ``seed``.  A malformed spec raises here, before
+    any sampling.  The samples depend only on the rep's fundamental group
+    (``is_unitary_group`` and ``d``), so two specs on one group share their
+    elements for one seed."""
     if text.endswith(".json"):
         return _structure_from_file(_load_json(text))
     name, *params = text.split(":")
     if name == "bloch" and not params:
-        return _group(compact_rep.so_fundamental(3)), (
-            lambda n, rng: state_space.bloch_structure(n, rng, via="so3"))
+        return compact_rep.so_fundamental(3), (
+            lambda n, seed: state_space.bloch_structure(n, seed, via="so3"))
     if name == "spin2" and not params:
-        return _group(compact_rep.so_traceless_symmetric(3)), (
-            lambda n, rng: state_space.spin2_structure(n, rng))
+        return compact_rep.so_traceless_symmetric(3), (
+            lambda n, seed: state_space.spin2_structure(n, seed))
     if name == "deformable" and len(params) <= 2:
         alpha = _alpha_triple(params[0] if params and params[0]
                               else "0.5,0.3,0.2")
@@ -293,18 +277,18 @@ def _structure(text):
         if not 0.0 <= t <= 1.0:  # refused before any Haar draw
             raise DomainError(f"t must lie in [0, 1], got {t:g} in {text!r}")
 
-        def deformable(n, rng):
-            base = state_space.deformable_structure(alpha, n, rng)
+        def deformable(n, seed):
+            base = state_space.deformable_structure(alpha, n, seed)
             if t:
                 return deformation.deform(
                     deformation.make_deformation_path(base), t)
             return base
-        return _group(compact_rep.su_adjoint(3)), deformable
+        return compact_rep.su_adjoint(3), deformable
     if name == "quartic" and len(params) <= 1:
         k = _number(int, params[0], text) if params else 2
         _check_dim(k * k, text)
-        return _group(compact_rep.su_adjoint(k * k)), (
-            lambda n, rng: state_space.quartic_structure(k, n, rng))
+        return compact_rep.su_adjoint(k * k), (
+            lambda n, seed: state_space.quartic_structure(k, n, seed))
     raise DomainError(
         f"unknown structure spec {text!r}; expected bloch, spin2, "
         "deformable:a1,a2,a3[:t], quartic[:k], or a .json file"
@@ -312,11 +296,11 @@ def _structure(text):
 
 
 def cmd_distance(args):
-    (group0, build0), (group1, build1) = map(_structure,
-                                             (args.spec0, args.spec1))
-    if group0 != group1:  # refused before any Haar draw
+    (rep0, build0), (rep1, build1) = map(_structure, (args.spec0, args.spec1))
+    groups = [(r.is_unitary_group, r.d) for r in (rep0, rep1)]
+    if groups[0] != groups[1]:  # refused before any Haar draw
         name0, name1 = (f"{'SU' if unitary else 'SO'}({d})"
-                        for unitary, d in (group0, group1))
+                        for unitary, d in groups)
         raise DomainError(
             f"incompatible structure pair {args.spec0!r} and {args.spec1!r}: "
             f"their fundamental groups {name0} and {name1} differ; a "
@@ -386,9 +370,10 @@ def cmd_sphere_check(args):
 
 
 def cmd_schur_average(args):
-    # the random effects and the sample draw from two streams of one seed
-    rng, stream = (np.random.default_rng([args.seed, i]) for i in (1, 2))
-    s = _structure(args.spec)[1](args.samples, stream)
+    s = _structure(args.spec)[1](args.samples, args.seed)
+    # the random effects' own stream, apart from the sample's default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(args.seed,
+                                                       spawn_key=(1,)))
     effects = [state_space.unit_effect(s)]
     for i in range(args.trials):
         c0 = rng.uniform(0.3, 0.7)
@@ -494,8 +479,8 @@ _nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def build_parser():
-    """The argument parser; it reads no environment, so one serves every
-    call (``main`` uses the module's ``_PARSER``)."""
+    """The argument parser; it holds no state, so one serves every call
+    (``main`` uses the module's ``_PARSER``)."""
     parser = argparse.ArgumentParser(
         prog="gptforge",
         description=(
@@ -508,8 +493,8 @@ def build_parser():
 
     def common(p, sampled=False):
         if sampled:
-            p.add_argument("--seed", type=_nonnegative_int, default=None,
-                           help="rng seed (default GPTFORGE_SEED, else 0)")
+            p.add_argument("--seed", type=_nonnegative_int, default=0,
+                           help="non-negative integer rng seed (default 0)")
             p.add_argument("--samples", type=_positive_int,
                            default=DEFAULT_SAMPLES,
                            help="Monte-Carlo sample count "
@@ -588,8 +573,6 @@ _PARSER = build_parser()
 def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
-        if getattr(args, "seed", 0) is None:  # a sampling command, no --seed
-            args.seed = _default_seed()
         result = args.func(args)
         if isinstance(result, dict):
             result["meta"] = {"command": args.command, "tol": DEFAULT_TOL,

@@ -159,7 +159,8 @@ def symmetrized_distance_estimate(s0, s1, rng=0):
     estimate when the two blocks differ.
     """
     _check_aligned(s0, s1)
-    if not isinstance(rng, (int, np.integer)) or rng < 0:
+    if (isinstance(rng, bool) or not isinstance(rng, (int, np.integer))
+            or rng < 0):
         raise DomainError(f"rng must be a non-negative integer seed, "
                           f"got {rng!r}")
     d01 = _directed_estimate(s0, s1, rng)

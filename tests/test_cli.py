@@ -26,14 +26,9 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def child_env(seed=None):
-    """Environment of a fresh interpreter that imports this gptforge, with
-    GPTFORGE_SEED set to ``seed`` or unset."""
-    env = dict(os.environ, PYTHONPATH=str(Path(gptforge.__file__).parents[1]))
-    env.pop("GPTFORGE_SEED", None)
-    if seed is not None:
-        env["GPTFORGE_SEED"] = seed
-    return env
+def child_env():
+    """Environment of a fresh interpreter that imports this gptforge."""
+    return dict(os.environ, PYTHONPATH=str(Path(gptforge.__file__).parents[1]))
 
 
 @pytest.fixture()
@@ -434,7 +429,7 @@ class TestDistanceCommand:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(specs[-1]))
         parsed = [cli._structure(text) for text in (*specs[:-1], str(path))]
-        assert len({group for group, _ in parsed}) == 1
+        assert len({(rep.is_unitary_group, rep.d) for rep, _ in parsed}) == 1
         elements = [build(40, 3).elements for _, build in parsed]
         assert all(np.array_equal(e, elements[0]) for e in elements[1:])
 
@@ -485,6 +480,23 @@ class TestOtherCommands:
         assert len(draws) == 2
         assert out == reference
 
+    def test_schur_average_samples_the_seeds_orbit(self, capsys, monkeypatch):
+        # the orbit sphere-check draws for this spec and seed
+        spec = "deformable:0.5,0.3,0.2"
+        averaged = []
+        check = dm.schur_average_check
+
+        def captured(s, effects):
+            averaged.append(s)
+            return check(s, effects)
+
+        monkeypatch.setattr(dm, "schur_average_check", captured)
+        code, _, _ = run_cli(capsys, "schur-average", spec,
+                             "--samples", "300", "--seed", "4")
+        assert code == 0 and len(averaged) == 1
+        assert np.array_equal(averaged[0].points,
+                              cli._structure(spec)[1](300, 4).points)
+
     def test_catalog(self, capsys):
         code, out, _ = run_cli(capsys, "catalog")
         data = json.loads(out)
@@ -496,13 +508,6 @@ class TestOtherCommands:
         data = json.loads(out)
         assert data["trace"] == 2.0
         assert data["matrix"][0][0] == 1.0 and data["matrix"][2][2] == 0.0
-
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("GPTFORGE_SEED", "7")
-        code, out, _ = run_cli(capsys, "sphere-check", "bloch",
-                               "--samples", "50")
-        data = json.loads(out)
-        assert data["meta"]["seed"] == 7
 
 
 class TestMalformedInput:
@@ -645,33 +650,32 @@ class TestDeterminism:
 
 
 class TestStaticParser:
-    """One parser serves every call; the environment seed is read per call."""
+    """One parser serves every call; a run reads only its arguments."""
 
-    def test_in_process_sequence_matches_fresh_processes(
-            self, capsys, monkeypatch, s3_files):
+    def test_in_process_sequence_matches_fresh_processes(self, capsys,
+                                                         s3_files):
         group, swap, _ = s3_files
         sequence = [
-            (None, ("hexagon", "0.5", "0.3", "0.2", "--game")),
-            (None, ("hexagon", "0.5", "0.3", "0.2")),
-            ("7", ("sphere-check", "bloch", "--samples", "50")),
-            ("8", ("sphere-check", "bloch", "--samples", "50")),
-            (None, ("gelfand", str(group), str(swap))),
+            ("hexagon", "0.5", "0.3", "0.2", "--game"),
+            ("hexagon", "0.5", "0.3", "0.2"),
+            ("sphere-check", "bloch", "--samples", "50", "--seed", "7"),
+            ("sphere-check", "bloch", "--samples", "50", "--seed", "8"),
+            ("sphere-check", "bloch", "--samples", "50"),
+            ("gelfand", str(group), str(swap)),
         ]
         outputs = []
-        for seed, argv in sequence:
-            if seed is None:
-                monkeypatch.delenv("GPTFORGE_SEED", raising=False)
-            else:
-                monkeypatch.setenv("GPTFORGE_SEED", seed)
+        for argv in sequence:
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
             proc = subprocess.run(
                 [sys.executable, "-m", "gptforge.cli", *argv],
-                capture_output=True, timeout=60, env=child_env(seed))
+                capture_output=True, timeout=60, env=child_env())
             assert proc.returncode == 0, proc.stderr
             assert out.encode() == proc.stdout, argv
             outputs.append(json.loads(out))
-        assert [o["meta"]["seed"] for o in outputs[2:4]] == [7, 8]
+        assert [(o["meta"]["seed"], o["meta"]["samples"]) for o in outputs] \
+            == [(None, None), (None, None), (7, 50), (8, 50), (0, 50),
+                (None, None)]
         assert "game_conventions" not in outputs[1]
 
     def test_parser_built_at_most_once(self, capsys, monkeypatch):
@@ -687,21 +691,6 @@ class TestStaticParser:
             code, _, _ = run_cli(capsys, *argv)
             assert code == 0
         assert len(builds) <= 1
-
-    @pytest.mark.parametrize("value", ["abc", "-1"])
-    def test_malformed_env_seed_exit_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("GPTFORGE_SEED", value)
-        code, _, err = run_cli(capsys, "sphere-check", "bloch",
-                               "--samples", "50")
-        assert code == 2
-        assert "error:" in err and "GPTFORGE_SEED" in err
-
-    def test_env_seed_unread_by_seedless_command(self, capsys, monkeypatch):
-        monkeypatch.setenv("GPTFORGE_SEED", "abc")
-        code, out, _ = run_cli(capsys, "catalog")
-        assert code == 0
-        meta = json.loads(out)["meta"]
-        assert meta["seed"] is None and meta["samples"] is None
 
 
 class TestLazyLpImport:

@@ -137,7 +137,7 @@ class TestSymmetrizedDistance:
         assert r01.directed_10 == r10.directed_01
 
     @pytest.mark.parametrize("rng", [np.random.default_rng(0), -1, 0.0,
-                                     None])
+                                     None, True])
     def test_non_integer_seed_rejected(self, deformable_2000, rng):
         with pytest.raises(DomainError, match="non-negative integer seed"):
             dm.symmetrized_distance_estimate(deformable_2000,

@@ -433,6 +433,13 @@ def test_one_tolerance_knob():
     assert knobs == {"numerics.round_to_int(soft_tol)"}
 
 
+def test_no_module_reads_the_environment():
+    # a run depends on its arguments alone
+    for path in sorted(Path(gptforge.__file__).parent.rglob("*.py")):
+        found = re.findall(r"os\.environ|getenv", path.read_text())
+        assert not found, f"{path.name} reads the environment: {found}"
+
+
 def test_scipy_is_a_test_dependency_only():
     src = Path(gptforge.__file__).parent
     for path in sorted(src.rglob("*.py")):
