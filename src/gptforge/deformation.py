@@ -1,18 +1,18 @@
 """Distances between probabilistic structures and deformation machinery.
 
 The directed distance between structures is a max-min over effects of the
-worst-case discrimination error; it is estimated here by sweeping a family of
-witness effects, projecting each onto the rival structure's effects by least
-squares, and polishing with a coordinate-wise search on the sup-norm
-objective.  Each polish step probes a few shifts of one coefficient and needs,
-for each, the largest |residual| over all points; most steps find no
-improving shift.  Over the near points alone (a bounded set of points whose
-|residual| is within a few percent of the largest) the same float operations
-give, per probe, a value no larger than its maximum over all points, so
-their minimum over the probes is an exact floor: a column whose floor is not
+worst-case discrimination error; it is estimated here by matching a family of
+witness effects on the rival structure's points in one least-squares solve (one
+SVD of the n x (1+D) points) and polishing each match with a coordinate-wise
+search on the sup-norm objective.  Each polish step probes a few shifts of one
+coefficient and needs, for each, the largest |residual| over all points; most
+steps find no improving shift.  Over the near points alone (a bounded set of
+points whose |residual| is within a few percent of the largest) the same float
+operations give, per probe, a value no larger than its maximum over all points,
+so their minimum over the probes is an exact floor: a column whose floor is not
 below the current best cannot improve, and its full probe is skipped.  The
-floors of every column come from one small array after each accepted step,
-and the polished coefficients are bit for bit those of probing every step.
+floors of every column come from one small array after each accepted step, and
+the polished coefficients are bit for bit those of probing every step.
 
 The analytic lower bound 1 / (4 d) for a missing irreducible block of
 dimension d is cross-checked by a least-squares Monte-Carlo minimum, and
@@ -67,18 +67,22 @@ def schur_average_check(s, effects):
     The exact value is c_0^2 + |w|^2 |v|^2 / D for the effect c_0 + <w, x>,
     the reference v and the carrier dimension D.
     """
-    n = s.n_points
     r = np.linalg.norm(s.reference)
     results = []
     for e in effects:
         vec = np.asarray(e.vector, dtype=float)
-        sq = (s.points @ vec) ** 2
-        mc = float(sq.mean())
-        sigma = float(sq.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        mc, sigma = _mean_and_sigma((s.points @ vec) ** 2)
         c = np.linalg.norm(vec[1:])
         exact = vec[0] ** 2 + (c * r) ** 2 / s.rep.real_dimension
         results.append(SchurAverageResult(mc, float(exact), sigma))
     return results
+
+
+def _mean_and_sigma(sq):
+    if len(sq) < 2:
+        raise DomainError(f"the check needs at least 2 samples for its "
+                          f"sigma, got {len(sq)}")
+    return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(len(sq)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +113,13 @@ def structure_distance_lower_bound(s0, s1):
             f"block {s0.label!r} is present in both structures; the "
             "missing-block bound does not apply"
         )
-    if s0.n_points < 2:
-        raise DomainError(f"the verification needs at least 2 samples for "
-                          f"its sigma, got {s0.n_points}")
     d0 = s0.rep.real_dimension
     bound = 1.0 / (4.0 * d0)
 
     f0 = _witness(s0.reference, "witness[reference]")
     y = s0.points @ f0.vector
     beta, *_ = np.linalg.lstsq(s1.points, y, rcond=None)
-    resid = y - s1.points @ beta
-    sq = resid**2
-    mc_min = float(sq.mean())
-    sigma = float(sq.std(ddof=1) / np.sqrt(len(sq)))
+    mc_min, sigma = _mean_and_sigma((y - s1.points @ beta) ** 2)
     return LowerBoundReport(bound, d0, mc_min, sigma,
                             mc_min >= bound - 3.0 * sigma)
 
@@ -147,16 +145,16 @@ def symmetrized_distance_estimate(s0, s1, rng=0):
     """Estimate of the symmetrized max-min discrimination distance.
 
     ``WITNESSES`` witness effects on one structure are matched on the other
-    by least-squares projection plus a coordinate-wise polish of the
-    sup-norm objective, with the match forced back into the valid effect
-    range.  ``rng`` is a non-negative integer seed.  The random witnesses
-    have their own stream, ``SeedSequence(rng, spawn_key=(1,))``, apart
-    from the ``default_rng(rng)`` draws that build the samples; each
-    direction starts it afresh, so swapping s0 and s1 swaps ``directed_01``
-    and ``directed_10`` and leaves the estimate, the larger of the two, bit
-    for bit the same.  The samples must be point-aligned, as in
-    :func:`structure_distance_lower_bound`, which gives the floor under the
-    estimate when the two blocks differ.
+    by one least-squares solve per direction (one SVD of the n x (1+D)
+    matched points), each match then polished coordinate-wise on the
+    sup-norm objective and forced back into the valid range.  ``rng`` is a
+    non-negative integer seed.  The random witnesses have their own stream,
+    ``SeedSequence(rng, spawn_key=(1,))``, apart from the ``default_rng(rng)``
+    draws that build the samples; each direction starts it afresh, so
+    swapping s0 and s1 swaps ``directed_01`` and ``directed_10`` and leaves
+    the estimate, the larger of the two, bit for bit the same.  The samples
+    must be point-aligned, as in :func:`structure_distance_lower_bound`,
+    which gives the floor under the estimate when the two blocks differ.
     """
     _check_aligned(s0, s1)
     if (isinstance(rng, bool) or not isinstance(rng, (int, np.integer))
@@ -188,9 +186,10 @@ def _directed_estimate(sa, sb, seed):
     # spawned from the seed, a stream no integer seed gives: the samples'
     # Haar draws read default_rng(seed) itself
     stream = np.random.SeedSequence(seed, spawn_key=(1,))
-    for f0 in _witness_family(sa, np.random.default_rng(stream)):
-        y = sa.points @ f0.vector
-        beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+    family = _witness_family(sa, np.random.default_rng(stream))
+    ys = sa.points @ np.stack([f0.vector for f0 in family], axis=1)
+    betas, *_ = np.linalg.lstsq(x, ys, rcond=None)
+    for y, beta in zip(ys.T, betas.T.copy()):  # C-contiguous betas
         beta = _coordinate_polish(y, x, beta, POLISH_SWEEPS, POLISH_PROBES)
         beta = _force_valid(x, beta)
         worst = max(worst, float(np.max(np.abs(y - x @ beta))))
@@ -379,13 +378,14 @@ def pure_state_distance(s, i, j):
     """sup over valid effects of f(x_i) - f(x_j), computed by LP.
 
     The supremum runs over all linear effects valid on the sampled orbit, so
-    the value lies in [0, 1], is symmetric, and satisfies the triangle
-    inequality up to LP tolerance.
+    the value lies in [0, 1] and satisfies the triangle inequality up to LP
+    tolerance.  It is symmetric bit for bit: f -> 1 - f maps the valid
+    effects onto themselves, and the LP is solved lower index first.
     """
     n = s.n_points
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError("point index out of range")
-    res = effect_lp(s.points, [s.points[i] - s.points[j]])
+    res = effect_lp(s.points, [s.points[min(i, j)] - s.points[max(i, j)]])
     if not res.optimal:
         raise DomainError(f"pure-state distance LP came back {res.status}")
     return float(res.value)

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from gptforge import deformation as dm
 from gptforge.state_space import orbit_points
 
 
@@ -358,6 +359,23 @@ def coordinate_polish(y, x, beta, sweeps, probes):
         if not improved:
             break
     return beta, steps
+
+
+def directed_estimate(sa, sb, seed):
+    """The directed distance estimate with one least-squares solve per
+    witness, each on its own SVD of ``sb.points``: the same witnesses,
+    polish and validity shrink as the library's estimator."""
+    x = sb.points
+    worst = 0.0
+    stream = np.random.SeedSequence(seed, spawn_key=(1,))
+    for f0 in dm._witness_family(sa, np.random.default_rng(stream)):
+        y = sa.points @ f0.vector
+        beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+        beta = dm._coordinate_polish(y, x, beta, dm.POLISH_SWEEPS,
+                                     dm.POLISH_PROBES)
+        beta = dm._force_valid(x, beta)
+        worst = max(worst, float(np.max(np.abs(y - x @ beta))))
+    return worst
 
 
 def transform_structure(s, g):

@@ -553,6 +553,7 @@ class TestMalformedInput:
         ("sphere-check", "spin2:"),
         ("sphere-check", "deformable:0.5,0.3,0.2:0.1:0"),
         ("sphere-check", "quartic:2:1"),
+        ("schur-average", "bloch", "--samples", "1"),
     ])
     def test_exit_2(self, capsys, argv):
         try:

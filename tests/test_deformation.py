@@ -10,7 +10,7 @@ from gptforge import deformation as dm
 from gptforge import discrimination as dc
 from gptforge import state_space as ss
 from gptforge.errors import DomainError
-from oracles import coordinate_polish, transform_structure
+from oracles import coordinate_polish, directed_estimate, transform_structure
 
 
 @st.composite
@@ -59,6 +59,12 @@ class TestSchurAverage:
         assert r.mc_average == pytest.approx(1.0, abs=1e-12)
         assert r.exact == pytest.approx(1.0, abs=1e-12)
         assert r.ok
+
+    def test_one_sample_rejected(self):
+        # the sigma of one sample is undefined, not 0
+        s = ss.bloch_structure(1, 0)
+        with pytest.raises(DomainError, match="at least 2 samples"):
+            dm.schur_average_check(s, [ss.unit_effect(s)])
 
     def test_zero_effect(self, bloch_2000):
         r = dm.schur_average_check(bloch_2000, [ss.Effect(np.zeros(4))])[0]
@@ -135,6 +141,36 @@ class TestSymmetrizedDistance:
         assert r01.estimate == r10.estimate
         assert r01.directed_01 == r10.directed_10
         assert r01.directed_10 == r10.directed_01
+
+    @pytest.mark.parametrize("pair", ["deformable", "bloch/spin2",
+                                      "spin2/bloch", "t=0.02", "t=0.05",
+                                      "t=0.1"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_one_solve_matches_one_per_witness(self, sample_pairs,
+                                               deformable_2000, pair, seed):
+        # the whole family on one factorisation against one lstsq per
+        # witness: LAPACK's many-rhs path differs in the last bits only
+        if pair.startswith("t="):
+            path = dm.make_deformation_path(deformable_2000)
+            sa, sb = deformable_2000, dm.deform(path, float(pair[2:]))
+        else:
+            sa, sb = sample_pairs[pair]
+        for a, b in ((sa, sb), (sb, sa)):
+            assert dm._directed_estimate(a, b, seed) == pytest.approx(
+                directed_estimate(a, b, seed), rel=0, abs=1e-12)
+
+    def test_two_least_squares_solves(self, deformable_2000, monkeypatch):
+        moved = dm.deform(dm.make_deformation_path(deformable_2000), 0.05)
+        calls, lstsq = [], np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        dm.symmetrized_distance_estimate(deformable_2000, moved, rng=0)
+        assert len(calls) == 2  # one per direction, for all 8 witnesses
+        assert all(b.shape == (2000, dm.WITNESSES) for _, b in calls)
 
     @pytest.mark.parametrize("rng", [np.random.default_rng(0), -1, 0.0,
                                      None, True])
@@ -403,10 +439,13 @@ class TestPureStateDistance:
         d = dm.pure_state_distance(s, 0, j)
         assert 0.99 < d <= 1.0 + 1e-9
 
-    def test_symmetry(self):
-        s = ss.bloch_structure(200, 3)
-        assert dm.pure_state_distance(s, 1, 9) == pytest.approx(
-            dm.pure_state_distance(s, 9, 1), abs=1e-8)
+    @settings(max_examples=20, deadline=None)
+    @given(pair=st.lists(st.integers(0, 1999), min_size=2, max_size=2,
+                         unique=True))
+    def test_symmetry(self, deformable_2000, pair):
+        i, j = pair
+        assert (dm.pure_state_distance(deformable_2000, i, j)
+                == dm.pure_state_distance(deformable_2000, j, i))
 
     def test_triangle_inequality(self):
         s = ss.bloch_structure(150, 4)
