@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NumericalConsistencyError, ResourceError
+from .numerics import check_int
 
 import numpy as np
 
@@ -43,12 +44,10 @@ def validate_partition(parts):
 def spherical_partitions(m, n, b1_max):
     """All spherical partitions for the (m, n) unitary Grassmannian with
     leading part at most 2 * b1_max, sorted."""
-    if not 1 <= m:
-        raise DomainError("m must be >= 1")
+    m, n = check_int(m, "m", 1), check_int(n, "n", 1)
     if m > n:
         raise DomainError(f"m = {m} > n = {n}: swap the arguments")
-    if b1_max < 0:
-        raise DomainError("b1_max must be >= 0")
+    b1_max = check_int(b1_max, "b1_max", 0)
     out = set()
     for rev in itertools.combinations_with_replacement(range(b1_max + 1), m):
         b = tuple(reversed(rev))  # b1 >= b2 >= ... >= bm >= 0
@@ -191,8 +190,7 @@ def quartic_reference(k):
     Its orbit under the adjoint dynamical group generates the level-k
     quartic state space; the stabilizer is the (k, k^2 - k) block subgroup.
     """
-    if k < 2:
-        raise DomainError("k must be >= 2")
+    k = check_int(k, "k", 2)
     d = k * k
     rho = np.zeros((d, d))
     rho[:k, :k] = np.eye(k)

@@ -37,7 +37,7 @@ from .errors import (
     NumericalConsistencyError,
     ResourceError,
 )
-from .numerics import DEFAULT_TOL, NORMALIZATION_TOL
+from .numerics import DEFAULT_TOL, NORMALIZATION_TOL, check_int
 
 DEFAULT_SAMPLES = 2000
 MAX_T_GRID_ROWS = 1001  # a 0:1:0.001 grid; each row is a full distance estimate
@@ -84,16 +84,11 @@ def _write_file(path, text):
 # group files
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _perms_from_file(data, group_degree=None):
     if not isinstance(data, dict):
         raise DomainError("group file must hold a JSON object")
-    degree = data.get("degree", group_degree)
-    if not (_is_int(degree) and 1 <= degree <= MAX_DEGREE):
-        raise DomainError(f"'degree' must be an integer from 1 to {MAX_DEGREE}")
+    degree = check_int(data.get("degree", group_degree), "'degree'", 1,
+                       MAX_DEGREE)
     if group_degree not in (None, degree):
         raise DomainError(f"degree {degree} is not the group's {group_degree}")
     gens = data.get("generators", [])
@@ -102,10 +97,8 @@ def _perms_from_file(data, group_degree=None):
     perms = []
     for cycles in gens:
         if not (isinstance(cycles, list)
-                and all(isinstance(c, list) and all(map(_is_int, c))
-                        for c in cycles)):
-            raise DomainError(
-                "each generator must be a list of cycles of integer indices")
+                and all(isinstance(c, list) for c in cycles)):
+            raise DomainError("each generator must be a list of cycles")
         perms.append(finite_rep.cycles_to_perm(degree, cycles))
     return degree, perms
 
@@ -219,17 +212,11 @@ def _alpha_triple(text):
     return a1, a2, a3
 
 
-def _check_dim(d, where):
-    if d > MAX_FUNDAMENTAL_DIM:
-        raise DomainError(f"{where}: fundamental dimension d = {d} exceeds "
-                          f"{MAX_FUNDAMENTAL_DIM}")
-
-
 def _structure_from_file(data):
-    if not (isinstance(data, dict) and _is_int(data.get("d"))):
-        raise DomainError("structure file needs a JSON object with integer 'd'")
-    _check_dim(data["d"], "structure file 'd'")
-    rep = compact_rep.CompactRepSpec(data.get("kind"), data["d"])
+    if not isinstance(data, dict):
+        raise DomainError("structure file must hold a JSON object")
+    d = check_int(data.get("d"), "structure file 'd'", 1, MAX_FUNDAMENTAL_DIM)
+    rep = compact_rep.CompactRepSpec(data.get("kind"), d)
     subspec = data.get("subgroup")
     sub = None
     if subspec:
@@ -237,8 +224,7 @@ def _structure_from_file(data):
         blocks = subspec.get("blocks") if kind == "block" else None
         if kind == "torus":
             sub = compact_rep.full_torus()
-        elif isinstance(blocks, list) and blocks and all(
-                _is_int(b) and b >= 1 for b in blocks):
+        elif isinstance(blocks, list):  # sizes checked by block_subgroup
             sub = compact_rep.block_subgroup(*blocks)
         else:
             raise DomainError(
@@ -286,7 +272,7 @@ def _structure(text):
         return compact_rep.su_adjoint(3), deformable
     if name == "quartic" and len(params) <= 1:
         k = _number(int, params[0], text) if params else 2
-        _check_dim(k * k, text)
+        check_int(k, f"{text}: k", 2, math.isqrt(MAX_FUNDAMENTAL_DIM))
         return compact_rep.su_adjoint(k * k), (
             lambda n, seed: state_space.quartic_structure(k, n, seed))
     raise DomainError(
@@ -442,7 +428,7 @@ def cmd_catalog(args):
 
 
 def cmd_quartic(args):
-    _check_dim(args.k * args.k, "quartic k")
+    check_int(args.k, "quartic k", 2, math.isqrt(MAX_FUNDAMENTAL_DIM))
     rho = classification.quartic_reference(args.k)
     return {
         "k": args.k,

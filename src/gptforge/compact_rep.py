@@ -45,7 +45,8 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .numerics import (IDEMPOTENCE_TOL, INVARIANCE_TOL, NULL_SPACE_RTOL,
-                       PROJECTOR_SQUARINGS, UNITARY_TOL, symmetric_eigen)
+                       PROJECTOR_SQUARINGS, UNITARY_TOL, check_int,
+                       symmetric_eigen)
 
 # ---------------------------------------------------------------------------
 # carrier bases
@@ -101,8 +102,7 @@ class CompactRepSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown rep kind {self.kind!r}")
-        if self.d < 1:
-            raise DomainError("d must be >= 1")
+        check_int(self.d, "d", 1)
 
     @property
     def is_unitary_group(self):
@@ -218,11 +218,6 @@ def _ginibre(rng, n, d, unitary):
     return q, (-1) ** (d - 1) * np.prod(phases, axis=1)
 
 
-def _check_count(n, least):
-    if n < least:
-        raise DomainError(f"need n >= {least}, got {n}")
-
-
 def _unit_det(q, det):
     """Rescale a batch of unitaries with determinants ``det`` by a phase into
     SU(d)."""
@@ -234,7 +229,7 @@ def haar_samples(spec, n, rng):
     fundamental picture: Ginibre + Householder QR, phases fixed, then the
     determinant brought to 1 by a phase (SU) or by flipping the last column
     (SO)."""
-    _check_count(n, 0)
+    n = check_int(n, "n", 0)
     rng = np.random.default_rng(rng)
     unitary = spec.is_unitary_group
     if spec.d == 1:
@@ -268,16 +263,16 @@ def act(spec, elements, vectors):
     ``elements`` is one d x d matrix or a batch (n, d, d); ``vectors`` is one
     carrier vector (D,) or a batch (m, D), and a batch is acted on by every
     element.  The result has shape ([n,] [m,] D).  Conjugation carriers
-    compute g X g^H on X = sum_a v_a B_a and require unitary g; the
-    fundamental carriers compute g v (through v_re + i v_im for
-    ``su_fundamental``), which is linear in g.
+    compute g X g^H on X = sum_a v_a B_a; the fundamental carriers compute
+    g v (through v_re + i v_im for ``su_fundamental``), linear in g.  The
+    elements are trusted: the samplers make them unitary by construction,
+    and :func:`rep_matrices` checks those a caller hands in.
     """
     g = np.asarray(elements, dtype=complex if spec.is_unitary_group else float)
     v = np.asarray(vectors, dtype=float)
     if v.ndim == 2:
         g = g[..., None, :, :]
     if spec.kind in _CONJUGATION:
-        _check_unitary(g, UNITARY_TOL)
         gh = np.swapaxes(g.conj(), -1, -2)
         return spec.coordinates(_left_product(g, spec.matrix(v)) @ gh)
     if spec.kind == "so_fundamental":
@@ -298,8 +293,12 @@ def _left_product(g, x):
 
 def rep_matrices(spec, elements):
     """Real orthogonal matrices Gamma(g) of ``spec`` at fundamental-picture
-    elements g.  The fundamental carriers are linear in g, so the projectors
-    also build Gamma(mean g) and Gamma(-sum_a a^2) over generators a."""
+    elements g, which on the conjugation carriers must be unitary within
+    ``UNITARY_TOL`` (else :class:`DomainError`).  The fundamental carriers
+    are linear in g and take any matrix, so the projectors also build
+    Gamma(mean g) and Gamma(-sum_a a^2) over generators a."""
+    if spec.kind in _CONJUGATION:
+        _check_unitary(elements, UNITARY_TOL)
     columns = act(spec, elements, np.eye(spec.real_dimension))
     return np.swapaxes(columns, -1, -2)
 
@@ -332,7 +331,8 @@ def full_torus():
 
 
 def block_subgroup(*blocks):
-    return SubgroupSpec("block_su_u1", blocks=tuple(int(b) for b in blocks))
+    sizes = tuple(check_int(b, "block size", 1) for b in blocks)
+    return SubgroupSpec("block_su_u1", blocks=sizes)
 
 
 def _check_blocks(spec, sub):
@@ -369,7 +369,7 @@ def _torus_elements(spec, angles):
 
 def subgroup_samples(spec, sub, n, rng):
     """n elements of the subgroup, in the fundamental picture."""
-    _check_count(n, 0)
+    n = check_int(n, "n", 0)
     rng = np.random.default_rng(rng)
     d = spec.d
     if sub.kind == "full_torus":
@@ -466,7 +466,7 @@ class TorusGrid:
     n: int = 16
 
     def __post_init__(self):
-        _check_count(self.n, 1)
+        check_int(self.n, "n", 1)
 
 
 @dataclass(frozen=True)
@@ -477,7 +477,8 @@ class MonteCarlo:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count(self.n, 1)
+        check_int(self.n, "n", 1)
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,7 +496,6 @@ def _averaged_operator(spec, elements):
     g = np.asarray(elements)
     if spec.kind not in _CONJUGATION:
         return rep_matrices(spec, g.mean(axis=0))
-    _check_unitary(g, UNITARY_TOL)
     return _carrier_operator(spec, _conjugation_sum(g) / len(g))
 
 

@@ -35,7 +35,7 @@ from .compact_rep import act, invariant_projector
 from .errors import DomainError
 from .numerics import (DEFAULT_TOL, INVARIANCE_TOL, POLISH_NEAR_FRACTION,
                        POLISH_NEAR_MAX, POLISH_PROBES, POLISH_SWEEPS,
-                       WITNESSES, ZERO_NORM, effect_lp)
+                       WITNESSES, ZERO_NORM, check_int, effect_lp)
 from .state_space import Effect, _witness, witness_effect
 
 # ---------------------------------------------------------------------------
@@ -157,10 +157,7 @@ def symmetrized_distance_estimate(s0, s1, rng=0):
     which gives the floor under the estimate when the two blocks differ.
     """
     _check_aligned(s0, s1)
-    if (isinstance(rng, bool) or not isinstance(rng, (int, np.integer))
-            or rng < 0):
-        raise DomainError(f"rng must be a non-negative integer seed, "
-                          f"got {rng!r}")
+    check_int(rng, "rng (a non-negative integer seed)", 0)
     d01 = _directed_estimate(s0, s1, rng)
     d10 = _directed_estimate(s1, s0, rng)
     return DistanceReport(max(d01, d10), d01, d10)
@@ -382,9 +379,7 @@ def pure_state_distance(s, i, j):
     tolerance.  It is symmetric bit for bit: f -> 1 - f maps the valid
     effects onto themselves, and the LP is solved lower index first.
     """
-    n = s.n_points
-    if not (0 <= i < n and 0 <= j < n):
-        raise DomainError("point index out of range")
+    i, j = (check_int(k, "point index", 0, s.n_points - 1) for k in (i, j))
     res = effect_lp(s.points, [s.points[min(i, j)] - s.points[max(i, j)]])
     if not res.optimal:
         raise DomainError(f"pure-state distance LP came back {res.status}")

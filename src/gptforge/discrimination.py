@@ -36,6 +36,7 @@ from .numerics import (
     COINCIDENCE_TOL,
     DEFAULT_TOL,
     TIE_TOL,
+    check_int,
     effect_lp,
 )
 from .state_space import StructureSample, orbit_points, unit_effect
@@ -408,8 +409,7 @@ def max_distinguishable_sampled(s: StructureSample, k):
     feasible here, and infeasibility here certifies infeasibility of the
     exact problem.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    k = check_int(k, "k", 1)
     alpha = recover_alpha(s)
     h = hexagon_vertices(alpha)
     exact = max_distinguishable(h)

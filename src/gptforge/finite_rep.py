@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalConsistencyError, ResourceError
-from .numerics import CHARACTER_TOL, DEFAULT_TOL, PIVOT_TOL, round_to_int
+from .numerics import (CHARACTER_TOL, DEFAULT_TOL, PIVOT_TOL, check_int,
+                       round_to_int)
 
 DEFAULT_ORDER_CAP = 10_000
 MAX_STRUCTURES = 10_000  # listed sums; Z_32 over its trivial subgroup has 131,071
@@ -45,8 +46,7 @@ def cycles_to_perm(degree, cycles):
     seen = set()
     for cyc in cycles:
         for a in cyc:
-            if not (0 <= a < degree):
-                raise DomainError(f"cycle index {a} out of range for degree {degree}")
+            check_int(a, "cycle index", 0, degree - 1)
             if a in seen:
                 raise DomainError(f"index {a} repeated across cycles")
             seen.add(a)
@@ -153,10 +153,9 @@ def generate_group(generators, degree=None, max_order=DEFAULT_ORDER_CAP):
         degree = degs.pop()
         for g in gens:
             _check_perm(g, degree)
-    elif degree is None:
-        degree = 1
-    if max_order < 1:
-        raise DomainError("max_order must be at least 1")
+    else:
+        degree = 1 if degree is None else check_int(degree, "degree", 1)
+    check_int(max_order, "max_order", 1)
 
     steps = np.array(gens, dtype=np.min_scalar_type(degree - 1)).reshape(-1, degree)
     frontier = np.arange(degree, dtype=steps.dtype)[None]
@@ -223,11 +222,8 @@ def subgroup_from_generators(group, generators):
     """Subgroup of ``group`` generated by permutations (or element indices)."""
     idxs = []
     for g in generators:
-        if isinstance(g, (int, np.integer)):
-            if not 0 <= g < group.order:
-                raise DomainError(
-                    f"generator index {g} is outside 0..{group.order - 1}")
-            idxs.append(int(g))
+        if np.ndim(g) == 0:  # an element index
+            idxs.append(check_int(g, "generator index", 0, group.order - 1))
         else:
             p = tuple(g)
             if p not in group.index:
@@ -246,14 +242,12 @@ def trivial_subgroup(group):
 
 
 def cyclic_group(n):
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = check_int(n, "n", 1)
     return generate_group([tuple(list(range(1, n)) + [0])])
 
 
 def symmetric_group(n):
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = check_int(n, "n", 1)
     swap = list(range(n))
     swap[:2] = swap[1::-1]  # the identity when n = 1
     cycle = list(range(1, n)) + [0]
@@ -262,8 +256,7 @@ def symmetric_group(n):
 
 def dihedral_group(n):
     """Symmetries of the regular n-gon, acting on its n vertices."""
-    if n < 3:
-        raise DomainError("n must be >= 3")
+    n = check_int(n, "n", 3)
     rot = tuple(list(range(1, n)) + [0])
     ref = tuple((n - i) % n for i in range(n))
     return generate_group([rot, ref])
@@ -596,6 +589,7 @@ def count_probabilistic_structures(units, dim_cap):
     the cap, so the work grows with the number of sums listed; more than
     ``MAX_STRUCTURES`` of them raise :class:`ResourceError`.
     """
+    check_int(dim_cap, "dim_cap", 0)
     units = sorted(units, key=lambda u: u.real_dim)
     out = []
 

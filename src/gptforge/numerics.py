@@ -24,6 +24,12 @@ the previous round's basis, which stays dual feasible.  An optimum valid on
 every row within ``DEFAULT_TOL`` is the full optimum; an infeasible subset
 certifies that the full LP is infeasible; an unbounded subset sends the next
 round to every row.
+
+Input is checked once, where it enters: every count, size, index and seed
+passes :func:`check_int`, and group elements that a caller hands in are
+checked unitary by ``compact_rep.rep_matrices`` (on the conjugation
+carriers), while ``compact_rep.act`` trusts the elements the package made
+unitary by construction.
 """
 
 from __future__ import annotations
@@ -93,6 +99,19 @@ PROJECTOR_SQUARINGS = 5
 # results exact; they set only how many steps are skipped.
 POLISH_NEAR_FRACTION = 0.95
 POLISH_NEAR_MAX = 32
+
+
+def check_int(value, what, low, high=None):
+    """``value`` as a Python int, when it is an ``int`` or a numpy integer
+    (not a ``bool``) from ``low`` to ``high`` (no upper end when ``high`` is
+    None); otherwise :class:`DomainError`, called ``what`` in the message."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if high is None and value < low:
+        raise DomainError(f"need {what} >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise DomainError(f"{what} {value} is outside {low}..{high}")
+    return int(value)
 
 
 def as_real_matrix(m, name="matrix"):

@@ -30,7 +30,7 @@ from .compact_rep import (
     su_adjoint,
 )
 from .errors import DomainError
-from .numerics import INVARIANCE_TOL, ZERO_NORM
+from .numerics import INVARIANCE_TOL, ZERO_NORM, check_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +107,7 @@ def build_structure(rep, sub, reference, n_samples, rng):
     invariant projector within ``INVARIANCE_TOL``.  ``n_samples`` must be at
     least 1.
     """
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = check_int(n_samples, "n_samples", 1)
     v = np.asarray(reference, dtype=float)
     if v.shape != (rep.real_dimension,):
         raise DomainError(
