@@ -29,11 +29,9 @@ import numpy as np
 
 def validate_partition(parts):
     """A weakly decreasing tuple of non-negative ints ending in 0."""
-    p = tuple(int(x) for x in parts)
+    p = tuple(check_int(x, "partition entry", 0) for x in parts)
     if len(p) < 1:
         raise DomainError("partition must have at least one entry")
-    if any(x < 0 for x in p):
-        raise DomainError("partition entries must be non-negative")
     if any(a < b for a, b in zip(p, p[1:])):
         raise DomainError(f"partition is not weakly decreasing: {p}")
     if p[-1] != 0:
@@ -71,11 +69,9 @@ def reality_type(dynkin):
     Non-palindromic index strings are complex.  Palindromic ones are real
     unless d = 4k + 2 with an odd central index, which is quaternionic.
     """
-    j = tuple(int(x) for x in dynkin)
+    j = tuple(check_int(x, "Dynkin index", 0) for x in dynkin)
     if len(j) < 1:
         raise DomainError("Dynkin label must have at least one index")
-    if any(x < 0 for x in j):
-        raise DomainError("Dynkin indices must be non-negative")
     d = len(j) + 1
     if j != tuple(reversed(j)):
         return "complex"

@@ -511,7 +511,7 @@ def _round_average_to_projector(avg):
         a = a @ a
     a = (a + a.T) / 2.0
     idem = np.max(np.abs(a @ a - a))
-    if idem > IDEMPOTENCE_TOL:
+    if not idem <= IDEMPOTENCE_TOL:
         raise AccuracyError(
             f"quadrature too coarse: powered average has idempotence error "
             f"{idem:.3e} > {IDEMPOTENCE_TOL:g}; use a finer grid or more "
@@ -573,7 +573,7 @@ def invariant_projector(spec, sub, quadrature=None):
     fresh = np.random.SeedSequence(1, spawn_key=(0,))
     check = rep_matrices(spec, subgroup_samples(spec, sub, 8, fresh))
     drift = np.max(np.abs(check @ proj - proj))
-    if drift > INVARIANCE_TOL:
+    if not drift <= INVARIANCE_TOL:
         raise AccuracyError(
             f"projector not invariant under fresh subgroup samples "
             f"(drift {drift:.3e} > {INVARIANCE_TOL:g}); refine the quadrature"

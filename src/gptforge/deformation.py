@@ -312,7 +312,7 @@ def make_deformation_path(base):
     j = int(np.argmax(norms))
     w2 = resid[:, j] / norms[j]
     viol = np.linalg.norm(proj.projector @ w2 - w2)
-    if viol > INVARIANCE_TOL:
+    if not viol <= INVARIANCE_TOL:
         raise DomainError(
             f"the second plane axis leaves the fixed space (violation "
             f"{viol:.3e}); the plane is not invariant"

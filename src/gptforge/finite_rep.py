@@ -222,13 +222,13 @@ def subgroup_from_generators(group, generators):
     """Subgroup of ``group`` generated by permutations (or element indices)."""
     idxs = []
     for g in generators:
-        if np.ndim(g) == 0:  # an element index
-            idxs.append(check_int(g, "generator index", 0, group.order - 1))
-        else:
+        if isinstance(g, (tuple, list, np.ndarray)):  # a permutation
             p = tuple(g)
             if p not in group.index:
                 raise DomainError(f"generator {p} is not an element of the group")
             idxs.append(group.index[p])
+        else:
+            idxs.append(check_int(g, "generator index", 0, group.order - 1))
     sub = generate_group(group.perms[idxs], group.degree, max_order=group.order)
     return Subgroup._closed(group,
                             tuple(np.sort(group.index[sub.perms]).tolist()))
@@ -377,7 +377,7 @@ def character_table(group):
         gaps = np.abs(evals[:, None] - evals[None, :])
         np.fill_diagonal(gaps, np.inf)
         try:
-            if gaps.min() < CHARACTER_TOL * (1 + np.abs(evals).max()):
+            if not gaps.min() >= CHARACTER_TOL * (1 + np.abs(evals).max()):
                 raise NumericalConsistencyError("degenerate random combination")
             chars = _eigenvectors_to_characters(evecs, sizes, group.order)
             _verify_table(chars, sizes, group.order)
@@ -406,7 +406,7 @@ def _eigenvectors_to_characters(evecs, sizes, order):
     chars = np.zeros((k, k), dtype=complex)
     for i in range(k):
         v = evecs[:, i]
-        if abs(v[0]) < PIVOT_TOL:
+        if not abs(v[0]) >= PIVOT_TOL:
             raise NumericalConsistencyError("eigenvector vanishes at identity class")
         omega = v / v[0]
         norm = np.sum(np.abs(omega) ** 2 / sizes)
@@ -419,7 +419,7 @@ def _eigenvectors_to_characters(evecs, sizes, order):
 def _verify_table(chars, sizes, order):
     k = chars.shape[0]
     gram = (chars * sizes) @ chars.conj().T / order
-    if np.max(np.abs(gram - np.eye(k))) > DEFAULT_TOL:
+    if not np.max(np.abs(gram - np.eye(k))) <= DEFAULT_TOL:
         raise NumericalConsistencyError("row orthogonality violated")
     dims = [round_to_int(chars[i, 0], soft_tol=CHARACTER_TOL,
                          what="irrep dimension")

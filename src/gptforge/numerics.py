@@ -25,11 +25,14 @@ every row within ``DEFAULT_TOL`` is the full optimum; an infeasible subset
 certifies that the full LP is infeasible; an unbounded subset sends the next
 round to every row.
 
-Input is checked once, where it enters: every count, size, index and seed
-passes :func:`check_int`, and group elements that a caller hands in are
-checked unitary by ``compact_rep.rep_matrices`` (on the conjugation
-carriers), while ``compact_rep.act`` trusts the elements the package made
-unitary by construction.
+Two rules hold for every check in the package.  Input is checked once,
+where it enters: every count, size, index and seed passes
+:func:`check_int`, and group elements that a caller hands in are checked
+unitary by ``compact_rep.rep_matrices`` (on the conjugation carriers),
+while ``compact_rep.act`` trusts the elements the package made unitary by
+construction.  And a refusal check passes only when its comparison holds,
+written ``x <= tol`` (or ``gap >= tol``), so a NaN fails it: ``x > tol``
+would let a NaN through.
 """
 
 from __future__ import annotations
@@ -114,11 +117,15 @@ def check_int(value, what, low, high=None):
     return int(value)
 
 
-def as_real_matrix(m, name="matrix"):
-    """Coerce to a 2-D float64 array with finite entries."""
+def as_finite(m, name="matrix", ndim=2):
+    """Coerce to an ``ndim``-dimensional float64 array with finite entries
+    (a scalar counts as 1-dimensional)."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise DomainError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    if ndim == 1:
+        a = np.atleast_1d(a)
+    if a.ndim != ndim:
+        raise DomainError(
+            f"{name} must be {ndim}-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{name} has non-finite entries")
     return a
@@ -136,11 +143,11 @@ def symmetric_eigen(m):
     DomainError
         If ``m`` is not square or not symmetric within ``SYMMETRY_TOL``.
     """
-    a = as_real_matrix(m)
+    a = as_finite(m)
     if a.shape[0] != a.shape[1]:
         raise DomainError(f"matrix is not square: shape {a.shape}")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if asym > SYMMETRY_TOL:
+    if not asym <= SYMMETRY_TOL:
         raise DomainError(f"matrix is not symmetric: max |a - a.T| = {asym:.3e}")
     w, v = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(w)[::-1]
@@ -160,16 +167,16 @@ class LinearProgram:
     ub: tuple | None = None  # (matrix, rhs)
 
     def _validate(self):
-        n = len(np.atleast_1d(self.objective))
+        n = len(as_finite(self.objective, "objective", 1))
         for label, pair in (("eq", self.eq), ("ub", self.ub)):
             if pair is None:
                 continue
-            a = as_real_matrix(pair[0], name=f"{label} matrix")
+            a = as_finite(pair[0], f"{label} matrix")
             if a.shape[1] != n:
                 raise DomainError(
                     f"{label} matrix has {a.shape[1]} columns, expected {n}"
                 )
-            if a.shape[0] != len(np.atleast_1d(pair[1])):
+            if a.shape[0] != len(as_finite(pair[1], f"{label} rhs", 1)):
                 raise DomainError(f"{label} rhs length mismatch")
 
 
@@ -385,8 +392,8 @@ def _optimum(p, c, x, w, basis, eq, ub):
     value = float(c @ x)
     resid = np.max(np.abs(c - eq[0].T @ z - ub[0].T @ y), initial=0.0)
     gap = abs(value - eq[1] @ z - ub[1] @ y)
-    if (resid > DEFAULT_TOL * max(1.0, np.max(np.abs(c)))
-            or gap > DEFAULT_TOL * max(1.0, abs(value)) or not _meets(p, x)):
+    if not (resid <= DEFAULT_TOL * max(1.0, np.max(np.abs(c)))
+            and gap <= DEFAULT_TOL * max(1.0, abs(value)) and _meets(p, x)):
         return None
     return LpResult("optimal", value=value, x=x,
                     certificate=np.concatenate([z, y]), basis=basis)
@@ -403,7 +410,7 @@ def _infeasible(farkas, eq, ub, basis):
     # for x meeting the rows within DEFAULT_TOL, combo . x - f . rhs <=
     # DEFAULT_TOL |f|_1 = DEFAULT_TOL
     bound = eq[1] @ f[:q] + ub[1] @ f[q:]
-    if bound + DEFAULT_TOL + CERTIFIED_RADIUS * combo >= 0.0:
+    if not bound + DEFAULT_TOL + CERTIFIED_RADIUS * combo < 0.0:
         return None
     return LpResult("infeasible", certificate=f, basis=basis)
 
@@ -471,8 +478,8 @@ def effect_lp(points, objective, eq=None):
       whose optimum only active rows violate (by roundoff), sends the next
       round to every point.
     """
-    pts = as_real_matrix(points, "points")  # every row, read by a round or not
-    obj = np.asarray(objective, dtype=float)
+    pts = as_finite(points, "points")  # every row, read by a round or not
+    obj = as_finite(objective, "objective")
     k, dim = obj.shape
     n = len(pts)
     active = np.zeros(n, dtype=bool)
@@ -533,13 +540,13 @@ def check_feasible(p: LinearProgram, x):
         raise NumericalConsistencyError("point has non-finite entries")
     if p.eq is not None:
         resid = np.max(np.abs(np.asarray(p.eq[0]) @ x - np.asarray(p.eq[1])))
-        if resid > DEFAULT_TOL:
+        if not resid <= DEFAULT_TOL:
             raise NumericalConsistencyError(
                 f"optimal point violates equalities by {resid:.3e}"
             )
     if p.ub is not None:
         excess = np.max(np.asarray(p.ub[0]) @ x - np.asarray(p.ub[1]), initial=0.0)
-        if excess > DEFAULT_TOL:
+        if not excess <= DEFAULT_TOL:
             raise NumericalConsistencyError(
                 f"optimal point violates inequalities by {excess:.3e}"
             )
@@ -550,18 +557,21 @@ def round_to_int(x, soft_tol=DEFAULT_TOL, what="value"):
     structurally integral.
 
     Deviation <= ``soft_tol`` rounds silently; deviation beyond
-    ``INTEGRALITY_TOL`` raises :class:`NumericalConsistencyError` (solver
-    drift caught early).  The band in between rounds with a warning.
+    ``INTEGRALITY_TOL``, or a NaN or infinite value, raises
+    :class:`NumericalConsistencyError` (solver drift caught early).  The
+    band in between rounds with a warning.
     """
     import warnings
 
+    if not np.isfinite(x):
+        raise NumericalConsistencyError(f"{what} = {x} is not finite")
     n = round(float(np.real(x)))
     dev = abs(complex(x) - n)
-    if dev > INTEGRALITY_TOL:
+    if not dev <= INTEGRALITY_TOL:
         raise NumericalConsistencyError(
             f"{what} = {x} deviates from integer {n} by {dev:.3e}"
         )
-    if dev > soft_tol:
+    if not dev <= soft_tol:
         warnings.warn(
             f"{what} = {x} rounded to {n} with large deviation {dev:.3e}",
             stacklevel=2,

@@ -122,7 +122,7 @@ def build_structure(rep, sub, reference, n_samples, rng):
     if sub is not None:
         proj = invariant_projector(rep, sub).projector
         viol = np.linalg.norm(proj @ v - v)
-        if viol > INVARIANCE_TOL:
+        if not viol <= INVARIANCE_TOL:
             raise DomainError(
                 f"reference is not subgroup-invariant: violation norm {viol:.3e}"
             )

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -11,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gptforge
-from gptforge import deformation, discrimination, numerics, state_space
+from gptforge import (classification, cli, compact_rep, deformation,
+                      discrimination, finite_rep, numerics, state_space)
 from gptforge.errors import (
     DomainError,
     LpSolverFailure,
     NumericalConsistencyError,
+    ResourceError,
 )
 from gptforge.numerics import (
     CERTIFIED_RADIUS,
@@ -211,6 +214,37 @@ class TestLpSolve:
                 assert abs(res.value - highs_lp(program)[1]) < 1e-8
 
 
+class TestNonFiniteProgram:
+    """A NaN or infinite objective or rhs is an input error, refused before
+    the kernel runs, not an "optimal" NaN or a solver failure."""
+
+    POINTS = np.array([[1.0, 0.5, 0.0], [1.0, -0.5, 0.0], [1.0, 0.0, 0.5]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_lp_solve_objective(self, bad):
+        box = (np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+        with pytest.raises(DomainError, match="objective"):
+            lp_solve(LinearProgram(np.array([bad]), ub=box))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["eq", "ub"])
+    def test_lp_solve_rhs(self, bad, where):
+        rows = (np.array([[1.0], [-1.0]]), np.array([1.0, bad]))
+        with pytest.raises(DomainError, match=f"{where} rhs"):
+            lp_solve(LinearProgram(np.array([1.0]), **{where: rows}))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_effect_lp_objective(self, bad):
+        with pytest.raises(DomainError, match="objective"):
+            effect_lp(self.POINTS, [[0.0, bad, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_effect_lp_rhs(self, bad):
+        eq = (np.array([[1.0, 0.0, 0.0]]), np.array([bad]))
+        with pytest.raises(DomainError, match="eq rhs"):
+            effect_lp(self.POINTS, [[0.0, 1.0, 0.0]], eq=eq)
+
+
 class TestEffectLp:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6),
@@ -399,6 +433,12 @@ class TestRoundToInt:
         with pytest.warns(UserWarning):
             assert round_to_int(2.0 + 1e-6) == 2
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf,
+                                   complex(2.0, np.nan), complex(np.inf, 0.0)])
+    def test_non_finite_refused(self, x):
+        with pytest.raises(NumericalConsistencyError, match="not finite"):
+            round_to_int(x)
+
 
 def _public_callables():
     """(name, callable) for every public function, class and method defined
@@ -438,6 +478,124 @@ def test_no_module_reads_the_environment():
     for path in sorted(Path(gptforge.__file__).parent.rglob("*.py")):
         found = re.findall(r"os\.environ|getenv", path.read_text())
         assert not found, f"{path.name} reads the environment: {found}"
+
+
+def _in_functions(node, func=None):
+    """(node, name of the innermost function around it) for ``node`` and
+    everything under it."""
+    yield node, func
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _in_functions(child, func)
+
+
+def test_one_integer_check_and_one_unitarity_check():
+    # counts, indices and seeds go through numerics.check_int alone, and
+    # group elements are checked unitary in rep_matrices alone
+    def names_int(node):
+        return any(isinstance(n, ast.Name) and n.id == "int"
+                   or isinstance(n, ast.Attribute) and n.attr == "integer"
+                   for n in ast.walk(node))
+
+    for path in sorted(Path(gptforge.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node, func in _in_functions(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            name = (node.id if isinstance(node, ast.Name) else node.name
+                    if isinstance(node, ast.FunctionDef) else None)
+            assert name not in ("_check_count", "_is_int"), where
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)):
+                continue
+            if node.func.id == "isinstance" and names_int(node.args[1]):
+                assert (path.name, func) == ("numerics.py", "check_int"), \
+                    f"{where}: an integer check outside numerics.check_int"
+            if node.func.id == "_check_unitary":
+                assert func == "rep_matrices", \
+                    f"{where}: a unitarity check outside rep_matrices"
+
+
+@functools.cache
+def _small_sample():
+    return state_space.bloch_structure(10, 0)
+
+
+_S3 = finite_rep.symmetric_group(3)
+_SU2 = compact_rep.su_adjoint(2)
+# name: (call with the value as that parameter, least value, largest value)
+_INTEGER_PARAMETERS = {
+    "haar_samples(n)": (
+        lambda v: compact_rep.haar_samples(_SU2, v, 0), 0, None),
+    "subgroup_samples(n)": (lambda v: compact_rep.subgroup_samples(
+        _SU2, compact_rep.full_torus(), v, 0), 0, None),
+    "TorusGrid(n)": (compact_rep.TorusGrid, 1, None),
+    "MonteCarlo(n)": (lambda v: compact_rep.MonteCarlo(v, 0), 1, None),
+    "MonteCarlo(seed)": (lambda v: compact_rep.MonteCarlo(2, v), 0, None),
+    "CompactRepSpec(d)": (
+        lambda v: compact_rep.CompactRepSpec("su_adjoint", v), 1, None),
+    "block_subgroup(blocks)": (
+        lambda v: compact_rep.block_subgroup(v, 1), 1, None),
+    "build_structure(n_samples)": (
+        lambda v: state_space.bloch_structure(v, 0), 1, None),
+    "symmetrized_distance_estimate(rng)": (
+        lambda v: deformation.symmetrized_distance_estimate(
+            _small_sample(), _small_sample(), rng=v), 0, None),
+    "pure_state_distance(i)": (
+        lambda v: deformation.pure_state_distance(_small_sample(), v, 0),
+        0, 9),
+    "pure_state_distance(j)": (
+        lambda v: deformation.pure_state_distance(_small_sample(), 0, v),
+        0, 9),
+    "max_distinguishable_sampled(k)": (
+        lambda v: discrimination.max_distinguishable_sampled(
+            _small_sample(), v), 1, None),
+    "generate_group(max_order)": (
+        lambda v: finite_rep.generate_group([(1, 0)], max_order=v), 1, None),
+    "cycles_to_perm(cycles)": (
+        lambda v: finite_rep.cycles_to_perm(3, [[0, v]]), 0, 2),
+    "subgroup_from_generators(index)": (
+        lambda v: finite_rep.subgroup_from_generators(_S3, [v]), 0, 5),
+    "cyclic_group(n)": (finite_rep.cyclic_group, 1, None),
+    "symmetric_group(n)": (finite_rep.symmetric_group, 1, None),
+    "dihedral_group(n)": (finite_rep.dihedral_group, 3, None),
+    "count_probabilistic_structures(dim_cap)": (
+        lambda v: finite_rep.count_probabilistic_structures([], v), 0, None),
+    "spherical_partitions(m)": (
+        lambda v: classification.spherical_partitions(v, 2, 1), 1, None),
+    "spherical_partitions(n)": (
+        lambda v: classification.spherical_partitions(1, v, 1), 1, None),
+    "spherical_partitions(b1_max)": (
+        lambda v: classification.spherical_partitions(1, 2, v), 0, None),
+    "quartic_reference(k)": (classification.quartic_reference, 2, None),
+    "validate_partition(parts)": (
+        lambda v: classification.validate_partition([v, 0]), 0, None),
+    "reality_type(dynkin)": (
+        lambda v: classification.reality_type([v, 1]), 0, None),
+    "group file degree": (lambda v: cli._perms_from_file(
+        {"degree": v, "generators": []}), 1, cli.MAX_DEGREE),
+    "structure file d": (lambda v: cli._structure_from_file(
+        {"kind": "su_adjoint", "d": v, "reference": [1.0, 0.0, 0.0]}),
+        1, cli.MAX_FUNDAMENTAL_DIM),
+    "structure file blocks": (lambda v: cli._structure_from_file(
+        {"kind": "su_adjoint", "d": 3, "reference": [0.0] * 7 + [1.0],
+         "subgroup": {"kind": "block", "blocks": [v, 1]}}), 1, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_PARAMETERS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_integer_parameters_refuse_everything_else(name, data):
+    call, low, high = _INTEGER_PARAMETERS[name]
+    below = (st.integers(max_value=low - 1)
+             | st.integers(-2**62, low - 1).map(np.int64))
+    out_of_range = below if high is None else (
+        below | st.integers(min_value=high + 1))
+    for value in (2.0, 2.5, np.nan, np.inf, True, "2", None,
+                  data.draw(out_of_range)):
+        with pytest.raises((DomainError, ResourceError)):
+            call(value)
 
 
 def test_scipy_is_a_test_dependency_only():
