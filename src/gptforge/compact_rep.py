@@ -266,10 +266,14 @@ def act(spec, elements, vectors):
     compute g X g^H on X = sum_a v_a B_a; the fundamental carriers compute
     g v (through v_re + i v_im for ``su_fundamental``), linear in g.  The
     elements are trusted: the samplers make them unitary by construction,
-    and :func:`rep_matrices` checks those a caller hands in.
+    and :func:`rep_matrices` checks those a caller hands in.  Vectors whose
+    last axis is not D are refused with :class:`DomainError`.
     """
     g = np.asarray(elements, dtype=complex if spec.is_unitary_group else float)
     v = np.asarray(vectors, dtype=float)
+    if v.shape[-1:] != (spec.real_dimension,):
+        raise DomainError(f"carrier vectors have shape {v.shape}, expected "
+                          f"a last axis of {spec.real_dimension}")
     if v.ndim == 2:
         g = g[..., None, :, :]
     if spec.kind in _CONJUGATION:

@@ -155,9 +155,13 @@ def symmetrized_distance_estimate(s0, s1, rng=0):
     the estimate, the larger of the two, bit for bit the same.  The samples
     must be point-aligned, as in :func:`structure_distance_lower_bound`,
     which gives the floor under the estimate when the two blocks differ.
+    When their points are equal, both directions are 0.0: f1 = f0 is valid,
+    so 0 is the exact on-sample value.
     """
     _check_aligned(s0, s1)
     check_int(rng, "rng (a non-negative integer seed)", 0)
+    if np.array_equal(s0.points, s1.points):
+        return DistanceReport(0.0, 0.0, 0.0)
     d01 = _directed_estimate(s0, s1, rng)
     d10 = _directed_estimate(s1, s0, rng)
     return DistanceReport(max(d01, d10), d01, d10)

@@ -16,14 +16,13 @@ duality gap for "optimal", a Farkas vector for "infeasible", a ray for
 is an :class:`~gptforge.errors.LpSolverFailure` (CLI exit 4).
 
 An effect LP over n sampled points has 2kn validity rows, of which only a
-few bind, so :func:`effect_lp` solves it by row generation (Kelley, J. SIAM
-8, 1960): it starts from the extreme points along the objective rows and the
-coordinate axes, and each round adds the inactive points whose rows the
-round's optimum violates most.  A round only adds rows, so it starts from
-the previous round's basis, which stays dual feasible.  An optimum valid on
-every row within ``DEFAULT_TOL`` is the full optimum; an infeasible subset
-certifies that the full LP is infeasible; an unbounded subset sends the next
-round to every row.
+few bind, so the kernel prices a working set of rows (row generation,
+Kelley, J. SIAM 8, 1960): :func:`effect_lp` seeds it with the rows of the
+extreme points along the objective rows and the coordinate axes, and the
+kernel adds the most violated rows outside it whenever its point meets
+the set, then certifies its answer once, on every row.  Adding rows keeps
+the basis dual feasible, so the pivots go on from where they were: there
+are no rounds and no restarts.
 
 Two rules hold for every check in the package.  Input is checked once,
 where it enters: every count, size, index and seed passes
@@ -37,7 +36,7 @@ would let a NaN through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,28 +187,29 @@ class LpResult:
     for "optimal" the multipliers of the ``eq`` rows then the ``ub`` rows,
     for "infeasible" a Farkas vector in the same layout, and for
     "unbounded" a ray in the variables (``x`` is then a feasible point).
-    Every answer of :func:`lp_solve` carries one.  ``basis`` is the
-    kernel's final basis, which :func:`effect_lp` hands to the next round as
-    its start.
+    Every answer of :func:`lp_solve` carries one.  ``working_rows`` is the
+    number of ``ub`` rows in the kernel's final working set, the rows it
+    priced (see :func:`_dual_simplex`).
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: float | None = None
     x: np.ndarray | None = None
     certificate: np.ndarray | None = None
-    basis: np.ndarray | None = field(default=None, repr=False)
+    working_rows: int | None = None
 
     @property
     def optimal(self):
         return self.status == "optimal"
 
 
-def lp_solve(p: LinearProgram, _basis=None):
+def lp_solve(p: LinearProgram, _rows=None):
     """Solve a small dense LP, maximizing the objective.
 
     Returns an :class:`LpResult`.  The numpy dual simplex
-    (:func:`_dual_simplex`) answers, from ``_basis`` when a row-generation
-    round hands its previous basis on, and each of its answers is checked
+    (:func:`_dual_simplex`) answers, pricing at first the ``ub`` rows
+    ``_rows`` (all of them when None) and adding the rest as they are
+    violated, and each of its answers is checked on the whole program
     before it is returned:
 
     - "optimal": the point passes :func:`check_feasible`, the ``ub``
@@ -229,11 +229,11 @@ def lp_solve(p: LinearProgram, _basis=None):
     ------
     LpSolverFailure
         If no answer checks, or rounding makes a basis singular.  The
-        message gives the program's shape and whether the start was warm.
+        message gives the program's shape.
     """
     p._validate()
     try:
-        res = _dual_simplex(p, _basis)
+        res = _dual_simplex(p, _rows)
     except np.linalg.LinAlgError:  # a basis that rounding made singular
         res = None
     if res is None:
@@ -241,49 +241,57 @@ def lp_solve(p: LinearProgram, _basis=None):
                   for pair in (p.eq, p.ub))
         raise LpSolverFailure(
             f"LP kernel found no certified answer ({eq} eq rows, {ub} ub "
-            f"rows, {len(np.atleast_1d(p.objective))} variables, "
-            f"{'cold' if _basis is None else 'warm'} start)")
+            f"rows, {len(np.atleast_1d(p.objective))} variables)")
     return res
 
 
-def _dual_simplex(p, start=None):
+def _dual_simplex(p, hint=None):
     """Solve ``p`` by the dual simplex method on a boxed copy of it; the
     checked LpResult, or None when no answer checks.
 
     Every variable is free, so a basis is a set of n linearly independent
     rows, met with equality by its point x; it is dual feasible when the
     objective is a combination of them with a non-negative multiplier on
-    each inequality row.  The rows are stacked as
+    each inequality row.  The rows are numbered as in the stack
 
         [I; -I] (rhs the box size), A_eq, A_ub
 
-    and a basis is an array of indices into that stack.  Each pivot brings
-    in the row that x violates most, and the ratio test sends out the basic
-    row whose multiplier first reaches zero, so the basis stays dual
-    feasible.  After a pivot that leaves the multipliers where they were
-    (degenerate), Bland's rule (lowest index first) picks both rows until
-    one moves them, so the method cannot cycle.  Adding rows keeps a basis
-    dual feasible, which is why one row-generation round's basis starts
-    the next (``start``).
+    and the kernel prices only a working set of them (row generation,
+    Kelley, J. SIAM 8, 1960): the box and ``eq`` rows and the ``ub`` rows
+    ``hint`` (every ``ub`` row when None), kept as one dense matrix and
+    read by position in it.  Each pivot brings in the working row that x
+    violates most, and the ratio test sends out the basic row whose
+    multiplier first reaches zero, so the basis stays dual feasible.
+    After a pivot that leaves the multipliers where they were
+    (degenerate), Bland's rule (lowest position first) picks both rows
+    until one moves them, so the method cannot cycle.  When x meets the
+    working set, the rows outside it are priced: up to 2n of the most
+    violated join it, which keeps the basis dual feasible, and the pivots
+    go on.  Once none is violated, x is an answer for the whole program,
+    and it is certified on the whole program; a Farkas vector of the
+    working set is one of the whole program too.
 
     The box ``|x_j| <= BOX_START`` makes every program bounded and gives a
-    dual-feasible start, ``sign(c_j) e_j`` for each j.  A cold start takes,
-    before those, the linearly independent ``eq`` rows and, when the ``ub``
-    rows are ``[P; -P]`` (the layout of :func:`effect_program`), rows of P,
-    each turned to whichever of ``p`` and ``-p`` takes a non-negative
-    multiplier.  When the box binds at the end, the answer is "unbounded"
-    if the box's own direction is a ray; otherwise, and when the box is in
-    a Farkas vector, the box grows by ``BOX_GROWTH`` and the pivots go on,
-    up to ``BOX_MAX``.
+    dual-feasible start, ``sign(c_j) e_j`` for each j.  The start takes,
+    before those, the linearly independent ``eq`` rows and, when the
+    working ``ub`` rows are ``[P; -P]`` (the layout of
+    :func:`effect_program`, on whole points), rows of P, each turned to
+    whichever of ``p`` and ``-p`` takes a non-negative multiplier.  When
+    the box binds at the end, the answer is "unbounded" if the box's own
+    direction is a ray; otherwise, and when the box is in a Farkas vector,
+    the box grows by ``BOX_GROWTH`` and the pivots go on, up to
+    ``BOX_MAX``.
     """
     c = np.atleast_1d(np.asarray(p.objective, dtype=float))
     n = len(c)
     eq = _rows(p.eq, n)
     ub = _rows(p.ub, n)
-    q, half = len(eq[1]), len(ub[1]) // 2
-    lead = 2 * n + q  # the first ub row
-    rows = np.concatenate([np.eye(n), -np.eye(n), eq[0], ub[0]])
-    rhs = np.concatenate([np.full(2 * n, BOX_START), eq[1], ub[1]])
+    m, lead = len(ub[1]), 2 * n + len(eq[1])  # lead: the first ub row
+    picked = np.arange(m) if hint is None else np.unique(
+        np.asarray(hint, dtype=int))
+    ids = np.concatenate([np.arange(lead), lead + picked])  # working rows
+    rows = np.concatenate([np.eye(n), -np.eye(n), eq[0], ub[0][picked]])
+    rhs = np.concatenate([np.full(2 * n, BOX_START), eq[1], ub[1][picked]])
     free = np.zeros(len(rows), dtype=bool)
     free[2 * n:lead] = True
     dual_tol = ZERO_NORM * max(1.0, np.max(np.abs(c), initial=0.0))
@@ -291,18 +299,17 @@ def _dual_simplex(p, start=None):
     # answer is decided and certified with the true ones
     spread = (1.0 + np.arange(n) * 0.6180339887498949) % 1.0  # golden ratio
     cost = c + COST_PERTURBATION * (1.0 + np.abs(c)) * (0.5 + spread / 2)
-    if start is None:
-        paired = half and np.array_equal(ub[0][half:], -ub[0][:half])
-        basis = _independent_rows(rows, [
-            np.arange(2 * n, lead), lead + np.arange(half if paired else 0),
-            np.arange(n)], n)
-        flip = (np.linalg.solve(rows[basis].T, cost) < 0) & ~free[basis]
-        basis[flip] += np.where(basis[flip] < n, n, half)
-    else:
-        basis = np.array(start)
+    half = len(picked) // 2
+    paired = half and np.array_equal(rows[lead + half:],
+                                     -rows[lead:lead + half])
+    basis = _independent_rows(rows, [
+        np.arange(2 * n, lead), lead + np.arange(half if paired else 0),
+        np.arange(n)], n)
+    flip = (np.linalg.solve(rows[basis].T, cost) < 0) & ~free[basis]
+    basis[flip] += np.where(basis[flip] < n, n, half)
 
     inv, pivots, bland = np.linalg.inv(rows[basis]), 0, False
-    for _ in range(PIVOT_CAP_PER_ROW * len(rows)):
+    for _ in range(PIVOT_CAP_PER_ROW * (lead + m)):
         x = inv @ rhs[basis]
         w = cost @ inv
         excess = rows @ x - rhs
@@ -320,18 +327,30 @@ def _dual_simplex(p, start=None):
             inv, pivots = np.linalg.inv(rows[basis]), 0
             continue
         if violated.size == 0:
+            outside = ub[0] @ x - ub[1]
+            outside[ids[lead:] - lead] = 0.0
+            new = np.flatnonzero(outside > DEFAULT_TOL / 10)
+            if new.size:
+                new = new[np.argsort(-outside[new], kind="stable")[:2 * n]]
+                ids = np.concatenate([ids, lead + new])
+                rows = np.concatenate([rows, ub[0][new]])
+                rhs = np.concatenate([rhs, ub[1][new]])
+                free = np.concatenate([free, np.zeros(len(new), dtype=bool)])
+                continue
             boxed = basis < 2 * n
             w = c @ inv
             if np.all(w[boxed] <= dual_tol):
-                return _optimum(p, c, x, w, basis, eq, ub)
+                return _optimum(p, c, x, w, ids[basis], eq, ub,
+                                len(ids) - lead)
             ray = inv @ boxed.astype(float)
-            res = _unbounded(p, c, x, ray / np.max(np.abs(ray)), eq, ub, basis)
+            res = _unbounded(p, c, x, ray / np.max(np.abs(ray)), eq, ub,
+                             len(ids) - lead)
         elif out.size == 0:
-            farkas = np.zeros(len(rows))
-            farkas[basis] = -col
-            farkas[r] = sign[r]
+            farkas = np.zeros(lead + m)
+            farkas[ids[basis]] = -col
+            farkas[ids[r]] = sign[r]
             if np.all(farkas[:2 * n] <= dual_tol):
-                return _infeasible(farkas[2 * n:], eq, ub, basis)
+                return _infeasible(farkas[2 * n:], eq, ub, len(ids) - lead)
             res = None
         else:
             ratio = np.maximum(w[out], 0.0) / col[out]
@@ -382,9 +401,10 @@ def _independent_rows(rows, tiers, n):
     return np.array(picked)
 
 
-def _optimum(p, c, x, w, basis, eq, ub):
-    """The "optimal" LpResult at x with the basic multipliers w (the box's
-    dropped), or None unless the certificate of :func:`lp_solve` checks."""
+def _optimum(p, c, x, w, basis, eq, ub, working):
+    """The "optimal" LpResult at x with the multipliers w of the basic rows
+    ``basis`` (numbered in the kernel's stack; the box's dropped), or None
+    unless the certificate of :func:`lp_solve` checks."""
     n, q = len(c), len(eq[1])
     mult = np.zeros(2 * n + q + len(ub[1]))
     mult[basis] = w
@@ -396,10 +416,10 @@ def _optimum(p, c, x, w, basis, eq, ub):
             and gap <= DEFAULT_TOL * max(1.0, abs(value)) and _meets(p, x)):
         return None
     return LpResult("optimal", value=value, x=x,
-                    certificate=np.concatenate([z, y]), basis=basis)
+                    certificate=np.concatenate([z, y]), working_rows=working)
 
 
-def _infeasible(farkas, eq, ub, basis):
+def _infeasible(farkas, eq, ub, working):
     """The "infeasible" LpResult for the Farkas vector (eq part, ub part),
     or None unless it rules out every point of 1-norm up to
     ``CERTIFIED_RADIUS`` that meets every row within ``DEFAULT_TOL``."""
@@ -412,10 +432,10 @@ def _infeasible(farkas, eq, ub, basis):
     bound = eq[1] @ f[:q] + ub[1] @ f[q:]
     if not bound + DEFAULT_TOL + CERTIFIED_RADIUS * combo < 0.0:
         return None
-    return LpResult("infeasible", certificate=f, basis=basis)
+    return LpResult("infeasible", certificate=f, working_rows=working)
 
 
-def _unbounded(p, c, x, d, eq, ub, basis):
+def _unbounded(p, c, x, d, eq, ub, working):
     """The "unbounded" LpResult for the point x and the direction d, or None
     unless x passes :func:`check_feasible`, d (largest entry 1) raises the
     objective by more than ``ZERO_NORM`` times its largest entry (or 1), and
@@ -425,7 +445,7 @@ def _unbounded(p, c, x, d, eq, ub, basis):
     if not (c @ d > ZERO_NORM * max(1.0, np.max(np.abs(c)))
             and slip <= ZERO_NORM and _meets(p, x)):
         return None
-    return LpResult("unbounded", x=x, certificate=d, basis=basis)
+    return LpResult("unbounded", x=x, certificate=d, working_rows=working)
 
 
 def _meets(p, x):
@@ -459,77 +479,25 @@ def effect_program(points, objective, eq=None):
 
 
 def effect_lp(points, objective, eq=None):
-    """Solve :func:`effect_program` with :func:`lp_solve`, by row generation.
+    """Solve :func:`effect_program` with one :func:`lp_solve` call.
 
-    Each round solves the program on the points of an active set, from the
-    basis at which the round before stopped.  The set starts as the lowest
-    and highest point along each objective row and each coordinate axis;
-    after each round, up to ``2 * dim`` inactive points join it, those
-    whose validity rows the round's optimum violates most.  The answer,
-    whose certificate is spread over the rows of every point, is
-
-    - the round's optimum, once it meets every validity row within
-      ``DEFAULT_TOL`` (the rule of :func:`check_feasible`, read off
-      ``points @ effects.T``): a relaxation optimum feasible on all rows is
-      the full optimum;
-    - "infeasible" as soon as a round is: an infeasible subset certifies
-      that the full program is infeasible;
-    - the answer of a round on every point.  An unbounded round, or one
-      whose optimum only active rows violate (by roundoff), sends the next
-      round to every point.
+    An effect LP over n sampled points has 2kn validity rows, of which
+    only a few bind, so the kernel's working set starts from the rows of a
+    few points: the lowest and highest point along each objective row and
+    each coordinate axis, all 2k validity rows of each.  The kernel adds
+    the other rows as its optimum violates them and certifies the answer
+    on every row.
     """
-    pts = as_finite(points, "points")  # every row, read by a round or not
+    pts = as_finite(points, "points")
     obj = as_finite(objective, "objective")
     k, dim = obj.shape
     n = len(pts)
-    active = np.zeros(n, dtype=bool)
+    seeds = np.zeros(0, dtype=int)
     if n:
         proj = pts @ np.concatenate([obj, np.eye(dim)]).T
-        active[proj.argmin(axis=0)] = active[proj.argmax(axis=0)] = True
-    lead = 2 * k * dim + (0 if eq is None else len(eq[1]))  # see _dual_simplex
-    basis = None
-    while True:
-        idx = np.flatnonzero(active)
-        res = lp_solve(effect_program(pts[idx], obj, eq), basis)
-        if idx.size == n or res.status == "infeasible":
-            return _on_every_point(res, idx, n, 2 * k)
-        if res.status == "unbounded":
-            active[:] = True
-        else:
-            vals = pts @ res.x.reshape(k, dim).T
-            excess = np.maximum(vals - 1.0, -vals).max(axis=1)
-            if excess.max() <= DEFAULT_TOL:
-                return _on_every_point(res, idx, n, 2 * k)
-            excess[active] = 0.0
-            violated = np.flatnonzero(excess > DEFAULT_TOL)
-            worst = np.argsort(-excess[violated], kind="stable")[:2 * dim]
-            active[violated[worst] if violated.size else slice(None)] = True
-        basis = _carry(res.basis, lead, idx, np.flatnonzero(active))
-
-
-def _carry(basis, lead, old, new):
-    """A round's basis, as indices into the kernel's row stack of the next
-    round, whose points ``new`` contain the round's points ``old``; the
-    validity rows start at ``lead``, one block of ``len(old)`` per effect
-    and sign."""
-    basis = basis.copy()
-    valid = basis >= lead
-    block, j = np.divmod(basis[valid] - lead, len(old))
-    basis[valid] = lead + block * len(new) + np.searchsorted(new, old[j])
-    return basis
-
-
-def _on_every_point(res, idx, n, blocks):
-    """``res`` with a row certificate of the round on the points ``idx``
-    spread over the rows of all n points, zero on the rows left out."""
-    if res.status == "unbounded" or len(idx) == n:
-        return res
-    q = len(res.certificate) - blocks * len(idx)
-    cert = np.zeros(q + blocks * n)
-    cert[:q] = res.certificate[:q]
-    rows = (np.arange(blocks)[:, None] * n + idx).ravel()
-    cert[q + rows] = res.certificate[q:]
-    return replace(res, certificate=cert)
+        seeds = np.concatenate([proj.argmin(axis=0), proj.argmax(axis=0)])
+    rows = np.arange(2 * k)[:, None] * n + seeds
+    return lp_solve(effect_program(pts, obj, eq), rows.ravel())
 
 
 def check_feasible(p: LinearProgram, x):

@@ -84,9 +84,6 @@ class Effect:
         """The effect x -> c0 + <w, x> on augmented points (1, x)."""
         return cls(np.concatenate([[c0], w]), label)
 
-    def __call__(self, points):
-        return np.asarray(points) @ np.asarray(self.vector, dtype=float)
-
 
 def unit_effect(s):
     return Effect.affine(1.0, np.zeros(s.ambient_dim - 1), "u")
@@ -105,9 +102,12 @@ def build_structure(rep, sub, reference, n_samples, rng):
     ``rep.real_dimension``), may have any nonzero scale: it is normalized
     here.  When ``sub`` is given, it must be fixed by the subgroup's
     invariant projector within ``INVARIANCE_TOL``.  ``n_samples`` must be at
-    least 1.
+    least 1, and ``rng`` a numpy ``Generator`` or a non-negative integer
+    seed.
     """
     n_samples = check_int(n_samples, "n_samples", 1)
+    if not isinstance(rng, np.random.Generator):
+        rng = check_int(rng, "seed", 0)
     v = np.asarray(reference, dtype=float)
     if v.shape != (rep.real_dimension,):
         raise DomainError(

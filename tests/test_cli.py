@@ -351,6 +351,20 @@ class TestDistanceCommand:
         data = json.loads(out)
         assert data["estimate"] < 0.02
 
+    def test_identical_specs_print_zero_under_any_blas_threads(self):
+        # the self-distance is exactly 0, whatever OpenBLAS's reductions do
+        argv = ("distance", "quartic:3", "quartic:3", "--samples", "300")
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gptforge.cli", *argv],
+                capture_output=True, timeout=120,
+                env=dict(child_env(), OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["estimate"] == 0.0
+
     def test_deformable_pair(self, capsys):
         code, out, _ = run_cli(capsys, "distance",
                                "deformable:0.5,0.3,0.2:0",

@@ -359,6 +359,16 @@ class TestAct:
         assert cr.act(spec, g, np.ones(dim)).shape == (0, dim)
         assert cr.act(spec, g, np.ones((2, dim))).shape == (0, 2, dim)
 
+    @pytest.mark.parametrize("make", _ALL_KINDS)
+    def test_wrong_carrier_length_refused(self, make):
+        # on su_adjoint(2) the short vector is [1.0, 0.0]
+        spec = make(2)
+        dim = spec.real_dimension
+        for g in (np.eye(2), cr.haar_samples(spec, 2, 0)):
+            for v in (np.eye(dim)[0, :-1], np.ones((3, dim + 1)), 1.0):
+                with pytest.raises(DomainError, match=f"last axis of {dim}"):
+                    cr.act(spec, g, v)
+
 
 class TestFundamentalSideOperators:
     @settings(max_examples=80, deadline=None)

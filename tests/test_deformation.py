@@ -123,9 +123,11 @@ class TestLowerBound:
 
 class TestSymmetrizedDistance:
     def test_identical_structures_near_zero(self, deformable_2000):
-        r = dm.symmetrized_distance_estimate(deformable_2000, deformable_2000,
-                                             rng=0)
-        assert r.estimate < 0.02
+        # equal points: f1 = f0 is valid, so 0 is the exact on-sample value
+        at_zero = dm.deform(dm.make_deformation_path(deformable_2000), 0.0)
+        for other in (deformable_2000, at_zero):
+            r = dm.symmetrized_distance_estimate(deformable_2000, other, rng=0)
+            assert r == dm.DistanceReport(0.0, 0.0, 0.0)
 
     def test_symmetric_by_construction(self, deformable_2000):
         path = dm.make_deformation_path(deformable_2000)

@@ -636,13 +636,13 @@ def _pair_segment(h, i, j):
 
 @pytest.fixture()
 def lp_calls(monkeypatch):
-    """Every lp_solve call, wherever the package binds it."""
+    """The result of every lp_solve call, wherever the package binds it."""
     calls = []
     solve = numerics.lp_solve
 
-    def counted(p, *warm):
-        calls.append(p)
-        return solve(p, *warm)
+    def counted(p, *rows):
+        calls.append(solve(p, *rows))
+        return calls[-1]
 
     monkeypatch.setattr(numerics, "lp_solve", counted)
     monkeypatch.setattr(dc, "lp_solve", counted, raising=False)
@@ -663,13 +663,16 @@ class TestLpCount:
 
 
 class TestRowGeneration:
+    # one lp_solve call per effect LP, whose working set ends with at most a
+    # tenth of the validity rows
     @pytest.mark.parametrize("i, j", [(3, 7), (100, 1500), (42, 1999)])
     def test_pure_state_distance_solves_small_subsets(self, deformable_2000,
                                                       lp_calls, i, j):
         d = deformation.pure_state_distance(deformable_2000, i, j)
         assert 0.0 <= d <= 1.0 + DEFAULT_TOL
         full = 2 * deformable_2000.n_points
-        assert lp_calls and max(len(p.ub[1]) for p in lp_calls) <= full / 10
+        [res] = lp_calls
+        assert res.working_rows <= full / 10
 
     @pytest.mark.parametrize("k, feasible", [(2, True), (3, False)])
     def test_sampled_discrimination_solves_small_subsets(
@@ -677,7 +680,8 @@ class TestRowGeneration:
         assert dc.max_distinguishable_sampled(deformable_2000, k) == feasible
         # the k target states join the sample
         full = 2 * k * (deformable_2000.n_points + k)
-        assert lp_calls and max(len(p.ub[1]) for p in lp_calls) <= full / 10
+        [res] = lp_calls
+        assert res.working_rows <= full / 10
 
     def test_reruns_are_bit_identical(self, deformable_2000):
         p = deformable_2000.points

@@ -70,6 +70,10 @@ def _assert_certificate(p, res):
                 + CERTIFIED_RADIUS * np.max(np.abs(combo), initial=0.0)) < 0.0
 
 
+_EFFECT_KINDS = ("general", "flat", "flat-in-span", "contradictory", "zero",
+                 "duplicated", "parallel")
+
+
 def _effect_case(seed, kind, k, dim, n_eq):
     """(points, objective, eq) of an effect LP of the given kind: general,
     flat (the points span a hyperplane), flat-in-span (and the objective
@@ -283,14 +287,12 @@ class TestEffectLp:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6),
-           st.sampled_from(["general", "flat", "flat-in-span",
-                            "contradictory", "zero", "duplicated",
-                            "parallel"]),
+           st.sampled_from(_EFFECT_KINDS),
            st.integers(min_value=1, max_value=3),
            st.integers(min_value=2, max_value=5),
            st.integers(min_value=0, max_value=2))
     def test_row_generation_matches_all_rows(self, seed, kind, k, dim, n_eq):
-        # the kernel, cold on every row and warm round after round, against
+        # the kernel on every row and from effect_lp's seed rows, against
         # HiGHS alone, with every certificate checked from the arrays
         points, objective, eq = _effect_case(seed, kind, k, dim, n_eq)
         full = effect_program(points, objective, eq)
@@ -315,27 +317,51 @@ class TestEffectLp:
 
 
 class TestKernel:
-    """The numpy dual simplex: warm starts and equality rows."""
+    """The numpy dual simplex: its working set and equality rows."""
 
-    def test_rounds_after_the_first_start_warm(self, monkeypatch):
-        # each round starts from the basis of the one before
+    def test_one_solve_grows_the_working_set(self, monkeypatch):
+        # effect_lp hands the kernel the rows of a few points, and the
+        # kernel adds the rows that its optimum violates in the same call
         rng = np.random.default_rng(11)
         points = np.concatenate(
             [np.ones((400, 1)), rng.standard_normal((400, 8))], axis=1)
         objective = [points[3] - points[7]]
-        starts = []
+        hints = []
         solve = numerics.lp_solve
 
-        def spy(p, *warm):
-            starts.append(bool(warm and warm[0] is not None))
-            return solve(p, *warm)
+        def spy(p, *rows):
+            hints.append(rows)
+            return solve(p, *rows)
 
         monkeypatch.setattr(numerics, "lp_solve", spy)
         res = effect_lp(points, objective)
-        assert len(starts) >= 3 and starts[0] is False and all(starts[1:])
+        [(seed,)] = hints
+        assert len(seed) < res.working_rows < 800
         full = effect_program(points, objective)
         assert abs(res.value - highs_lp(full)[1]) <= 1e-7
         _assert_certificate(full, res)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6),
+           st.sampled_from(_EFFECT_KINDS),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=2, max_value=5),
+           st.integers(min_value=0, max_value=2))
+    def test_any_seed_rows_give_the_answer(self, seed, kind, k, dim, n_eq):
+        # no seed row, a random set of them, and every row, against the
+        # kernel without a hint; values agree relative to max(1, |value|)
+        p = effect_program(*_effect_case(seed, kind, k, dim, n_eq))
+        whole = lp_solve(p)
+        m = len(p.ub[1])
+        rng = np.random.default_rng(seed)
+        some = rng.choice(m, int(rng.integers(1, m)), replace=False)
+        for rows in ([], some, np.arange(m)):
+            res = lp_solve(p, rows)
+            assert res.status == whole.status
+            _assert_certificate(p, res)
+            if res.optimal:
+                assert abs(res.value - whole.value) <= 1e-9 * max(
+                    1.0, abs(whole.value))
 
     def test_equalities_alone(self):
         # n independent equalities fix the point; a redundant one is met
@@ -389,7 +415,7 @@ class TestNoCertifiedAnswer:
 
     @pytest.fixture(params=["none", "singular"])
     def failing_kernel(self, request, monkeypatch):
-        def fail(p, start=None):
+        def fail(p, hint=None):
             if request.param == "singular":
                 raise np.linalg.LinAlgError("Singular matrix")
             return None
@@ -399,14 +425,13 @@ class TestNoCertifiedAnswer:
     def test_lp_solve(self, failing_kernel):
         box = (np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
         eq = (np.array([[1.0]]), np.array([0.5]))
-        with pytest.raises(LpSolverFailure, match=re.escape(
-                "(1 eq rows, 2 ub rows, 1 variables, cold start)")):
-            lp_solve(LinearProgram(np.array([1.0]), eq=eq, ub=box))
-        with pytest.raises(LpSolverFailure, match="warm start"):
-            lp_solve(LinearProgram(np.array([1.0]), ub=box), np.array([0]))
+        for rows in (None, [1]):
+            with pytest.raises(LpSolverFailure, match=re.escape(
+                    "(1 eq rows, 2 ub rows, 1 variables)")):
+                lp_solve(LinearProgram(np.array([1.0]), eq=eq, ub=box), rows)
 
     def test_callers(self, failing_kernel):
-        shape = r"\(\d+ eq rows, \d+ ub rows, \d+ variables, cold start\)"
+        shape = r"\(\d+ eq rows, \d+ ub rows, \d+ variables\)"
         s = state_space.deformable_structure([0.5, 0.3, 0.2], 200, 0)
         with pytest.raises(LpSolverFailure, match=shape):
             effect_lp(s.points, [s.points[0]])

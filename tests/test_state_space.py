@@ -54,6 +54,23 @@ class TestBuildStructure:
         with pytest.raises(DomainError, match="n_samples"):
             build(n)
 
+    @pytest.mark.parametrize("build", [
+        lambda rng: ss.build_structure(cr.su_adjoint(2), None,
+                                       [0.0, 0.0, 1.0], 3, rng),
+        lambda rng: ss.bloch_structure(3, rng),
+        lambda rng: ss.spin2_structure(3, rng),
+        lambda rng: ss.deformable_structure([0.5, 0.3, 0.2], 3, rng),
+        lambda rng: ss.quartic_structure(2, 3, rng),
+    ])
+    def test_seed_is_a_generator_or_a_non_negative_integer(self, build):
+        # None would draw from OS entropy, which no argument reproduces
+        for bad in (None, -1, 2.5, True, "2"):
+            with pytest.raises(DomainError, match="seed"):
+                build(bad)
+        drawn = build(np.random.default_rng(7)).points
+        assert np.array_equal(drawn, build(7).points)
+        assert np.array_equal(drawn, build(np.int64(7)).points)
+
     def test_single_point(self):
         s = ss.bloch_structure(1, 0)
         assert ss.sphere_check(s) == 0.0
@@ -152,13 +169,14 @@ class TestAugmentedLayout:
         e = ss.Effect.affine(0.4, w, "f")
         assert e.label == "f"
         assert np.array_equal(e.vector, [0.4, 0.1, -0.2, 0.3])
-        assert np.allclose(e(bloch_2000.points),
+        assert np.allclose(bloch_2000.points @ e.vector,
                            0.4 + bloch_2000.points[:, 1:] @ w, atol=1e-15)
 
 
 class TestEffects:
     def test_unit_effect(self, bloch_2000):
-        assert np.all(ss.unit_effect(bloch_2000)(bloch_2000.points) == 1.0)
+        assert np.all(bloch_2000.points @ ss.unit_effect(bloch_2000).vector
+                      == 1.0)
 
 
 class TestWitnessEffect:
@@ -167,7 +185,8 @@ class TestWitnessEffect:
         assert abs(bloch_2000.points[3] @ e.vector - 1.0) < 1e-12
 
     def test_valid_on_whole_sample(self, bloch_2000):
-        vals = ss.witness_effect(bloch_2000, anchor=0)(bloch_2000.points)
+        e = ss.witness_effect(bloch_2000, anchor=0)
+        vals = bloch_2000.points @ e.vector
         assert vals.min() >= -DEFAULT_TOL and vals.max() <= 1.0 + DEFAULT_TOL
 
     def test_haar_average_one_half(self, bloch_2000):
